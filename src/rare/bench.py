@@ -2,8 +2,9 @@
 
 Three stages are timed per query and summed over the query set:
 
-* NN: BM25 lookup of in-context examples plus joining them to pool entries.
-* Query: rendering the augmented query, then featurize + project + normalize.
+* NN: retrieved example selection, BM25 over the pool queries with an
+  identical self-match excluded, as `search` selects.
+* Query: rendering the augmented query, then embedding it.
 * Search: dot products against the flat index plus top-K selection.
 
 A full pass over the queries is one repetition. One untimed warmup pass runs
@@ -15,6 +16,7 @@ plain instruction setting never touches the example pool and reports NN = 0.
 from __future__ import annotations
 
 import csv
+import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,12 +24,11 @@ from statistics import median
 
 from . import bm25
 from .data import ExamplePool, Query
-from .embedder import EmbedderParams, featurize, project
+from .embedder import EmbedderParams, embed
 from .errors import SpecInvalid
 from .prompt import FormatKind, PromptFormat, render_inst, render_inst_ic
 from .retrieve import FlatIndex, search
-
-import numpy as np
+from .trainer import SelectionPolicy, select_examples
 
 CSV_COLUMNS = ["Dataset", "#Corpus", "Setting", "AvgQLen", "NN", "Query", "Search", "Total", "Inc"]
 
@@ -61,7 +62,6 @@ def profile(
     k: int = 5,
     top_k: int = 10,
     repetitions: int = 5,
-    fmt: PromptFormat | None = None,
 ) -> LatencyReport:
     """Time one full inference pass per repetition and report stage medians."""
     if setting not in (FormatKind.INST, FormatKind.INST_IC):
@@ -71,8 +71,8 @@ def profile(
     uses_examples = setting is FormatKind.INST_IC and k > 0
     if uses_examples and (pool is None or ic_index is None):
         raise SpecInvalid("the inst+ic setting needs an example pool and its BM25 index")
-    if fmt is None:
-        fmt = PromptFormat(kind=setting)
+    fmt = PromptFormat(kind=setting)
+    rng = random.Random(0)  # the retrieved policy draws nothing from it
 
     q_len_total = 0.0
 
@@ -83,19 +83,14 @@ def profile(
         for q in queries:
             if uses_examples:
                 t0 = time.perf_counter()
-                neighbors = bm25.top_k_neighbors(ic_index, q.text, k)
-                examples = [pool.examples[ordinal] for ordinal, _ in neighbors]
+                examples = select_examples(pool, ic_index, q.text, k, SelectionPolicy.RETRIEVED, rng)
                 nn += time.perf_counter() - t0
-            else:
-                examples = []
             t0 = time.perf_counter()
             if uses_examples:
                 aug = render_inst_ic(instruction, examples, q.text, fmt)
             else:
                 aug = render_inst(instruction, q.text, fmt.bracket_queries)
-            u = project(params, featurize(params, aug.text))
-            norm = float(np.linalg.norm(u))
-            emb = u / norm if norm > 0.0 else np.zeros(params.embed_dim)
+            emb = embed(params, aug.text)
             query += time.perf_counter() - t0
             q_len_total += aug.approx_len
             t0 = time.perf_counter()

@@ -5,7 +5,7 @@ Scoring uses the standard Okapi form. For a query term t against item d:
     idf(t) = ln(1 + (N - n_t + 0.5) / (n_t + 0.5))
     tf_part = tf * (k1 + 1) / (tf + k1 * (1 - b + b * len(d) / avg_len))
 
-with defaults k1 = 1.2 and b = 0.75. Because idf is always positive here,
+with k1 = 1.2 and b = 0.75. Because idf is always positive here,
 an item has a positive score exactly when it shares at least one term with
 the query.
 """
@@ -14,17 +14,12 @@ from __future__ import annotations
 
 import math
 import string
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
-from .errors import BadMagic, EmptyCollection, OrdinalOutOfRange, Truncated, VersionMismatch
+from .errors import EmptyCollection, OrdinalOutOfRange
 
-DEFAULT_K1 = 1.2
-DEFAULT_B = 0.75
-
-MAGIC = b"RBM1"
-VERSION = 1
+K1 = 1.2
+B = 0.75
 
 _PUNCT = set(string.punctuation)
 
@@ -55,11 +50,9 @@ class Bm25Index:
     lengths: list[int]
     avg_length: float
     n_items: int
-    k1: float = DEFAULT_K1
-    b: float = DEFAULT_B
 
 
-def build_index(texts: list[str], k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Bm25Index:
+def build_index(texts: list[str]) -> Bm25Index:
     """Index texts by ordinal. Raises EmptyCollection for an empty list."""
     if not texts:
         raise EmptyCollection("cannot build a BM25 index over zero items")
@@ -74,7 +67,7 @@ def build_index(texts: list[str], k1: float = DEFAULT_K1, b: float = DEFAULT_B) 
         for term, tf in counts.items():
             postings.setdefault(term, []).append((ordinal, tf))
     avg_length = sum(lengths) / len(lengths)
-    return Bm25Index(postings=postings, lengths=lengths, avg_length=avg_length, n_items=len(texts), k1=k1, b=b)
+    return Bm25Index(postings=postings, lengths=lengths, avg_length=avg_length, n_items=len(texts))
 
 
 def idf(index: Bm25Index, term: str) -> float:
@@ -105,8 +98,8 @@ def score(index: Bm25Index, query_tokens: list[str], ordinal: int) -> float:
                 break
         if tf == 0:
             continue
-        denom = tf + index.k1 * (1.0 - index.b + index.b * length / index.avg_length)
-        total += counts[term] * idf(index, term) * tf * (index.k1 + 1.0) / denom
+        denom = tf + K1 * (1.0 - B + B * length / index.avg_length)
+        total += counts[term] * idf(index, term) * tf * (K1 + 1.0) / denom
     return total
 
 
@@ -144,10 +137,8 @@ def top_k_neighbors(
         for ordinal, tf in plist:
             if ordinal == exclude:
                 continue
-            denom = tf + index.k1 * (
-                1.0 - index.b + index.b * index.lengths[ordinal] / index.avg_length
-            )
-            accum[ordinal] = accum.get(ordinal, 0.0) + q_tf * term_idf * tf * (index.k1 + 1.0) / denom
+            denom = tf + K1 * (1.0 - B + B * index.lengths[ordinal] / index.avg_length)
+            accum[ordinal] = accum.get(ordinal, 0.0) + q_tf * term_idf * tf * (K1 + 1.0) / denom
     if not accum:
         return []
     ranked = sorted(accum.items(), key=lambda item: (-item[1], item[0]))
@@ -160,71 +151,3 @@ def top_k_neighbors(
                 continue
             ranked.append((ordinal, 0.0))
     return ranked[:k]
-
-
-def save_index(index: Bm25Index, path: str | Path) -> None:
-    """Serialize the index: magic RBM1, then little-endian header and postings.
-
-    Layout after the 4-byte magic:
-      u32  version
-      f64  k1, f64 b
-      u64  n_items, then n_items u64 token lengths
-      u64  number of terms, then per term:
-        u32 byte length, UTF-8 term bytes,
-        u64 postings count, then (u64 ordinal, u64 tf) pairs
-    """
-    with Path(path).open("wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<dd", index.k1, index.b))
-        fh.write(struct.pack("<Q", index.n_items))
-        fh.write(struct.pack(f"<{index.n_items}Q", *index.lengths))
-        fh.write(struct.pack("<Q", len(index.postings)))
-        for term, plist in index.postings.items():
-            raw = term.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<Q", len(plist)))
-            for ordinal, tf in plist:
-                fh.write(struct.pack("<QQ", ordinal, tf))
-
-
-class _Reader:
-    def __init__(self, blob: bytes, path: str):
-        self.blob = blob
-        self.path = path
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise Truncated(f"{self.path}: expected {n} more bytes at offset {self.pos}")
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
-def load_index(path: str | Path) -> Bm25Index:
-    blob = Path(path).read_bytes()
-    rd = _Reader(blob, str(path))
-    magic = rd.take(len(MAGIC))
-    if magic != MAGIC:
-        raise BadMagic(f"{path}: expected magic {MAGIC!r}, found {magic!r}")
-    (version,) = rd.unpack("<I")
-    if version != VERSION:
-        raise VersionMismatch(f"{path}: unsupported index version {version}")
-    k1, b = rd.unpack("<dd")
-    (n_items,) = rd.unpack("<Q")
-    lengths = list(rd.unpack(f"<{n_items}Q"))
-    (n_terms,) = rd.unpack("<Q")
-    postings: dict[str, list[tuple[int, int]]] = {}
-    for _ in range(n_terms):
-        (term_len,) = rd.unpack("<I")
-        term = rd.take(term_len).decode("utf-8")
-        (n_postings,) = rd.unpack("<Q")
-        plist = [tuple(rd.unpack("<QQ")) for _ in range(n_postings)]
-        postings[term] = [(int(o), int(tf)) for o, tf in plist]
-    avg_length = sum(lengths) / n_items if n_items else 0.0
-    return Bm25Index(postings=postings, lengths=lengths, avg_length=avg_length, n_items=n_items, k1=k1, b=b)

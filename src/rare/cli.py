@@ -43,8 +43,6 @@ from .retrieve import (
 )
 from .trainer import SelectionPolicy, TrainConfig, train
 
-log = logging.getLogger(__name__)
-
 FORMAT_CHOICES = [kind.value for kind in FormatKind]
 SELECT_CHOICES = [policy.value for policy in SelectionPolicy]
 
@@ -86,25 +84,34 @@ def _add_embedder_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-tokens", type=int, default=None)
 
 
-def _apply_config_pairs(args: argparse.Namespace, pairs: list[str]) -> None:
-    """Apply --config key=value overrides onto parsed flags."""
-    for pair in pairs:
-        if "=" not in pair:
+def _apply_config_pairs(args: argparse.Namespace, command: argparse.ArgumentParser) -> None:
+    """Apply --config key=value overrides onto parsed flags.
+
+    Each value is converted by its flag's type and checked against its
+    choices, exactly as the flag itself would be.
+    """
+    actions = {a.dest: a for a in command._actions if a.option_strings and a.dest not in ("help", "config")}
+    for pair in args.config:
+        key, sep, raw = pair.partition("=")
+        if not sep:
             raise UsageError(f"--config expects key=value, got {pair!r}")
-        key, raw = pair.split("=", 1)
-        dest = key.strip().replace("-", "_")
-        if not hasattr(args, dest):
+        action = actions.get(key.strip().replace("-", "_"))
+        if action is None:
             raise UsageError(f"--config refers to unknown option {key!r}")
-        current = getattr(args, dest)
-        if isinstance(current, bool):
+        if action.nargs == 0:
             value = raw.strip().lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
         else:
-            value = raw
-        setattr(args, dest, value)
+            convert = action.type or str
+            try:
+                value = convert(raw)
+            except ValueError:
+                raise UsageError(f"--config {key}: invalid {convert.__name__} value {raw!r}") from None
+            if action.choices is not None and value not in action.choices:
+                choices = ", ".join(map(str, action.choices))
+                raise UsageError(f"--config {key}: {raw!r} is not one of {choices}")
+            if isinstance(action, argparse._AppendAction):
+                value = [value]
+        setattr(args, action.dest, value)
 
 
 def _manifest_config(args: argparse.Namespace) -> dict:
@@ -148,27 +155,24 @@ def _cmd_synth(argv: list[str], args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_pools(pool_args: list[str], train_set: list[data.TrainExample], source: data.PoolSource) -> dict[str, data.ExamplePool]:
+def _parse_pools(pool_args: list[str], train_set: list[data.TrainExample]) -> dict[str, data.ExamplePool]:
     task_ids = sorted({ex.task_id for ex in train_set})
     pools: dict[str, data.ExamplePool] = {}
     for entry in pool_args:
         task, sep, path = entry.partition("=")
         if sep and not Path(task).exists():
-            pools[task] = data.load_example_pool(_require_file(path, "example pool"), task, source)
+            pools[task] = data.load_example_pool(_require_file(path, "example pool"), task)
         else:
             if len(task_ids) != 1:
                 raise UsageError("train set has multiple tasks; use --pool TASK=PATH for each")
-            pools[task_ids[0]] = data.load_example_pool(
-                _require_file(entry, "example pool"), task_ids[0], source
-            )
+            pools[task_ids[0]] = data.load_example_pool(_require_file(entry, "example pool"), task_ids[0])
     return pools
 
 
 def _cmd_train(argv: list[str], args: argparse.Namespace) -> int:
     train_path = _require_file(args.data, "training data")
     train_set = data.load_train(train_path)
-    source = data.PoolSource(args.pool_source)
-    pools = _parse_pools(args.pool or [], train_set, source)
+    pools = _parse_pools(args.pool or [], train_set)
     orders = tuple(int(n) for n in args.ngrams.split(",") if n.strip())
     params = embedder.new_params(
         hash_dim=args.hash_dim,
@@ -213,7 +217,7 @@ def _cmd_train(argv: list[str], args: argparse.Namespace) -> int:
 def _cmd_index(argv: list[str], args: argparse.Namespace) -> int:
     corpus = data.load_corpus(_require_file(args.corpus, "corpus"))
     params = embedder.load(_require_file(args.model, "model"))
-    index = build_flat_index(corpus, params, threads=args.threads)
+    index = build_flat_index(corpus, params)
     save_index(index, args.out)
     _emit_manifest(
         argv, args, Path(args.out),
@@ -233,9 +237,7 @@ def _cmd_search(argv: list[str], args: argparse.Namespace) -> int:
     if fmt.kind is not FormatKind.INST and args.k > 0:
         if not args.pool:
             raise UsageError(f"format {fmt.kind.value} needs --pool")
-        pool = data.load_example_pool(
-            _require_file(args.pool, "example pool"), args.task, data.PoolSource(args.pool_source)
-        )
+        pool = data.load_example_pool(_require_file(args.pool, "example pool"), args.task)
         ic_index = bm25.build_index([ex.query for ex in pool.examples])
     run = run_inference(
         queries, args.instruction, pool, ic_index, index, params,
@@ -354,8 +356,6 @@ def _cmd_ablate(argv: list[str], args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(argv: list[str], args: argparse.Namespace) -> int:
-    if args.threads != 1:
-        log.warning("profiling is single-threaded; ignoring --threads=%d", args.threads)
     params = embedder.load(_require_file(args.model, "model"))
     bundle = _load_bundle(f"{args.dataset}={args.data}" if args.dataset else args.data, args.instruction)
     index = build_flat_index(bundle.corpus, params)
@@ -403,7 +403,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="contrastively train the embedder projection")
     p.add_argument("--data", required=True, help="train.jsonl")
     p.add_argument("--pool", action="append", help="pool.jsonl, or TASK=pool.jsonl, repeatable")
-    p.add_argument("--pool-source", choices=[s.value for s in data.PoolSource], default="train")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--temp", type=float, default=0.01)
     p.add_argument("--mix", type=float, default=0.7, help="probability of in-context rendering")
@@ -423,7 +422,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("index", help="embed a corpus into a flat index")
     p.add_argument("--corpus", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_index)
 
@@ -432,7 +430,6 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--pool", default=None)
-    p.add_argument("--pool-source", choices=[s.value for s in data.PoolSource], default="train")
     p.add_argument("--task", default="default", help="task id for the example pool")
     p.add_argument("--instruction", default="")
     p.add_argument("--k", type=int, default=5)
@@ -479,13 +476,13 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--topk", type=int, default=10)
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bench)
 
     for sp in sub.choices.values():
         sp.add_argument("--config", action="append", default=[], metavar="KEY=VALUE",
                         help="override any flag of this subcommand by destination name")
+    parser.commands = sub.choices
     return parser
 
 
@@ -497,7 +494,7 @@ def dispatch(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise UsageError(parser.format_usage())
-        _apply_config_pairs(args, args.config)
+        _apply_config_pairs(args, parser.commands[args.command])
         return args.func(argv, args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 
 from .errors import (
@@ -26,7 +25,6 @@ from .errors import (
     MalformedLine,
     MalformedRow,
     NegativeGrade,
-    UnknownDataset,
 )
 
 log = logging.getLogger(__name__)
@@ -65,19 +63,12 @@ class ICExample:
     negative: str | None = None
 
 
-class PoolSource(Enum):
-    TRAIN_SPLIT = "train"
-    DEV_SPLIT = "dev"
-    GENERATED = "genq"
-
-
 @dataclass
 class ExamplePool:
     """The candidate examples one task draws from, in file order."""
 
     task_id: str
     examples: list[ICExample]
-    source: PoolSource = PoolSource.TRAIN_SPLIT
     _ordinals: dict[str, int] | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -101,68 +92,6 @@ class QRels:
 
     def grades_for(self, query_id: str) -> dict[str, int]:
         return self.judgments.get(query_id, {})
-
-    def validate_against(self, queries: list[Query]) -> None:
-        known = {q.id for q in queries}
-        unknown = sorted(set(self.judgments) - known)
-        if unknown:
-            raise DuplicateId(
-                f"qrels reference {len(unknown)} unknown query ids, first: {unknown[0]!r}"
-            )
-
-
-class Category(Enum):
-    IN_DOMAIN = "ID"
-    OUT_OF_DOMAIN = "OOD"
-
-
-@dataclass(frozen=True)
-class DatasetCategory:
-    name: str
-    category: Category
-
-
-# Domain split is fixed by configuration: a dataset is in-domain exactly when
-# its training split is part of the training mixture.
-_CATEGORIES: dict[str, Category] = {
-    "fever": Category.IN_DOMAIN,
-    "hotpotqa": Category.IN_DOMAIN,
-    "nq": Category.IN_DOMAIN,
-    "quora": Category.IN_DOMAIN,
-    "quoraretrieval": Category.IN_DOMAIN,
-    "msmarco": Category.IN_DOMAIN,
-    "synth": Category.IN_DOMAIN,
-    "arguana": Category.OUT_OF_DOMAIN,
-    "climatefever": Category.OUT_OF_DOMAIN,
-    "cqadupstack": Category.OUT_OF_DOMAIN,
-    "dbpedia": Category.OUT_OF_DOMAIN,
-    "fiqa2018": Category.OUT_OF_DOMAIN,
-    "nfcorpus": Category.OUT_OF_DOMAIN,
-    "scidocs": Category.OUT_OF_DOMAIN,
-    "scifact": Category.OUT_OF_DOMAIN,
-    "touche2020": Category.OUT_OF_DOMAIN,
-    "treccovid": Category.OUT_OF_DOMAIN,
-    "arcchallenge": Category.OUT_OF_DOMAIN,
-    "alphanli": Category.OUT_OF_DOMAIN,
-    "hellaswag": Category.OUT_OF_DOMAIN,
-    "piqa": Category.OUT_OF_DOMAIN,
-    "quail": Category.OUT_OF_DOMAIN,
-    "siqa": Category.OUT_OF_DOMAIN,
-    "winogrande": Category.OUT_OF_DOMAIN,
-    "tempreasonl1": Category.OUT_OF_DOMAIN,
-}
-
-
-def register_dataset(name: str, category: Category) -> None:
-    _CATEGORIES[name.lower().replace("-", "")] = category
-
-
-def category_of(name: str) -> DatasetCategory:
-    key = name.lower().replace("-", "")
-    try:
-        return DatasetCategory(name=name, category=_CATEGORIES[key])
-    except KeyError:
-        raise UnknownDataset(f"no domain category registered for dataset {name!r}") from None
 
 
 def _read_jsonl(path: str | Path):
@@ -273,11 +202,7 @@ def load_train(path: str | Path) -> list[TrainExample]:
     return out
 
 
-def load_example_pool(
-    path: str | Path,
-    task_id: str,
-    source: PoolSource = PoolSource.TRAIN_SPLIT,
-) -> ExamplePool:
+def load_example_pool(path: str | Path, task_id: str) -> ExamplePool:
     """Load pool.jsonl as the in-context candidate pool for one task."""
     examples: list[ICExample] = []
     for line_no, obj in _read_jsonl(path):
@@ -289,7 +214,7 @@ def load_example_pool(
         examples.append(ICExample(query=query, positive=positive, negative=negative))
     if not examples:
         raise EmptyPool(f"{path}: example pool is empty")
-    return ExamplePool(task_id=task_id, examples=examples, source=source)
+    return ExamplePool(task_id=task_id, examples=examples)
 
 
 def write_corpus(corpus: dict[str, Document], path: str | Path) -> None:

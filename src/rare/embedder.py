@@ -18,8 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .binfile import Reader
 from .bm25 import tokenize
-from .errors import BadMagic, DimMismatch, NonFiniteParams, Truncated, VersionMismatch
+from .errors import DimMismatch, NonFiniteParams, SerializationError
 
 MAGIC = b"RARE1"
 VERSION = 1
@@ -47,11 +48,10 @@ def new_params(
     max_tokens: int | None = None,
 ) -> EmbedderParams:
     """Fresh parameters with W drawn i.i.d. uniform on [-1/sqrt(V), 1/sqrt(V)]."""
-    if hash_dim < 1 or embed_dim < 1:
-        raise ValueError("hash_dim and embed_dim must be positive")
     orders = tuple(sorted(set(int(n) for n in ngram_orders)))
-    if not orders or orders[0] < 1:
-        raise ValueError("ngram orders must be positive integers")
+    problem = _shape_problem(hash_dim, embed_dim, orders)
+    if problem:
+        raise ValueError(problem)
     bound = 1.0 / np.sqrt(hash_dim)
     rng = np.random.default_rng(seed)
     projection = rng.uniform(-bound, bound, size=(embed_dim, hash_dim))
@@ -63,6 +63,15 @@ def new_params(
         hash_seed=seed,
         max_tokens=max_tokens,
     )
+
+
+def _shape_problem(hash_dim: int, embed_dim: int, orders: tuple[int, ...]) -> str | None:
+    """Why these dimensions and n-gram orders cannot make an embedder, if they cannot."""
+    if hash_dim < 1 or embed_dim < 1:
+        return "hash_dim and embed_dim must be positive"
+    if not orders or min(orders) < 1:
+        return "ngram orders must be positive integers"
+    return None
 
 
 @lru_cache(maxsize=1 << 20)
@@ -134,34 +143,17 @@ def save(params: EmbedderParams, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> EmbedderParams:
-    blob = Path(path).read_bytes()
-    pos = 0
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(blob):
-            raise Truncated(f"{path}: expected {n} more bytes at offset {pos}")
-        chunk = blob[pos : pos + n]
-        pos += n
-        return chunk
-
-    magic = take(len(MAGIC))
-    if magic != MAGIC:
-        raise BadMagic(f"{path}: expected magic {MAGIC!r}, found {magic!r}")
-    (version,) = struct.unpack("<I", take(4))
-    if version != VERSION:
-        raise VersionMismatch(f"{path}: unsupported model version {version}")
-    hash_dim, embed_dim = struct.unpack("<QQ", take(16))
-    (n_orders,) = struct.unpack("<I", take(4))
-    orders = struct.unpack(f"<{n_orders}I", take(4 * n_orders))
-    (hash_seed,) = struct.unpack("<q", take(8))
-    (raw_max,) = struct.unpack("<Q", take(8))
-    w_bytes = take(8 * hash_dim * embed_dim)
-    if pos != len(blob):
-        raise Truncated(f"{path}: {len(blob) - pos} unexpected trailing bytes")
-    projection = np.frombuffer(w_bytes, dtype="<f8").reshape(embed_dim, hash_dim).copy()
-    if not np.all(np.isfinite(projection)):
-        raise NonFiniteParams(f"{path}: projection contains non-finite values")
+    rd = Reader(path, MAGIC, VERSION, "model")
+    hash_dim, embed_dim = rd.unpack("<QQ")
+    (n_orders,) = rd.unpack("<I")
+    orders = rd.unpack(f"<{n_orders}I")
+    (hash_seed,) = rd.unpack("<q")
+    (raw_max,) = rd.unpack("<Q")
+    problem = _shape_problem(hash_dim, embed_dim, orders)
+    if problem:
+        raise SerializationError(f"{path}: {problem}")
+    projection = rd.matrix(embed_dim, hash_dim)
+    rd.end()
     return EmbedderParams(
         hash_dim=int(hash_dim),
         embed_dim=int(embed_dim),

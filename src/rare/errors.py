@@ -84,10 +84,6 @@ class OrdinalOutOfRange(DataError):
     """An item ordinal does not exist in the index."""
 
 
-class UnknownDataset(DataError):
-    """A dataset name has no registered domain category."""
-
-
 class SerializationError(DataError):
     """Base class for binary artifact parsing failures."""
 

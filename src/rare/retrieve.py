@@ -10,16 +10,16 @@ from __future__ import annotations
 import logging
 import random
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import bm25
+from .binfile import Reader
 from .data import Document, ExamplePool, Query
 from .embedder import EmbedderParams, embed
-from .errors import BadMagic, DimMismatch, EmptyCorpus, MalformedRow, Truncated, VersionMismatch
+from .errors import DimMismatch, EmptyCorpus, MalformedRow
 from .prompt import FormatKind, PromptFormat, render_inst, render_inst_ic
 from .trainer import SelectionPolicy, select_examples
 
@@ -49,17 +49,12 @@ def document_text(doc: Document) -> str:
     return doc.title + " " + doc.text
 
 
-def build_flat_index(corpus: dict[str, Document], params: EmbedderParams, threads: int = 1) -> FlatIndex:
+def build_flat_index(corpus: dict[str, Document], params: EmbedderParams) -> FlatIndex:
     """Embed every document, rows in corpus iteration order."""
     if not corpus:
         raise EmptyCorpus("cannot index an empty corpus")
     docs = list(corpus.values())
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda d: embed(params, document_text(d)), docs))
-    else:
-        rows = [embed(params, document_text(d)) for d in docs]
-    matrix = np.stack(rows)
+    matrix = np.stack([embed(params, document_text(d)) for d in docs])
     return FlatIndex(ids=[d.id for d in docs], matrix=matrix, dim=params.embed_dim)
 
 
@@ -150,27 +145,9 @@ def save_index(index: FlatIndex, path: str | Path) -> None:
 
 
 def load_flat_index(path: str | Path) -> FlatIndex:
-    blob = Path(path).read_bytes()
-    pos = 0
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(blob):
-            raise Truncated(f"{path}: expected {n} more bytes at offset {pos}")
-        chunk = blob[pos : pos + n]
-        pos += n
-        return chunk
-
-    magic = take(len(MAGIC))
-    if magic != MAGIC:
-        raise BadMagic(f"{path}: expected magic {MAGIC!r}, found {magic!r}")
-    (version,) = struct.unpack("<I", take(4))
-    if version != VERSION:
-        raise VersionMismatch(f"{path}: unsupported index version {version}")
-    n, dim = struct.unpack("<QQ", take(16))
-    ids = []
-    for _ in range(n):
-        (id_len,) = struct.unpack("<I", take(4))
-        ids.append(take(id_len).decode("utf-8"))
-    matrix = np.frombuffer(take(8 * n * dim), dtype="<f8").reshape(n, dim).copy()
+    rd = Reader(path, MAGIC, VERSION, "index")
+    n, dim = rd.unpack("<QQ")
+    ids = [rd.text() for _ in range(n)]
+    matrix = rd.matrix(n, dim)
+    rd.end()
     return FlatIndex(ids=ids, matrix=matrix, dim=int(dim))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .data import Document, ExamplePool, ICExample, PoolSource, QRels, Query, TrainExample
+from .data import Document, ExamplePool, ICExample, QRels, Query, TrainExample
 from .errors import SpecInvalid
 
 DOC_TOKENS = 30
@@ -143,7 +143,7 @@ def generate(spec: SynthSpec) -> SynthBenchmark:
             )
             pool_examples.append(ICExample(query=text, positive=positive, negative=negative))
 
-    pool = ExamplePool(task_id=TASK_ID, examples=pool_examples, source=PoolSource.TRAIN_SPLIT)
+    pool = ExamplePool(task_id=TASK_ID, examples=pool_examples)
     return SynthBenchmark(
         corpus=corpus, queries=queries, qrels=QRels(judgments=judgments),
         train_set=train_set, pool=pool,

@@ -316,7 +316,7 @@ def test_criterion_11_cli_determinism(tmp_path):
              "--k", "2", "--epochs", "2", "--batch", "16", "--hash-dim", "2048", "--dim", "16",
              "--out", str(model)],
             ["index", "--corpus", str(synth_dir / "corpus.jsonl"), "--model", str(model),
-             "--threads", "1", "--out", str(index)],
+             "--out", str(index)],
             ["search", "--index", str(index), "--model", str(model),
              "--queries", str(synth_dir / "queries.jsonl"), "--pool", str(synth_dir / "pool.jsonl"),
              "--task", "synth", "--k", "2", "--out", str(run)],

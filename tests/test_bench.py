@@ -7,7 +7,7 @@ import csv
 
 import pytest
 
-from rare import bm25
+from rare import bm25, retrieve
 from rare.bench import (
     CSV_COLUMNS,
     LatencyReport,
@@ -19,8 +19,8 @@ from rare.bench import (
 from rare.data import Document, ExamplePool, ICExample, Query
 from rare.embedder import new_params
 from rare.errors import SpecInvalid
-from rare.prompt import FormatKind
-from rare.retrieve import build_flat_index
+from rare.prompt import FormatKind, PromptFormat, render_inst_ic
+from rare.retrieve import build_flat_index, run_inference
 
 
 def fixture(n_docs=30, n_queries=8):
@@ -78,6 +78,32 @@ class TestProfile:
         ic = profile("toy", queries, "find", pool, ic_index, index, params,
                      FormatKind.INST_IC, k=3, repetitions=1)
         assert ic.avg_q_len > inst.avg_q_len
+
+    def test_avg_q_len_matches_search(self, monkeypatch):
+        # The query is also the first pool query. Search leaves that entry
+        # out of its own examples, and its long positive would lengthen the
+        # rendering if bench kept it in.
+        params, _, index, _, _, _ = fixture()
+        pool = ExamplePool(task_id="t", examples=[
+            ICExample(query="alpha beta gamma", positive="a long positive with many more words in it"),
+            ICExample(query="alpha beta", positive="short"),
+            ICExample(query="beta gamma", positive="short"),
+            ICExample(query="gamma delta", positive="short"),
+        ])
+        ic_index = bm25.build_index([ex.query for ex in pool.examples])
+        queries = [Query(id="q0", text="alpha beta gamma"), Query(id="q1", text="gamma beta")]
+        rendered = []
+
+        def spy(*args):
+            rendered.append(render_inst_ic(*args))
+            return rendered[-1]
+
+        monkeypatch.setattr(retrieve, "render_inst_ic", spy)
+        run_inference(queries, "find", pool, ic_index, index, params,
+                      PromptFormat(kind=FormatKind.INST_IC), k=2, top_k=10)
+        report = profile("toy", queries, "find", pool, ic_index, index, params,
+                         FormatKind.INST_IC, k=2, repetitions=1)
+        assert report.avg_q_len == sum(aug.approx_len for aug in rendered) / len(queries)
 
     def test_unsupported_setting_rejected(self):
         params, _, index, queries, pool, ic_index = fixture()

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from rare.cli import dispatch, main
+from rare.embedder import load
 
 try:
     import tomllib
@@ -100,10 +101,23 @@ class TestExitCodes:
         assert "numeric" in capsys.readouterr().err.lower()
 
     def test_bad_config_pair_is_usage_error(self, tmp_path, capsys):
-        code = dispatch(["synth", "--out", str(tmp_path / "d"), "--config", "nonsense"])
-        assert code == 1
-        code = dispatch(["synth", "--out", str(tmp_path / "d"), "--config", "unknown-key=3"])
-        assert code == 1
+        synth = ["synth", "--out", str(tmp_path / "d")]
+        train = ["train", "--data", str(tmp_path / "train.jsonl"), "--out", str(tmp_path / "m.rare")]
+        cases = [
+            (synth, "nonsense"),
+            (synth, "unknown-key=3"),
+            (synth, "seed=abc"),
+            (train, "temp=abc"),
+            (train, "max_tokens=abc"),
+            (train, "select=bogus"),
+            (train, "func=x"),
+        ]
+        for argv, pair in cases:
+            capsys.readouterr()
+            assert dispatch([*argv, "--config", pair]) == 1, pair
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1, err
+            assert "Traceback" not in err
 
 
 class TestPipelineArtifacts:
@@ -191,6 +205,16 @@ class TestConfigOverride:
         assert dispatch(["synth", "--out", str(out), *SMALL_SYNTH, "--config", "seed=9"]) == 0
         manifest = json.loads((out / "corpus.jsonl.manifest.json").read_text(encoding="utf-8"))
         assert manifest["seeds"]["seed"] == 9
+        model = tmp_path / "m.rare"
+        assert dispatch([
+            "train", "--data", str(out / "train.jsonl"), "--pool", str(tmp_path / "missing.jsonl"),
+            "--k", "2", "--epochs", "1", "--batch", "16", "--out", str(model), *SMALL_EMBEDDER,
+            "--config", "max_tokens=5", "--config", "temp=0.5", "--config", "brackets=true",
+            "--config", f"pool={out / 'pool.jsonl'}",
+        ]) == 0
+        config = json.loads((tmp_path / "m.rare.manifest.json").read_text(encoding="utf-8"))["config"]
+        assert (config["max_tokens"], config["temp"], config["brackets"]) == (5, 0.5, True)
+        assert load(model).max_tokens == 5
 
 
 class TestEvalBuckets:
@@ -277,19 +301,6 @@ class TestBenchCommand:
         assert float(by_setting["inst"][4]) == 0.0  # NN column
         assert float(by_setting["inst+ic"][3]) > float(by_setting["inst"][3])  # AvgQLen
         assert by_setting["inst+ic"][8] != ""  # Inc factor filled
-
-    def test_threads_warning(self, pipeline, tmp_path, caplog):
-        import logging
-
-        with caplog.at_level(logging.WARNING, logger="rare.cli"):
-            code = dispatch([
-                "bench", "--data", str(pipeline / "data"), "--dataset", "synth",
-                "--model", str(pipeline / "model.rare"),
-                "--k", "2", "--reps", "1", "--threads", "4",
-                "--out", str(tmp_path / "b.csv"),
-            ])
-        assert code == 0
-        assert any("single-threaded" in rec.message for rec in caplog.records)
 
 
 def run_synth(argv: list[str], out: Path) -> None:

@@ -1,5 +1,5 @@
 """Data loading and writing: JSONL/TSV parsing, error reporting with line
-numbers, round trips, and the dataset category table."""
+numbers and round trips."""
 
 from __future__ import annotations
 
@@ -9,14 +9,13 @@ import logging
 import pytest
 
 from rare import data
-from rare.data import Category, Document, ExamplePool, ICExample, PoolSource, QRels, Query, TrainExample
+from rare.data import Document, ExamplePool, ICExample, QRels, Query, TrainExample
 from rare.errors import (
     DuplicateId,
     EmptyPool,
     MalformedLine,
     MalformedRow,
     NegativeGrade,
-    UnknownDataset,
 )
 
 
@@ -143,12 +142,11 @@ class TestLoadExamplePool:
             ICExample(query="a", positive="pa", negative="na"),
             ICExample(query="b", positive="pb"),
         ]
-        pool = ExamplePool(task_id="t", examples=examples, source=PoolSource.GENERATED)
+        pool = ExamplePool(task_id="t", examples=examples)
         p = tmp_path / "pool.jsonl"
         data.write_pool(pool, p)
-        loaded = data.load_example_pool(p, "t", source=PoolSource.GENERATED)
+        loaded = data.load_example_pool(p, "t")
         assert loaded.examples == examples
-        assert loaded.source is PoolSource.GENERATED
 
     def test_ordinal_of_first_match(self):
         pool = ExamplePool(
@@ -203,34 +201,6 @@ class TestRoundTrips:
         assert p.read_text(encoding="utf-8").endswith("\n")
 
 
-class TestCategories:
-    def test_known_id_datasets(self):
-        for name in ("fever", "hotpotqa", "nq", "quora", "msmarco", "synth"):
-            assert data.category_of(name).category is Category.IN_DOMAIN
-
-    def test_known_ood_datasets(self):
-        for name in ("nfcorpus", "scifact", "arguana", "piqa", "winogrande"):
-            assert data.category_of(name).category is Category.OUT_OF_DOMAIN
-
-    def test_name_normalization(self):
-        assert data.category_of("NFCorpus").category is Category.OUT_OF_DOMAIN
-        assert data.category_of("climate-fever").category is Category.OUT_OF_DOMAIN
-
-    def test_unknown_dataset(self):
-        with pytest.raises(UnknownDataset):
-            data.category_of("not-a-dataset")
-
-    def test_register(self):
-        data.register_dataset("my-temp-set", Category.OUT_OF_DOMAIN)
-        assert data.category_of("mytempset").category is Category.OUT_OF_DOMAIN
-
-
 class TestQRels:
     def test_grades_for_missing_query(self):
         assert QRels(judgments={}).grades_for("q9") == {}
-
-    def test_validate_against(self):
-        qrels = QRels(judgments={"q1": {"d1": 1}})
-        qrels.validate_against([Query("q1", "x")])
-        with pytest.raises(DuplicateId, match="unknown"):
-            qrels.validate_against([Query("q2", "y")])

@@ -12,7 +12,7 @@ import pytest
 
 from rare import embedder
 from rare.embedder import EmbedderParams, cosine, embed, featurize, load, new_params, project, save
-from rare.errors import BadMagic, DimMismatch, NonFiniteParams, Truncated, VersionMismatch
+from rare.errors import BadMagic, DimMismatch, NonFiniteParams, SerializationError, Truncated, VersionMismatch
 
 from conftest import WORDS, random_text
 
@@ -269,3 +269,13 @@ class TestSerialization:
         save(params, path)
         with pytest.raises(NonFiniteParams):
             load(path)
+
+    def test_header_shape_checked(self, tmp_path):
+        # Layout: magic(5) version(4) hash_dim(8) embed_dim(8) n_orders(4) orders.
+        path = tmp_path / "model.bin"
+        save(small_params(hash_dim=8, embed_dim=2, orders=(1,)), path)
+        good = path.read_bytes()
+        for start, width in ((9, 8), (17, 8), (29, 4)):
+            path.write_bytes(good[:start] + bytes(width) + good[start + width:])
+            with pytest.raises(SerializationError):
+                load(path)

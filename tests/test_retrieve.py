@@ -11,7 +11,16 @@ import pytest
 from rare import bm25
 from rare.data import Document, ExamplePool, ICExample, Query
 from rare.embedder import embed, new_params
-from rare.errors import BadMagic, DimMismatch, EmptyCorpus, MalformedRow, Truncated, VersionMismatch
+from rare.errors import (
+    BadMagic,
+    DataError,
+    DimMismatch,
+    EmptyCorpus,
+    MalformedRow,
+    NonFiniteParams,
+    Truncated,
+    VersionMismatch,
+)
 from rare.prompt import FormatKind, PromptFormat
 from rare.retrieve import (
     FlatIndex,
@@ -72,14 +81,6 @@ class TestBuildFlatIndex:
         a = build_flat_index(corpus, params)
         b = build_flat_index(corpus, params)
         assert a.matrix.tobytes() == b.matrix.tobytes()
-
-    def test_threads_do_not_change_rows(self, rng):
-        params = small_params()
-        corpus = make_corpus([random_text(rng, 8) for _ in range(40)])
-        serial = build_flat_index(corpus, params, threads=1)
-        parallel = build_flat_index(corpus, params, threads=4)
-        assert serial.ids == parallel.ids
-        assert serial.matrix.tobytes() == parallel.matrix.tobytes()
 
     def test_corpus_scale(self):
         # NFCorpus-sized collection: 3633 documents.
@@ -311,3 +312,29 @@ class TestIndexSerialization:
             cut.write_bytes(blob[:n])
             with pytest.raises(Truncated):
                 load_flat_index(cut)
+
+    def test_trailing_garbage_rejected(self, rng, tmp_path):
+        path = tmp_path / "index.bin"
+        save_index(self.make_index(rng), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(Truncated):
+            load_flat_index(path)
+
+    def test_non_finite_file_rejected(self, rng, tmp_path):
+        index = self.make_index(rng)
+        index.matrix[-1, -1] = np.nan
+        path = tmp_path / "index.bin"
+        save_index(index, path)
+        with pytest.raises(NonFiniteParams):
+            load_flat_index(path)
+
+    def test_bad_utf8_id_rejected(self, rng, tmp_path):
+        index = self.make_index(rng, n=2, dim=2)
+        index.ids = ["a", "b"]
+        path = tmp_path / "index.bin"
+        save_index(index, path)
+        blob = path.read_bytes()
+        # Layout: magic(4) version(4) n(8) dim(8), then u32 length + "a".
+        path.write_bytes(blob[:28] + b"\xff" + blob[29:])
+        with pytest.raises(DataError, match="UTF-8"):
+            load_flat_index(path)

@@ -8,7 +8,6 @@ import filecmp
 import pytest
 
 from rare import data, synth
-from rare.data import PoolSource
 from rare.embedder import new_params
 from rare.errors import SpecInvalid
 from rare.evaluation import evaluate, ndcg_at_k
@@ -121,7 +120,6 @@ class TestGenerate:
     def test_pool_metadata(self):
         bench = generate(small_spec())
         assert bench.pool.task_id == "synth"
-        assert bench.pool.source is PoolSource.TRAIN_SPLIT
         assert all(ex.negative for ex in bench.pool.examples)
 
     def test_determinism_byte_identical_files(self, tmp_path):
