@@ -1,34 +1,33 @@
 """Stage-level latency profiling of the inference loop.
 
-Three stages are timed per query and summed over the query set:
+Each pass is one call of `retrieve.run_inference`, the loop `rare search`
+serves queries with. Three stages are timed per query and summed over the
+query set:
 
-* NN: retrieved example selection, BM25 over the pool queries with an
-  identical self-match excluded, as `search` selects.
+* NN: retrieved example selection, BM25 over the pool queries.
 * Query: rendering the augmented query, then embedding it.
 * Search: dot products against the flat index plus top-K selection.
 
 A full pass over the queries is one repetition. One untimed warmup pass runs
-first, then the median over repetitions is reported per stage. The total is
-the sum of the three stage medians, so it is additive by construction. The
-plain instruction setting never touches the example pool and reports NN = 0.
+first (it also builds the pool's BM25 index), then the median over
+repetitions is reported per stage. The total is the sum of the three stage
+medians, so it is additive by construction. The plain instruction setting
+never touches the example pool and reports NN = 0.
 """
 
 from __future__ import annotations
 
 import csv
-import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import median
 
-from . import bm25
 from .data import ExamplePool, Query
-from .embedder import EmbedderParams, embed
+from .embedder import EmbedderParams
 from .errors import SpecInvalid
-from .prompt import FormatKind, PromptFormat, render_inst, render_inst_ic
-from .retrieve import FlatIndex, search
-from .trainer import SelectionPolicy, select_examples
+from .prompt import FormatKind, PromptFormat
+from .retrieve import FlatIndex, StageTimes, run_inference
 
 CSV_COLUMNS = ["Dataset", "#Corpus", "Setting", "AvgQLen", "NN", "Query", "Search", "Total", "Inc"]
 
@@ -55,7 +54,6 @@ def profile(
     queries: list[Query],
     instruction: str,
     pool: ExamplePool | None,
-    ic_index: bm25.Bm25Index | None,
     index: FlatIndex,
     params: EmbedderParams,
     setting: FormatKind,
@@ -63,51 +61,28 @@ def profile(
     top_k: int = 10,
     repetitions: int = 5,
 ) -> LatencyReport:
-    """Time one full inference pass per repetition and report stage medians."""
+    """Time one `run_inference` pass per repetition and report stage medians."""
     if setting not in (FormatKind.INST, FormatKind.INST_IC):
         raise SpecInvalid(f"profiling covers inst and inst+ic, got {setting.value}")
     if repetitions < 1:
         raise SpecInvalid("need at least one repetition")
-    uses_examples = setting is FormatKind.INST_IC and k > 0
-    if uses_examples and (pool is None or ic_index is None):
-        raise SpecInvalid("the inst+ic setting needs an example pool and its BM25 index")
     fmt = PromptFormat(kind=setting)
-    rng = random.Random(0)  # the retrieved policy draws nothing from it
 
-    q_len_total = 0.0
-
-    def one_pass() -> tuple[float, float, float]:
-        nonlocal q_len_total
-        nn = query = srch = 0.0
-        q_len_total = 0.0
-        for q in queries:
-            if uses_examples:
-                t0 = time.perf_counter()
-                examples = select_examples(pool, ic_index, q.text, k, SelectionPolicy.RETRIEVED, rng)
-                nn += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            if uses_examples:
-                aug = render_inst_ic(instruction, examples, q.text, fmt)
-            else:
-                aug = render_inst(instruction, q.text, fmt.bracket_queries)
-            emb = embed(params, aug.text)
-            query += time.perf_counter() - t0
-            q_len_total += aug.approx_len
-            t0 = time.perf_counter()
-            search(index, emb, top_k)
-            srch += time.perf_counter() - t0
-        return nn, query, srch
+    def one_pass() -> StageTimes:
+        times = StageTimes()
+        run_inference(queries, instruction, pool, index, params, fmt, k, top_k, times=times)
+        return times
 
     one_pass()  # warmup, untimed
     samples = [one_pass() for _ in range(repetitions)]
-    nn_s = median(s[0] for s in samples)
-    query_s = median(s[1] for s in samples)
-    search_s = median(s[2] for s in samples)
+    nn_s = median(s.select_s for s in samples)
+    query_s = median(s.query_s for s in samples)
+    search_s = median(s.search_s for s in samples)
     return LatencyReport(
         dataset=dataset,
         n_corpus=len(index),
         setting=setting.value,
-        avg_q_len=q_len_total / len(queries) if queries else 0.0,
+        avg_q_len=samples[-1].tokens / len(queries) if queries else 0.0,
         nn_s=nn_s,
         query_s=query_s,
         search_s=search_s,

@@ -27,7 +27,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import __version__, bm25, data, embedder, synth
+from . import __version__, data, embedder, synth
 from .bench import add_inc_factors, emit_csv, profile
 from .errors import ConfigError, DataError, NumericError, RareError
 from .evaluation import AblationCell, DatasetBundle, ablate, evaluate, score_at_top1, write_ablation_csv
@@ -77,10 +77,26 @@ def _add_format_flags(parser: argparse.ArgumentParser, default: str = "inst+ic")
     parser.add_argument("--shuffle-seed", type=int, default=0)
 
 
+def positive_int(raw: str) -> int:
+    """An argparse type; its ValueError becomes a usage error naming the flag."""
+    value = int(raw)
+    if value < 1:
+        raise ValueError(raw)
+    return value
+
+
+def ngram_orders(raw: str) -> tuple[int, ...]:
+    """Comma-separated positive n-gram orders, at least one."""
+    orders = tuple(positive_int(n) for n in raw.split(",") if n.strip())
+    if not orders:
+        raise ValueError(raw)
+    return orders
+
+
 def _add_embedder_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--hash-dim", type=int, default=embedder.DEFAULT_HASH_DIM)
-    parser.add_argument("--dim", type=int, default=embedder.DEFAULT_EMBED_DIM)
-    parser.add_argument("--ngrams", default="1,2", help="comma-separated n-gram orders")
+    parser.add_argument("--hash-dim", type=positive_int, default=embedder.DEFAULT_HASH_DIM)
+    parser.add_argument("--dim", type=positive_int, default=embedder.DEFAULT_EMBED_DIM)
+    parser.add_argument("--ngrams", type=ngram_orders, default="1,2", help="comma-separated n-gram orders")
     parser.add_argument("--max-tokens", type=int, default=None)
 
 
@@ -155,29 +171,34 @@ def _cmd_synth(argv: list[str], args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_pools(pool_args: list[str], train_set: list[data.TrainExample]) -> dict[str, data.ExamplePool]:
+def _parse_pools(
+    pool_args: list[str], train_set: list[data.TrainExample]
+) -> tuple[dict[str, data.ExamplePool], dict[str, Path]]:
+    """Load each `--pool PATH` or `--pool TASK=PATH`; also returns their manifest inputs."""
     task_ids = sorted({ex.task_id for ex in train_set})
     pools: dict[str, data.ExamplePool] = {}
+    inputs: dict[str, Path] = {}
     for entry in pool_args:
         task, sep, path = entry.partition("=")
         if sep and not Path(task).exists():
             pools[task] = data.load_example_pool(_require_file(path, "example pool"), task)
+            inputs[f"pool:{task}"] = Path(path)
         else:
             if len(task_ids) != 1:
                 raise UsageError("train set has multiple tasks; use --pool TASK=PATH for each")
             pools[task_ids[0]] = data.load_example_pool(_require_file(entry, "example pool"), task_ids[0])
-    return pools
+            inputs["pool"] = Path(entry)
+    return pools, inputs
 
 
 def _cmd_train(argv: list[str], args: argparse.Namespace) -> int:
     train_path = _require_file(args.data, "training data")
     train_set = data.load_train(train_path)
-    pools = _parse_pools(args.pool or [], train_set)
-    orders = tuple(int(n) for n in args.ngrams.split(",") if n.strip())
+    pools, pool_inputs = _parse_pools(args.pool or [], train_set)
     params = embedder.new_params(
         hash_dim=args.hash_dim,
         embed_dim=args.dim,
-        ngram_orders=orders,
+        ngram_orders=args.ngrams,
         seed=args.seed,
         max_tokens=args.max_tokens,
     )
@@ -201,13 +222,7 @@ def _cmd_train(argv: list[str], args: argparse.Namespace) -> int:
     with log_path.open("w", encoding="utf-8") as fh:
         for entry in history:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    inputs: dict[str, Path] = {"train": train_path}
-    for entry in args.pool or []:
-        task, sep, path = entry.partition("=")
-        if sep and not Path(task).exists():
-            inputs[f"pool:{task}"] = Path(path)
-        else:
-            inputs["pool"] = Path(entry)
+    inputs = {"train": train_path, **pool_inputs}
     _emit_manifest(argv, args, out, inputs, {"seed": args.seed, "shuffle_seed": args.shuffle_seed})
     final = history[-1]["mean_loss"] if history else float("nan")
     print(f"trained {args.epochs} epochs, final mean loss {final:.6f}, model at {out}")
@@ -233,14 +248,13 @@ def _cmd_search(argv: list[str], args: argparse.Namespace) -> int:
     params = embedder.load(_require_file(args.model, "model"))
     queries = data.load_queries(_require_file(args.queries, "queries"))
     fmt = _format_from_args(args)
-    pool = ic_index = None
-    if fmt.kind is not FormatKind.INST and args.k > 0:
+    pool = None
+    if fmt.uses_examples(args.k):
         if not args.pool:
             raise UsageError(f"format {fmt.kind.value} needs --pool")
         pool = data.load_example_pool(_require_file(args.pool, "example pool"), args.task)
-        ic_index = bm25.build_index([ex.query for ex in pool.examples])
     run = run_inference(
-        queries, args.instruction, pool, ic_index, index, params,
+        queries, args.instruction, pool, index, params,
         fmt, args.k, args.topk,
         selection=SelectionPolicy(args.select), seed=args.seed,
     )
@@ -287,8 +301,7 @@ def _cmd_eval(argv: list[str], args: argparse.Namespace) -> int:
         queries = data.load_queries(_require_file(args.queries, "queries"))
         pool = data.load_example_pool(_require_file(args.pool, "example pool"), args.task)
         params = embedder.load(_require_file(args.model, "model"))
-        ic_index = bm25.build_index([ex.query for ex in pool.examples])
-        buckets = score_at_top1(queries, pool, ic_index, params, report, baseline, args.bin_width)
+        buckets = score_at_top1(queries, pool, params, report, baseline, args.bin_width)
         with Path(args.buckets_out).open("w", encoding="utf-8", newline="") as fh:
             fh.write("Lower,Upper,N,MeanNdcgDelta\n")
             for b in buckets:
@@ -359,9 +372,6 @@ def _cmd_bench(argv: list[str], args: argparse.Namespace) -> int:
     params = embedder.load(_require_file(args.model, "model"))
     bundle = _load_bundle(f"{args.dataset}={args.data}" if args.dataset else args.data, args.instruction)
     index = build_flat_index(bundle.corpus, params)
-    ic_index = (
-        bm25.build_index([ex.query for ex in bundle.pool.examples]) if bundle.pool is not None else None
-    )
     settings = {
         "inst": [FormatKind.INST],
         "inst+ic": [FormatKind.INST_IC],
@@ -369,7 +379,7 @@ def _cmd_bench(argv: list[str], args: argparse.Namespace) -> int:
     }[args.setting]
     reports = [
         profile(
-            bundle.name, bundle.queries, bundle.instruction, bundle.pool, ic_index,
+            bundle.name, bundle.queries, bundle.instruction, bundle.pool,
             index, params, setting, k=args.k, top_k=args.topk, repetitions=args.reps,
         )
         for setting in settings

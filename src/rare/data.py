@@ -19,6 +19,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import bm25
 from .errors import (
     DuplicateId,
     EmptyPool,
@@ -70,6 +71,7 @@ class ExamplePool:
     task_id: str
     examples: list[ICExample]
     _ordinals: dict[str, int] | None = field(default=None, repr=False, compare=False)
+    _bm25: bm25.Bm25Index | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -82,6 +84,12 @@ class ExamplePool:
                 mapping.setdefault(ex.query, i)
             self._ordinals = mapping
         return self._ordinals.get(query_text)
+
+    def bm25_index(self) -> bm25.Bm25Index:
+        """BM25 over the pool queries by ordinal, built on first use."""
+        if self._bm25 is None:
+            self._bm25 = bm25.build_index([ex.query for ex in self.examples])
+        return self._bm25
 
 
 @dataclass

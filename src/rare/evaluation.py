@@ -130,12 +130,9 @@ def ablate(
     table = AblationTable(rows=[c.label() for c in cells], datasets=[d.name for d in datasets], cells={})
     for bundle in datasets:
         index = build_flat_index(bundle.corpus, params)
-        ic_index = (
-            bm25.build_index([e.query for e in bundle.pool.examples]) if bundle.pool is not None else None
-        )
         for cell in cells:
             run = run_inference(
-                bundle.queries, bundle.instruction, bundle.pool, ic_index, index, params,
+                bundle.queries, bundle.instruction, bundle.pool, index, params,
                 cell.fmt, cell.k, top_k, selection=cell.selection, seed=seed,
             )
             report = evaluate(run, bundle.qrels, ndcg_k, dataset=bundle.name)
@@ -166,7 +163,6 @@ class ScoreBucket:
 def score_at_top1(
     queries: list[Query],
     pool: ExamplePool,
-    ic_index: bm25.Bm25Index,
     params: EmbedderParams,
     report_a: EvalReport,
     report_b: EvalReport,
@@ -184,10 +180,11 @@ def score_at_top1(
     n_bins = math.ceil(1.0 / bin_width)
     counts = [0] * n_bins
     sums = [0.0] * n_bins
+    pool_index = pool.bm25_index()
     for query in queries:
         if query.id not in report_a.per_query or query.id not in report_b.per_query:
             continue
-        neighbors = bm25.top_k_neighbors(ic_index, query.text, 1)
+        neighbors = bm25.top_k_neighbors(pool_index, query.text, 1)
         if neighbors:
             top = pool.examples[neighbors[0][0]]
             sim = cosine(embed(params, query.text), embed(params, top.query))

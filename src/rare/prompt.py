@@ -35,6 +35,10 @@ class PromptFormat:
     bracket_queries: bool = False
     shuffle_seed: int = 0
 
+    def uses_examples(self, k: int) -> bool:
+        """Whether rendering under this format with k examples consults a pool."""
+        return self.kind is not FormatKind.INST and k > 0
+
 
 @dataclass(frozen=True)
 class AugmentedQuery:

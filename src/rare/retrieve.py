@@ -10,17 +10,17 @@ from __future__ import annotations
 import logging
 import random
 import struct
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import bm25
 from .binfile import Reader
 from .data import Document, ExamplePool, Query
 from .embedder import EmbedderParams, embed
-from .errors import DimMismatch, EmptyCorpus, MalformedRow
-from .prompt import FormatKind, PromptFormat, render_inst, render_inst_ic
+from .errors import DimMismatch, EmptyCorpus, MalformedRow, SpecInvalid
+from .prompt import PromptFormat, render_inst, render_inst_ic
 from .trainer import SelectionPolicy, select_examples
 
 log = logging.getLogger(__name__)
@@ -72,11 +72,20 @@ def search(index: FlatIndex, q_emb: np.ndarray, top_k: int) -> list[tuple[str, f
     return [(index.ids[i], float(scores[i])) for i in top]
 
 
+@dataclass
+class StageTimes:
+    """Seconds per inference stage and rendered tokens, summed over calls."""
+
+    select_s: float = 0.0
+    query_s: float = 0.0  # render + embed
+    search_s: float = 0.0
+    tokens: int = 0  # whitespace tokens of every rendered query
+
+
 def run_inference(
     queries: list[Query],
     instruction: str,
     pool: ExamplePool | None,
-    ic_index: bm25.Bm25Index | None,
     index: FlatIndex,
     params: EmbedderParams,
     fmt: PromptFormat,
@@ -84,24 +93,39 @@ def run_inference(
     top_k: int,
     selection: SelectionPolicy = SelectionPolicy.RETRIEVED,
     seed: int = 0,
+    times: StageTimes | None = None,
 ) -> dict[str, list[tuple[str, float]]]:
     """Augment, embed and search every query; returns qid -> ranked list.
 
-    With fmt.kind == INST or k == 0 the example pool is never consulted, so
-    `pool` and `ic_index` may be None in that case.
+    When the format uses no examples (fmt.uses_examples(k) is false) the pool
+    is never consulted and may be None. Stage seconds and rendered tokens are
+    added into `times` when one is given.
     """
-    uses_examples = fmt.kind is not FormatKind.INST and k > 0
-    if uses_examples and (pool is None or ic_index is None):
-        raise ValueError("this format needs an example pool and its BM25 index")
+    uses_examples = fmt.uses_examples(k)
+    if uses_examples and pool is None:
+        raise SpecInvalid(f"format {fmt.kind.value} with k={k} needs an example pool")
+    pool_index = pool.bm25_index() if uses_examples else None
+    if times is None:
+        times = StageTimes()
+    clock = time.perf_counter
     rng = random.Random(f"{seed}:eval-select")
     run: dict[str, list[tuple[str, float]]] = {}
     for query in queries:
+        t0 = clock()
         if uses_examples:
-            examples = select_examples(pool, ic_index, query.text, k, selection, rng)
+            examples = select_examples(pool, pool_index, query.text, k, selection, rng)
+            t1 = clock()
+            times.select_s += t1 - t0
+            t0 = t1
             aug = render_inst_ic(instruction, examples, query.text, fmt)
         else:
             aug = render_inst(instruction, query.text, fmt.bracket_queries)
-        run[query.id] = search(index, embed(params, aug.text), top_k)
+        emb = embed(params, aug.text)
+        t1 = clock()
+        run[query.id] = search(index, emb, top_k)
+        times.query_s += t1 - t0
+        times.search_s += clock() - t1
+        times.tokens += aug.approx_len
     return run
 
 

@@ -41,7 +41,7 @@ from .errors import (
     PoolTooSmall,
     SpecInvalid,
 )
-from .prompt import AugmentedQuery, FormatKind, PromptFormat, render_inst, render_inst_ic
+from .prompt import AugmentedQuery, PromptFormat, render_inst, render_inst_ic
 
 log = logging.getLogger(__name__)
 
@@ -248,8 +248,7 @@ def _validate(train_set: list[TrainExample], pools: dict[str, ExamplePool], conf
                 raise MissingNegative(
                     f"training example for query {ex.query!r} has no negative but the loss expects one"
                 )
-    uses_examples = config.format.kind is not FormatKind.INST and config.k > 0 and config.ic_mixture > 0.0
-    if uses_examples:
+    if config.format.uses_examples(config.k) and config.ic_mixture > 0.0:
         missing = {ex.task_id for ex in train_set} - set(pools)
         if missing:
             raise EmptyPool(f"no example pool for task(s): {sorted(missing)}")
@@ -270,11 +269,7 @@ def train(
     Documents are always embedded bare.
     """
     _validate(train_set, pools, config)
-    uses_examples = config.format.kind is not FormatKind.INST and config.k > 0 and config.ic_mixture > 0.0
-    indexes: dict[str, bm25.Bm25Index] = {}
-    if uses_examples:
-        for task_id in {ex.task_id for ex in train_set}:
-            indexes[task_id] = bm25.build_index([e.query for e in pools[task_id].examples])
+    uses_examples = config.format.uses_examples(config.k) and config.ic_mixture > 0.0
 
     order_rng = random.Random(f"{config.seed}:order")
     coin_rng = random.Random(f"{config.seed}:coin")
@@ -292,9 +287,9 @@ def train(
             for idx in chunk:
                 ex = train_set[idx]
                 if uses_examples and coin_rng.random() < config.ic_mixture:
+                    pool = pools[ex.task_id]
                     examples = select_examples(
-                        pools[ex.task_id], indexes[ex.task_id], ex.query,
-                        config.k, config.selection, select_rng,
+                        pool, pool.bm25_index(), ex.query, config.k, config.selection, select_rng,
                     )
                     aug = render_inst_ic(ex.instruction, examples, ex.query, config.format)
                 else:

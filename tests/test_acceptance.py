@@ -52,12 +52,11 @@ def mechanism():
     format variant the criteria compare."""
     t0 = time.perf_counter()
     bench = generate(SynthSpec())
-    ic_index = bm25.build_index([ex.query for ex in bench.pool.examples])
 
     def score(params, kind, k, selection=SelectionPolicy.RETRIEVED, seed=0):
         idx = build_flat_index(bench.corpus, params)
         run = run_inference(
-            bench.queries, "", bench.pool, ic_index, idx, params,
+            bench.queries, "", bench.pool, idx, params,
             PromptFormat(kind=kind), k=k, top_k=10, selection=selection, seed=seed,
         )
         return evaluate(run, bench.qrels, 10).mean
@@ -273,10 +272,9 @@ def test_criterion_10_latency_report_structure():
     bench_data = generate(SynthSpec(docs_per_cluster=160))
     params = new_params(seed=0)
     index = build_flat_index(bench_data.corpus, params)
-    ic_index = bm25.build_index([ex.query for ex in bench_data.pool.examples])
-    inst = profile("synth", bench_data.queries, "", None, None, index, params,
+    inst = profile("synth", bench_data.queries, "", None, index, params,
                    FormatKind.INST, k=5, repetitions=5)
-    inst_ic = profile("synth", bench_data.queries, "", bench_data.pool, ic_index, index, params,
+    inst_ic = profile("synth", bench_data.queries, "", bench_data.pool, index, params,
                       FormatKind.INST_IC, k=5, repetitions=5)
 
     tolerance = 2.0 * timer_resolution() * 3.0

@@ -7,7 +7,7 @@ import csv
 
 import pytest
 
-from rare import bm25, retrieve
+from rare import retrieve
 from rare.bench import (
     CSV_COLUMNS,
     LatencyReport,
@@ -35,30 +35,29 @@ def fixture(n_docs=30, n_queries=8):
         task_id="t",
         examples=[ICExample(query=f"topic{i % 5} sample {i}", positive=f"doc text {i}") for i in range(20)],
     )
-    ic_index = bm25.build_index([ex.query for ex in pool.examples])
-    return params, corpus, index, queries, pool, ic_index
+    return params, corpus, index, queries, pool
 
 
 class TestProfile:
     def test_inst_reports_zero_nn(self):
-        params, _, index, queries, pool, ic_index = fixture()
-        report = profile("toy", queries, "find", pool, ic_index, index, params,
+        params, _, index, queries, pool = fixture()
+        report = profile("toy", queries, "find", pool, index, params,
                          FormatKind.INST, repetitions=2)
         assert report.nn_s == 0.0
         assert report.setting == "inst"
         assert report.n_corpus == len(index)
 
     def test_total_is_additive(self):
-        params, _, index, queries, pool, ic_index = fixture()
+        params, _, index, queries, pool = fixture()
         for setting in (FormatKind.INST, FormatKind.INST_IC):
-            report = profile("toy", queries, "find", pool, ic_index, index, params,
+            report = profile("toy", queries, "find", pool, index, params,
                              setting, k=3, repetitions=3)
             gap = abs(report.total_s - (report.nn_s + report.query_s + report.search_s))
             assert gap <= 2 * timer_resolution() * 3
 
     def test_stage_times_non_negative(self):
-        params, _, index, queries, pool, ic_index = fixture()
-        report = profile("toy", queries, "find", pool, ic_index, index, params,
+        params, _, index, queries, pool = fixture()
+        report = profile("toy", queries, "find", pool, index, params,
                          FormatKind.INST_IC, k=3, repetitions=2)
         assert report.nn_s >= 0.0 and report.query_s >= 0.0 and report.search_s >= 0.0
         assert report.total_s > 0.0
@@ -66,16 +65,16 @@ class TestProfile:
     def test_avg_q_len_hand_fixture(self):
         # "Instruct: find ; Query: topicX question" splits into six
         # whitespace tokens; the bare separator counts as one.
-        params, _, index, queries, _, _ = fixture()
-        report = profile("toy", queries, "find", None, None, index, params,
+        params, _, index, queries, _ = fixture()
+        report = profile("toy", queries, "find", None, index, params,
                          FormatKind.INST, repetitions=1)
         assert report.avg_q_len == 6.0
 
     def test_inst_ic_lengthens_queries(self):
-        params, _, index, queries, pool, ic_index = fixture()
-        inst = profile("toy", queries, "find", None, None, index, params,
+        params, _, index, queries, pool = fixture()
+        inst = profile("toy", queries, "find", None, index, params,
                        FormatKind.INST, repetitions=1)
-        ic = profile("toy", queries, "find", pool, ic_index, index, params,
+        ic = profile("toy", queries, "find", pool, index, params,
                      FormatKind.INST_IC, k=3, repetitions=1)
         assert ic.avg_q_len > inst.avg_q_len
 
@@ -83,14 +82,13 @@ class TestProfile:
         # The query is also the first pool query. Search leaves that entry
         # out of its own examples, and its long positive would lengthen the
         # rendering if bench kept it in.
-        params, _, index, _, _, _ = fixture()
+        params, _, index, _, _ = fixture()
         pool = ExamplePool(task_id="t", examples=[
             ICExample(query="alpha beta gamma", positive="a long positive with many more words in it"),
             ICExample(query="alpha beta", positive="short"),
             ICExample(query="beta gamma", positive="short"),
             ICExample(query="gamma delta", positive="short"),
         ])
-        ic_index = bm25.build_index([ex.query for ex in pool.examples])
         queries = [Query(id="q0", text="alpha beta gamma"), Query(id="q1", text="gamma beta")]
         rendered = []
 
@@ -99,27 +97,30 @@ class TestProfile:
             return rendered[-1]
 
         monkeypatch.setattr(retrieve, "render_inst_ic", spy)
-        run_inference(queries, "find", pool, ic_index, index, params,
+        run_inference(queries, "find", pool, index, params,
                       PromptFormat(kind=FormatKind.INST_IC), k=2, top_k=10)
-        report = profile("toy", queries, "find", pool, ic_index, index, params,
+        report = profile("toy", queries, "find", pool, index, params,
                          FormatKind.INST_IC, k=2, repetitions=1)
-        assert report.avg_q_len == sum(aug.approx_len for aug in rendered) / len(queries)
+        # profile runs the same run_inference, so the spy also sees its renders;
+        # the first len(queries) are the direct call's.
+        assert len(rendered) == 3 * len(queries)
+        assert report.avg_q_len == sum(aug.approx_len for aug in rendered[: len(queries)]) / len(queries)
 
     def test_unsupported_setting_rejected(self):
-        params, _, index, queries, pool, ic_index = fixture()
+        params, _, index, queries, pool = fixture()
         with pytest.raises(SpecInvalid):
-            profile("toy", queries, "", pool, ic_index, index, params, FormatKind.DOC_ONLY)
+            profile("toy", queries, "", pool, index, params, FormatKind.DOC_ONLY)
 
     def test_zero_repetitions_rejected(self):
-        params, _, index, queries, pool, ic_index = fixture()
+        params, _, index, queries, pool = fixture()
         with pytest.raises(SpecInvalid):
-            profile("toy", queries, "", pool, ic_index, index, params,
+            profile("toy", queries, "", pool, index, params,
                     FormatKind.INST, repetitions=0)
 
     def test_missing_pool_rejected(self):
-        params, _, index, queries, _, _ = fixture()
+        params, _, index, queries, _ = fixture()
         with pytest.raises(SpecInvalid):
-            profile("toy", queries, "", None, None, index, params, FormatKind.INST_IC, k=3)
+            profile("toy", queries, "", None, index, params, FormatKind.INST_IC, k=3)
 
     def test_timer_resolution_positive(self):
         assert timer_resolution() > 0.0

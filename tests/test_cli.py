@@ -119,6 +119,32 @@ class TestExitCodes:
             assert len(err.strip().splitlines()) == 1, err
             assert "Traceback" not in err
 
+    def test_bad_embedder_shape_is_usage_error(self, tmp_path, capsys):
+        # With real training data these values used to reach new_params and
+        # end in a ValueError traceback; now the flag's type rejects them.
+        # The flag form prints argparse's one-line error, then the usage.
+        synth_dir = tmp_path / "data"
+        assert dispatch(["synth", "--out", str(synth_dir), *SMALL_SYNTH]) == 0
+        out = tmp_path / "m.rare"
+        train = ["train", "--data", str(synth_dir / "train.jsonl"), "--pool", str(synth_dir / "pool.jsonl"),
+                 "--epochs", "1", "--out", str(out)]
+        bad = [
+            ("ngrams", "ngram_orders", "a"), ("ngrams", "ngram_orders", "0"), ("ngrams", "ngram_orders", ","),
+            ("hash-dim", "positive_int", "0"), ("dim", "positive_int", "0"), ("dim", "positive_int", "-3"),
+        ]
+        for flag, type_name, value in bad:
+            capsys.readouterr()
+            assert dispatch([*train, f"--{flag}", value]) == 1, (flag, value)
+            err = capsys.readouterr().err
+            assert err.splitlines()[0] == f"rare train: argument --{flag}: invalid {type_name} value: '{value}'", err
+            assert "Traceback" not in err
+
+            assert dispatch([*train, "--config", f"{flag}={value}"]) == 1, (flag, value)
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1, err
+            assert f"--config {flag}: invalid" in err
+        assert not out.exists()
+
 
 class TestPipelineArtifacts:
     def test_synth_wrote_dataset_files(self, pipeline):
@@ -282,6 +308,23 @@ class TestAblateCommand:
             "--out", str(tmp_path / "a.csv"),
         ])
         assert code == 1
+
+
+    def test_missing_pool_is_usage_error(self, pipeline, tmp_path, capsys):
+        # A dataset directory without pool.jsonl cannot serve an inst+ic cell.
+        data_dir = tmp_path / "nopool"
+        data_dir.mkdir()
+        for name in ("corpus.jsonl", "queries.jsonl", "qrels.tsv"):
+            shutil.copy(pipeline / "data" / name, data_dir / name)
+        out = tmp_path / "a.csv"
+        code = dispatch([
+            "ablate", "--data", str(data_dir), "--model", str(pipeline / "model.rare"),
+            "--cell", "inst:0:retrieved", "--cell", "inst+ic:5:retrieved", "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == ["error: format inst+ic with k=5 needs an example pool"]
+        assert not out.exists()
 
 
 class TestBenchCommand:

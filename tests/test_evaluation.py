@@ -8,7 +8,6 @@ import math
 
 import pytest
 
-from rare import bm25
 from rare.data import Document, ExamplePool, ICExample, QRels, Query
 from rare.embedder import new_params
 from rare.errors import SpecInvalid
@@ -258,54 +257,53 @@ class TestScoreAtTop1:
                 ICExample(query="cloud frost", positive="p1"),
             ],
         )
-        ic_index = bm25.build_index([ex.query for ex in pool.examples])
-        return params, pool, ic_index
+        return params, pool
 
     def report(self, values):
         return EvalReport(dataset="t", k=10, per_query=dict(values), mean=None)
 
     def test_identical_query_lands_in_top_bucket(self):
-        params, pool, ic_index = self.setup_fixture()
+        params, pool = self.setup_fixture()
         queries = [Query(id="q1", text="apple banana")]
         a = self.report({"q1": 0.9})
         b = self.report({"q1": 0.4})
-        buckets = score_at_top1(queries, pool, ic_index, params, a, b)
+        buckets = score_at_top1(queries, pool, params, a, b)
         assert len(buckets) == 10
         assert buckets[-1].n == 1
         assert abs(buckets[-1].mean_ndcg_delta - 0.5) < 1e-12
         assert sum(bucket.n for bucket in buckets) == 1
 
     def test_self_comparison_deltas_are_zero(self):
-        params, pool, ic_index = self.setup_fixture()
+        params, pool = self.setup_fixture()
         queries = [Query(id="q1", text="apple banana"), Query(id="q2", text="cloud frost")]
         a = self.report({"q1": 0.7, "q2": 0.2})
-        buckets = score_at_top1(queries, pool, ic_index, params, a, a)
+        buckets = score_at_top1(queries, pool, params, a, a)
         for bucket in buckets:
             if bucket.n:
                 assert bucket.mean_ndcg_delta == 0.0
 
     def test_queries_missing_from_either_report_are_skipped(self):
-        params, pool, ic_index = self.setup_fixture()
+        params, pool = self.setup_fixture()
         queries = [Query(id="q1", text="apple banana"), Query(id="ghost", text="cloud frost")]
         a = self.report({"q1": 0.9})
         b = self.report({"q1": 0.4})
-        buckets = score_at_top1(queries, pool, ic_index, params, a, b)
+        buckets = score_at_top1(queries, pool, params, a, b)
         assert sum(bucket.n for bucket in buckets) == 1
 
     def test_buckets_partition_unit_interval(self):
-        params, pool, ic_index = self.setup_fixture()
-        buckets = score_at_top1([], pool, ic_index, params, self.report({}), self.report({}), bin_width=0.3)
+        params, pool = self.setup_fixture()
+        buckets = score_at_top1([], pool, params, self.report({}), self.report({}), bin_width=0.3)
         assert [round(b.lower, 10) for b in buckets] == [0.0, 0.3, 0.6, 0.9]
         assert buckets[-1].upper == 1.0
         assert all(bucket.n == 0 and bucket.mean_ndcg_delta is None for bucket in buckets)
 
     def test_bin_width_validation(self):
-        params, pool, ic_index = self.setup_fixture()
+        params, pool = self.setup_fixture()
         for width in (0.0, -0.1, 1.5):
             with pytest.raises(SpecInvalid):
-                score_at_top1([], pool, ic_index, params, self.report({}), self.report({}), bin_width=width)
+                score_at_top1([], pool, params, self.report({}), self.report({}), bin_width=width)
 
     def test_bucket_type(self):
-        params, pool, ic_index = self.setup_fixture()
-        buckets = score_at_top1([], pool, ic_index, params, self.report({}), self.report({}))
+        params, pool = self.setup_fixture()
+        buckets = score_at_top1([], pool, params, self.report({}), self.report({}))
         assert all(isinstance(bucket, ScoreBucket) for bucket in buckets)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from rare import bm25
-from rare.data import Document, ExamplePool, ICExample, Query
+from rare.bench import profile
+from rare.data import Document, ExamplePool, ICExample, Query, TrainExample
 from rare.embedder import embed, new_params
 from rare.errors import (
     BadMagic,
@@ -18,12 +19,14 @@ from rare.errors import (
     EmptyCorpus,
     MalformedRow,
     NonFiniteParams,
+    SpecInvalid,
     Truncated,
     VersionMismatch,
 )
-from rare.prompt import FormatKind, PromptFormat
+from rare.prompt import FormatKind, PromptFormat, render_inst_ic
 from rare.retrieve import (
     FlatIndex,
+    StageTimes,
     build_flat_index,
     document_text,
     load_flat_index,
@@ -33,6 +36,7 @@ from rare.retrieve import (
     search,
     write_run,
 )
+from rare.trainer import TrainConfig, train
 
 from conftest import random_text
 
@@ -174,22 +178,21 @@ def disambiguation_fixture():
             ICExample(query="weather report", positive="cloud frost zephyr lunar"),
         ],
     )
-    ic_index = bm25.build_index([ex.query for ex in pool.examples])
-    return corpus, pool, ic_index
+    return corpus, pool
 
 
 class TestRunInference:
     def test_k_zero_equals_inst(self, rng):
         params = small_params()
-        corpus, pool, ic_index = disambiguation_fixture()
+        corpus, pool = disambiguation_fixture()
         index = build_flat_index(corpus, params)
         queries = [Query(id=f"q{i}", text=random_text(rng, 5)) for i in range(6)]
         ic = run_inference(
-            queries, "find it", pool, ic_index, index, params,
+            queries, "find it", pool, index, params,
             PromptFormat(kind=FormatKind.INST_IC), k=0, top_k=4,
         )
         inst = run_inference(
-            queries, "find it", None, None, index, params,
+            queries, "find it", None, index, params,
             PromptFormat(kind=FormatKind.INST), k=0, top_k=4,
         )
         assert ic == inst
@@ -198,7 +201,7 @@ class TestRunInference:
         params = small_params()
         index = build_flat_index(make_corpus(["apple banana"]), params)
         run = run_inference(
-            [Query(id="q1", text="apple")], "", None, None, index, params,
+            [Query(id="q1", text="apple")], "", None, index, params,
             PromptFormat(kind=FormatKind.INST), k=0, top_k=10,
         )
         assert list(run) == ["q1"]
@@ -206,23 +209,23 @@ class TestRunInference:
 
     def test_run_twice_identical(self):
         params = small_params()
-        corpus, pool, ic_index = disambiguation_fixture()
+        corpus, pool = disambiguation_fixture()
         index = build_flat_index(corpus, params)
         queries = [Query(id="q1", text="orchard fruit"), Query(id="q2", text="weather frost")]
         kwargs = dict(fmt=PromptFormat(kind=FormatKind.INST_IC), k=1, top_k=4, seed=3)
-        a = run_inference(queries, "", pool, ic_index, index, params, **kwargs)
-        b = run_inference(queries, "", pool, ic_index, index, params, **kwargs)
+        a = run_inference(queries, "", pool, index, params, **kwargs)
+        b = run_inference(queries, "", pool, index, params, **kwargs)
         assert a == b
 
     def test_examples_change_ranking(self):
         # An ambiguous query plus a fruit-flavored in-context example should
         # pull fruit documents up relative to the bare rendering.
         params = small_params()
-        corpus, pool, ic_index = disambiguation_fixture()
+        corpus, pool = disambiguation_fixture()
         index = build_flat_index(corpus, params)
         queries = [Query(id="q1", text="orchard picks")]
         ic = run_inference(
-            queries, "", pool, ic_index, index, params,
+            queries, "", pool, index, params,
             PromptFormat(kind=FormatKind.INST_IC), k=1, top_k=4,
         )
         assert ic["q1"][0][0].startswith("fruit")
@@ -230,11 +233,68 @@ class TestRunInference:
     def test_missing_pool_rejected(self):
         params = small_params()
         index = build_flat_index(make_corpus(["apple"]), params)
-        with pytest.raises(ValueError, match="pool"):
+        with pytest.raises(SpecInvalid, match="pool"):
             run_inference(
-                [Query(id="q", text="x")], "", None, None, index, params,
+                [Query(id="q", text="x")], "", None, index, params,
                 PromptFormat(kind=FormatKind.INST_IC), k=2, top_k=3,
             )
+
+
+    def test_stage_times_accumulate(self):
+        params = small_params()
+        corpus, pool = disambiguation_fixture()
+        index = build_flat_index(corpus, params)
+        queries = [Query(id="q1", text="orchard fruit"), Query(id="q2", text="weather frost")]
+        fmt = PromptFormat(kind=FormatKind.INST_IC)
+        times = StageTimes()
+        for _ in range(2):
+            run_inference(queries, "", pool, index, params, fmt, k=1, top_k=4, times=times)
+        # Each query's one BM25 neighbour is the pool entry it shares a term with.
+        one_pass = (render_inst_ic("", [pool.examples[0]], "orchard fruit", fmt).approx_len
+                    + render_inst_ic("", [pool.examples[1]], "weather frost", fmt).approx_len)
+        assert times.tokens == 2 * one_pass
+        assert times.select_s > 0.0 and times.query_s > 0.0 and times.search_s > 0.0
+
+
+class TestPoolIndex:
+    """The pool builds its BM25 index once, on first use, for every caller."""
+
+    @pytest.fixture
+    def build_calls(self, monkeypatch):
+        calls = []
+        real = bm25.build_index
+
+        def counting(texts):
+            calls.append(len(texts))
+            return real(texts)
+
+        monkeypatch.setattr(bm25, "build_index", counting)
+        return calls
+
+    def test_train_and_inference_share_one_index(self, build_calls):
+        params = small_params()
+        corpus, pool = disambiguation_fixture()
+        train_set = [
+            TrainExample(task_id="t", instruction="", query=f"orchard picks {i}",
+                         positive="apple banana", negative="cloud frost")
+            for i in range(4)
+        ]
+        config = TrainConfig(k=1, epochs=2, batch_size=2, ic_mixture=1.0)
+        train(train_set, {"t": pool}, params, config)
+        index = build_flat_index(corpus, params)
+        queries = [Query(id="q1", text="orchard fruit")]
+        for _ in range(2):
+            run_inference(queries, "", pool, index, params, PromptFormat(kind=FormatKind.INST_IC), k=1, top_k=4)
+        assert build_calls == [len(pool)]
+
+    def test_inst_profile_never_builds(self, build_calls):
+        params = small_params()
+        corpus, pool = disambiguation_fixture()
+        index = build_flat_index(corpus, params)
+        queries = [Query(id="q1", text="orchard fruit")]
+        profile("toy", queries, "", None, index, params, FormatKind.INST, repetitions=1)
+        profile("toy", queries, "", pool, index, params, FormatKind.INST, repetitions=1)
+        assert build_calls == []
 
 
 class TestRunFiles:

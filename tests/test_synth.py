@@ -202,7 +202,7 @@ class TestFrozenBaseline:
         params = new_params(seed=0)
         index = build_flat_index(bench.corpus, params)
         run = run_inference(
-            bench.queries, "", None, None, index, params,
+            bench.queries, "", None, index, params,
             PromptFormat(kind=FormatKind.INST), k=0, top_k=10,
         )
         report = evaluate(run, bench.qrels, 10)
