@@ -42,6 +42,7 @@ class LatencyReport:
     query_s: float
     search_s: float
     total_s: float
+    zero_queries: int = 0  # all-zero query embeddings in one pass
     inc_factor: float | None = None
 
 
@@ -87,6 +88,7 @@ def profile(
         query_s=query_s,
         search_s=search_s,
         total_s=nn_s + query_s + search_s,
+        zero_queries=samples[-1].zero_queries,
     )
 
 

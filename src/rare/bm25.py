@@ -16,6 +16,8 @@ import math
 import string
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EmptyCollection, OrdinalOutOfRange
 
 K1 = 1.2
@@ -43,10 +45,24 @@ def tokenize(text: str) -> list[str]:
 
 
 @dataclass(frozen=True)
+class TermPostings:
+    """Every indexed item containing one term, in ascending ordinal order.
+
+    `denom` is the item's tf plus its length normalisation,
+    tf + k1 * (1 - b + b * len(d) / avg_len), so a query only multiplies.
+    """
+
+    ordinals: np.ndarray  # int64
+    tf: np.ndarray  # float64, whole numbers
+    denom: np.ndarray  # float64
+    idf: float
+
+
+@dataclass(frozen=True)
 class Bm25Index:
     """Inverted index over a fixed list of texts, addressed by ordinal."""
 
-    postings: dict[str, list[tuple[int, int]]]  # term -> [(ordinal, term freq)]
+    postings: dict[str, TermPostings]
     lengths: list[int]
     avg_length: float
     n_items: int
@@ -56,7 +72,7 @@ def build_index(texts: list[str]) -> Bm25Index:
     """Index texts by ordinal. Raises EmptyCollection for an empty list."""
     if not texts:
         raise EmptyCollection("cannot build a BM25 index over zero items")
-    postings: dict[str, list[tuple[int, int]]] = {}
+    lists: dict[str, tuple[list[int], list[int]]] = {}
     lengths: list[int] = []
     for ordinal, text in enumerate(texts):
         tokens = tokenize(text)
@@ -65,42 +81,24 @@ def build_index(texts: list[str]) -> Bm25Index:
         for tok in tokens:
             counts[tok] = counts.get(tok, 0) + 1
         for term, tf in counts.items():
-            postings.setdefault(term, []).append((ordinal, tf))
+            ordinals, tfs = lists.setdefault(term, ([], []))
+            ordinals.append(ordinal)
+            tfs.append(tf)
     avg_length = sum(lengths) / len(lengths)
-    return Bm25Index(postings=postings, lengths=lengths, avg_length=avg_length, n_items=len(texts))
-
-
-def idf(index: Bm25Index, term: str) -> float:
-    n_t = len(index.postings.get(term, ()))
-    return math.log(1.0 + (index.n_items - n_t + 0.5) / (n_t + 0.5))
-
-
-def score(index: Bm25Index, query_tokens: list[str], ordinal: int) -> float:
-    """BM25 score of one indexed item. Repeated query terms add up."""
-    if not 0 <= ordinal < index.n_items:
-        raise OrdinalOutOfRange(f"ordinal {ordinal} not in [0, {index.n_items})")
-    if index.avg_length == 0.0:
-        return 0.0
-    length = index.lengths[ordinal]
-    counts: dict[str, int] = {}
-    for tok in query_tokens:
-        counts[tok] = counts.get(tok, 0) + 1
-    total = 0.0
-    # Sorted term iteration keeps the float sum independent of query order.
-    for term in sorted(counts):
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        tf = 0
-        for item, freq in plist:
-            if item == ordinal:
-                tf = freq
-                break
-        if tf == 0:
-            continue
-        denom = tf + K1 * (1.0 - B + B * length / index.avg_length)
-        total += counts[term] * idf(index, term) * tf * (K1 + 1.0) / denom
-    return total
+    length_arr = np.array(lengths, dtype=np.float64)
+    n_items = len(texts)
+    postings: dict[str, TermPostings] = {}
+    for term, (ordinals, tfs) in lists.items():
+        ords = np.array(ordinals, dtype=np.int64)
+        tf = np.array(tfs, dtype=np.float64)
+        n_t = len(ordinals)
+        postings[term] = TermPostings(
+            ordinals=ords,
+            tf=tf,
+            denom=tf + K1 * (1.0 - B + B * length_arr[ords] / avg_length),
+            idf=math.log(1.0 + (n_items - n_t + 0.5) / (n_t + 0.5)),
+        )
+    return Bm25Index(postings=postings, lengths=lengths, avg_length=avg_length, n_items=n_items)
 
 
 def top_k_neighbors(
@@ -116,38 +114,33 @@ def top_k_neighbors(
     order. When nothing matches at all the result is empty: with no term
     overlap anywhere there is no meaningful neighborhood to pad from.
     `exclude` drops a single ordinal, used to keep an item out of its own
-    neighbor list.
+    neighbor list. Repeated query terms add up.
     """
     if k <= 0:
         return []
     if exclude is not None and not 0 <= exclude < index.n_items:
         raise OrdinalOutOfRange(f"exclude ordinal {exclude} not in [0, {index.n_items})")
-    tokens = tokenize(query)
-    accum: dict[int, float] = {}
     counts: dict[str, int] = {}
-    for tok in tokens:
+    for tok in tokenize(query):
         counts[tok] = counts.get(tok, 0) + 1
-    # Same sorted-term accumulation order as score(), so both agree exactly.
+    scores = np.zeros(index.n_items)
+    # Terms are added in sorted order and each product is evaluated left to
+    # right, so a score does not depend on query word order and is the same
+    # float as the formula term by term.
     for term in sorted(counts):
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        q_tf = counts[term]
-        term_idf = idf(index, term)
-        for ordinal, tf in plist:
-            if ordinal == exclude:
-                continue
-            denom = tf + K1 * (1.0 - B + B * index.lengths[ordinal] / index.avg_length)
-            accum[ordinal] = accum.get(ordinal, 0.0) + q_tf * term_idf * tf * (K1 + 1.0) / denom
-    if not accum:
+        p = index.postings.get(term)
+        if p is not None:
+            scores[p.ordinals] += counts[term] * p.idf * p.tf * (K1 + 1.0) / p.denom
+    if exclude is not None:
+        scores[exclude] = 0.0
+    matched = np.flatnonzero(scores)  # every term score is positive
+    if matched.size == 0:
         return []
-    ranked = sorted(accum.items(), key=lambda item: (-item[1], item[0]))
-    if len(ranked) < k:
-        matched = set(accum)
-        for ordinal in range(index.n_items):
-            if len(ranked) >= k:
-                break
-            if ordinal in matched or ordinal == exclude:
-                continue
-            ranked.append((ordinal, 0.0))
-    return ranked[:k]
+    # A stable sort of ascending ordinals breaks score ties by ordinal.
+    top = matched[np.argsort(-scores[matched], kind="stable")[:k]].tolist()
+    if len(top) < k:
+        unmatched = scores == 0.0
+        if exclude is not None:
+            unmatched[exclude] = False
+        top += np.flatnonzero(unmatched)[: k - len(top)].tolist()
+    return [(ordinal, float(scores[ordinal])) for ordinal in top]

@@ -34,6 +34,7 @@ from .evaluation import AblationCell, DatasetBundle, ablate, evaluate, score_at_
 from .manifest import build_manifest, write_manifest
 from .prompt import FormatKind, PromptFormat
 from .retrieve import (
+    StageTimes,
     build_flat_index,
     load_flat_index,
     load_run,
@@ -97,7 +98,7 @@ def _add_embedder_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--hash-dim", type=positive_int, default=embedder.DEFAULT_HASH_DIM)
     parser.add_argument("--dim", type=positive_int, default=embedder.DEFAULT_EMBED_DIM)
     parser.add_argument("--ngrams", type=ngram_orders, default="1,2", help="comma-separated n-gram orders")
-    parser.add_argument("--max-tokens", type=int, default=None)
+    parser.add_argument("--max-tokens", type=positive_int, default=None)
 
 
 def _apply_config_pairs(args: argparse.Namespace, command: argparse.ArgumentParser) -> None:
@@ -138,6 +139,11 @@ def _manifest_config(args: argparse.Namespace) -> dict:
             continue
         out[key] = str(value) if isinstance(value, Path) else value
     return out
+
+
+def _report_zero_queries(zero: int, total: int) -> None:
+    if zero:
+        print(f"{zero} of {total} query embeddings are all zeros; ranked by document id", file=sys.stderr)
 
 
 def _emit_manifest(argv: list[str], args: argparse.Namespace, artifact: Path, inputs: dict[str, Path], seeds: dict) -> None:
@@ -253,11 +259,13 @@ def _cmd_search(argv: list[str], args: argparse.Namespace) -> int:
         if not args.pool:
             raise UsageError(f"format {fmt.kind.value} needs --pool")
         pool = data.load_example_pool(_require_file(args.pool, "example pool"), args.task)
+    times = StageTimes()
     run = run_inference(
         queries, args.instruction, pool, index, params,
         fmt, args.k, args.topk,
-        selection=SelectionPolicy(args.select), seed=args.seed,
+        selection=SelectionPolicy(args.select), seed=args.seed, times=times,
     )
+    _report_zero_queries(times.zero_queries, times.queries)
     write_run(run, args.out, tag=args.tag)
     inputs = {"index": Path(args.index), "model": Path(args.model), "queries": Path(args.queries)}
     if args.pool:
@@ -356,7 +364,9 @@ def _cmd_ablate(argv: list[str], args: argparse.Namespace) -> int:
     params = embedder.load(_require_file(args.model, "model"))
     bundles = [_load_bundle(entry, args.instruction) for entry in args.data]
     cells = [_parse_cell(raw) for raw in args.cell]
-    table = ablate(cells, bundles, params, top_k=args.topk, ndcg_k=args.ndcg_k, seed=args.seed)
+    times = StageTimes()
+    table = ablate(cells, bundles, params, top_k=args.topk, ndcg_k=args.ndcg_k, seed=args.seed, times=times)
+    _report_zero_queries(times.zero_queries, times.queries)
     write_ablation_csv(table, args.out)
     inputs = {"model": Path(args.model)}
     for bundle, entry in zip(bundles, args.data):
@@ -384,6 +394,7 @@ def _cmd_bench(argv: list[str], args: argparse.Namespace) -> int:
         )
         for setting in settings
     ]
+    _report_zero_queries(sum(r.zero_queries for r in reports), len(bundle.queries) * len(reports))
     add_inc_factors(reports)
     emit_csv(reports, args.out)
     _emit_manifest(argv, args, Path(args.out), {"model": Path(args.model)}, {})

@@ -18,7 +18,7 @@ from .data import Document, ExamplePool, QRels, Query
 from .embedder import EmbedderParams, cosine, embed
 from .errors import SpecInvalid
 from .prompt import PromptFormat
-from .retrieve import FlatIndex, build_flat_index, run_inference
+from .retrieve import FlatIndex, StageTimes, build_flat_index, run_inference
 from .trainer import SelectionPolicy
 
 
@@ -123,8 +123,12 @@ def ablate(
     top_k: int = 10,
     ndcg_k: int = 10,
     seed: int = 0,
+    times: StageTimes | None = None,
 ) -> AblationTable:
-    """Evaluate every (setting, dataset) pair with a shared embedder."""
+    """Evaluate every (setting, dataset) pair with a shared embedder.
+
+    Every cell's inference adds its stage counts into `times` when one is given.
+    """
     if not cells or not datasets:
         raise SpecInvalid("ablation needs at least one cell and one dataset")
     table = AblationTable(rows=[c.label() for c in cells], datasets=[d.name for d in datasets], cells={})
@@ -133,7 +137,7 @@ def ablate(
         for cell in cells:
             run = run_inference(
                 bundle.queries, bundle.instruction, bundle.pool, index, params,
-                cell.fmt, cell.k, top_k, selection=cell.selection, seed=seed,
+                cell.fmt, cell.k, top_k, selection=cell.selection, seed=seed, times=times,
             )
             report = evaluate(run, bundle.qrels, ndcg_k, dataset=bundle.name)
             if report.mean is None:

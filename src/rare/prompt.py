@@ -127,9 +127,3 @@ def render_inst_ic(
     n_rendered = 0 if fmt.kind is FormatKind.INST else len(examples)
     return _finish(segments, n_rendered, fmt)
 
-
-def shuffle_permutation(seed: int, n: int) -> list[int]:
-    """The permutation applied by the shuffle formats for a given seed and size."""
-    perm = list(range(n))
-    random.Random(seed).shuffle(perm)
-    return perm

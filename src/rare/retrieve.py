@@ -7,11 +7,10 @@ result is exact: scores descending, ties broken by ascending document id.
 
 from __future__ import annotations
 
-import logging
 import random
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +22,6 @@ from .errors import DimMismatch, EmptyCorpus, MalformedRow, SpecInvalid
 from .prompt import PromptFormat, render_inst, render_inst_ic
 from .trainer import SelectionPolicy, select_examples
 
-log = logging.getLogger(__name__)
-
 MAGIC = b"RFI1"
 VERSION = 1
 
@@ -34,15 +31,9 @@ class FlatIndex:
     ids: list[str]
     matrix: np.ndarray  # (n, dim) float64, rows unit norm or zero
     dim: int
-    _ids_arr: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def ids_array(self) -> np.ndarray:
-        if self._ids_arr is None:
-            self._ids_arr = np.array(self.ids)
-        return self._ids_arr
 
 
 def document_text(doc: Document) -> str:
@@ -59,17 +50,26 @@ def build_flat_index(corpus: dict[str, Document], params: EmbedderParams) -> Fla
 
 
 def search(index: FlatIndex, q_emb: np.ndarray, top_k: int) -> list[tuple[str, float]]:
-    """Exact top-K by dot product; ties and the all-zero case order by doc id."""
+    """Exact top-K by dot product; ties and the all-zero case order by doc id.
+
+    The k-th best score is found by partial selection. Every row scoring at
+    least that much is kept, so a tie at the boundary cannot drop the row
+    with the smaller id, and only those rows are sorted.
+    """
     if q_emb.shape != (index.dim,):
         raise DimMismatch(f"query dim {q_emb.shape} does not match index dim ({index.dim},)")
     if top_k <= 0:
         return []
     scores = index.matrix @ q_emb
-    if not np.any(scores):
-        log.warning("query embedding is all zeros; ranking by document id")
-    order = np.lexsort((index.ids_array(), -scores))
-    top = order[: min(top_k, len(index.ids))]
-    return [(index.ids[i], float(scores[i])) for i in top]
+    n = len(scores)
+    if top_k < n:
+        kth = np.partition(scores, n - top_k)[n - top_k]
+        rows = np.flatnonzero(scores >= kth).tolist()
+    else:
+        rows = range(n)
+    ids = index.ids
+    ranked = sorted(rows, key=lambda row: (-scores[row], ids[row]))[:top_k]
+    return [(ids[row], float(scores[row])) for row in ranked]
 
 
 @dataclass
@@ -80,6 +80,8 @@ class StageTimes:
     query_s: float = 0.0  # render + embed
     search_s: float = 0.0
     tokens: int = 0  # whitespace tokens of every rendered query
+    queries: int = 0
+    zero_queries: int = 0  # queries that embed to all zeros; they rank by doc id
 
 
 def run_inference(
@@ -98,8 +100,9 @@ def run_inference(
     """Augment, embed and search every query; returns qid -> ranked list.
 
     When the format uses no examples (fmt.uses_examples(k) is false) the pool
-    is never consulted and may be None. Stage seconds and rendered tokens are
-    added into `times` when one is given.
+    is never consulted and may be None. Stage seconds, rendered tokens and
+    the count of all-zero query embeddings are added into `times` when one is
+    given.
     """
     uses_examples = fmt.uses_examples(k)
     if uses_examples and pool is None:
@@ -126,6 +129,9 @@ def run_inference(
         times.query_s += t1 - t0
         times.search_s += clock() - t1
         times.tokens += aug.approx_len
+        times.queries += 1
+        if not emb.any():
+            times.zero_queries += 1
     return run
 
 

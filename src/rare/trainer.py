@@ -32,7 +32,7 @@ import numpy as np
 
 from . import bm25
 from .data import ExamplePool, ICExample, TrainExample
-from .embedder import EmbedderParams, cosine, featurize, project
+from .embedder import EmbedderParams, featurize, project
 from .errors import (
     EmptyPool,
     MissingNegative,
@@ -80,30 +80,6 @@ class RenderedExample:
 class BatchLoss:
     value: float
     grads: np.ndarray  # same shape as the projection
-
-
-def loss_from_similarities(sims: np.ndarray, temperature: float, positive_index: int = 0) -> float:
-    """Stable -log softmax at `positive_index` of sims / temperature."""
-    if temperature <= 0.0:
-        raise NonPositiveTemperature(f"temperature must be positive, got {temperature}")
-    z = np.asarray(sims, dtype=np.float64) / temperature
-    m = float(np.max(z))
-    return float(-(z[positive_index] - m) + np.log(np.sum(np.exp(z - m))))
-
-
-def contrastive_loss(
-    q_emb: np.ndarray,
-    pos_emb: np.ndarray,
-    hard_neg_emb: np.ndarray | None,
-    in_batch_embs: list[np.ndarray],
-    temperature: float,
-) -> float:
-    """Loss of one query against its positive, hard negative and in-batch negatives."""
-    sims = [cosine(q_emb, pos_emb)]
-    if hard_neg_emb is not None:
-        sims.append(cosine(q_emb, hard_neg_emb))
-    sims.extend(cosine(q_emb, e) for e in in_batch_embs)
-    return loss_from_similarities(np.array(sims), temperature)
 
 
 @dataclass

@@ -25,31 +25,29 @@ def reference_tokenize(text: str) -> list[str]:
     return out
 
 
-def reference_score(index: bm25.Bm25Index, query_tokens: list[str], ordinal: int) -> float:
-    """Okapi BM25 computed directly from the formula, term by term."""
-    total = 0.0
+def reference_scores(index: bm25.Bm25Index, query_tokens: list[str]) -> list[float]:
+    """Okapi BM25 of every indexed item, computed from the formula term by term.
+
+    Reads only the term frequencies and lengths the index records; idf and
+    the length normalisation are worked out here, not taken from the index.
+    """
+    totals = [0.0] * index.n_items
     for term in sorted(set(query_tokens)):
-        plist = dict(index.postings.get(term, ()))
-        tf = plist.get(ordinal, 0)
-        if tf == 0:
+        postings = index.postings.get(term)
+        if postings is None:
             continue
-        n_t = len(index.postings[term])
+        n_t = len(postings.ordinals)
         idf = math.log(1.0 + (index.n_items - n_t + 0.5) / (n_t + 0.5))
-        norm = bm25.K1 * (1.0 - bm25.B + bm25.B * index.lengths[ordinal] / index.avg_length)
-        total += query_tokens.count(term) * idf * tf * (bm25.K1 + 1.0) / (tf + norm)
-    return total
+        for ordinal, tf in zip(postings.ordinals.tolist(), postings.tf.tolist()):
+            norm = bm25.K1 * (1.0 - bm25.B + bm25.B * index.lengths[ordinal] / index.avg_length)
+            totals[ordinal] += query_tokens.count(term) * idf * tf * (bm25.K1 + 1.0) / (tf + norm)
+    return totals
 
 
 def reference_top_k(index: bm25.Bm25Index, query: str, k: int, exclude: int | None = None):
     """Exhaustive scoring of every ordinal plus the documented tie and padding rules."""
-    tokens = bm25.tokenize(query)
-    positive = []
-    for ordinal in range(index.n_items):
-        if ordinal == exclude:
-            continue
-        s = reference_score(index, tokens, ordinal)
-        if s > 0.0:
-            positive.append((ordinal, s))
+    scores = reference_scores(index, bm25.tokenize(query))
+    positive = [(o, s) for o, s in enumerate(scores) if o != exclude and s > 0.0]
     if not positive:
         return []
     positive.sort(key=lambda item: (-item[1], item[0]))
@@ -61,6 +59,11 @@ def reference_top_k(index: bm25.Bm25Index, query: str, k: int, exclude: int | No
             if ordinal not in matched and ordinal != exclude:
                 positive.append((ordinal, 0.0))
     return positive[:k]
+
+
+def kernel_score(index: bm25.Bm25Index, query_tokens: list[str], ordinal: int) -> float:
+    """The score `top_k_neighbors` gives one item, read from a full-length list."""
+    return dict(bm25.top_k_neighbors(index, " ".join(query_tokens), index.n_items)).get(ordinal, 0.0)
 
 
 class TestTokenize:
@@ -104,27 +107,31 @@ class TestBuildIndex:
     def test_postings_reference_valid_ordinals(self, rng):
         texts = [random_text(rng) for _ in range(50)]
         index = bm25.build_index(texts)
-        for plist in index.postings.values():
-            for ordinal, tf in plist:
+        for term, postings in index.postings.items():
+            ordinals = postings.ordinals.tolist()
+            assert ordinals == sorted(set(ordinals))
+            for ordinal, tf in zip(ordinals, postings.tf.tolist()):
                 assert 0 <= ordinal < index.n_items
-                assert tf >= 1
+                assert tf == bm25.tokenize(texts[ordinal]).count(term) >= 1
 
 
 class TestScore:
+    """The scores `top_k_neighbors` reports."""
+
     def test_no_match_is_zero(self):
         index = bm25.build_index(["apple banana", "banana cherry"])
-        assert bm25.score(index, ["durian"], 0) == 0.0
-        assert bm25.score(index, ["apple"], 1) == 0.0
+        assert kernel_score(index, ["durian"], 0) == 0.0
+        assert kernel_score(index, ["apple"], 1) == 0.0
 
     def test_repeated_term_doubles(self):
         index = bm25.build_index(["apple banana", "banana cherry"])
-        single = bm25.score(index, ["apple"], 0)
+        single = kernel_score(index, ["apple"], 0)
         assert single > 0.0
-        assert bm25.score(index, ["apple", "apple"], 0) == 2 * single
+        assert kernel_score(index, ["apple", "apple"], 0) == 2 * single
 
     def test_hand_case_against_formula(self):
         index = bm25.build_index(["apple banana", "banana cherry"])
-        got = bm25.score(index, ["apple"], 0)
+        got = kernel_score(index, ["apple"], 0)
         # One matching doc of two, tf=1, len=2, avg=2.
         idf = math.log(1.0 + (2 - 1 + 0.5) / (1 + 0.5))
         expected = idf * 1 * (1.2 + 1.0) / (1 + 1.2 * (1 - 0.75 + 0.75 * 2 / 2))
@@ -133,7 +140,7 @@ class TestScore:
     def test_ordinal_out_of_range(self):
         index = bm25.build_index(["apple"])
         with pytest.raises(OrdinalOutOfRange):
-            bm25.score(index, ["apple"], 1)
+            bm25.top_k_neighbors(index, "apple", 1, exclude=1)
 
     def test_term_order_invariant(self, rng):
         texts = [random_text(rng) for _ in range(20)]
@@ -143,13 +150,13 @@ class TestScore:
             shuffled = tokens[:]
             rng.shuffle(shuffled)
             for ordinal in range(index.n_items):
-                assert bm25.score(index, tokens, ordinal) == bm25.score(index, shuffled, ordinal)
+                assert kernel_score(index, tokens, ordinal) == kernel_score(index, shuffled, ordinal)
 
     def test_rarer_term_scores_higher(self):
         # "rare" appears once, "common" in every item; same tf and lengths.
         texts = ["rare common alpha", "common beta gamma", "common delta epsilon"]
         index = bm25.build_index(texts)
-        assert bm25.score(index, ["rare"], 0) > bm25.score(index, ["common"], 0)
+        assert kernel_score(index, ["rare"], 0) > kernel_score(index, ["common"], 0)
 
     def test_determinism(self, rng):
         texts = [random_text(rng) for _ in range(30)]
@@ -157,7 +164,7 @@ class TestScore:
         a = bm25.build_index(texts)
         b = bm25.build_index(texts)
         for ordinal in range(len(texts)):
-            assert bm25.score(a, q, ordinal) == bm25.score(b, q, ordinal)
+            assert kernel_score(a, q, ordinal) == kernel_score(b, q, ordinal)
 
 
 class TestTopKNeighbors:
@@ -209,3 +216,28 @@ class TestTopKNeighbors:
             assert [o for o, _ in got] == [o for o, _ in want], f"trial {trial}"
             for (_, gs), (_, ws) in zip(got, want):
                 assert gs == pytest.approx(ws, abs=1e-12)
+
+    def test_pool_scale_scores_equal_formula(self, rng):
+        # A pool as large as the L benchmark's. A few items carry a word of
+        # their own, so a query of rare words matches fewer than k items and
+        # gets padded; repeated query words weigh more.
+        rare = [f"rare{i}" for i in range(60)]
+        texts = []
+        for _ in range(3200):
+            words = random_text(rng, max_tokens=12).split()
+            if rng.random() < 0.03:
+                words.insert(rng.randrange(len(words) + 1), rng.choice(rare))
+            texts.append(" ".join(words))
+        index = bm25.build_index(texts)
+        queries = [random_text(rng, max_tokens=10) for _ in range(10)]
+        queries += ["apple apple apple cherry", "rare3 rare3 rare7", "rare11 zzz", "unknown words only"]
+        padded = 0
+        for query in queries:
+            matched = [o for o, s in enumerate(reference_scores(index, bm25.tokenize(query))) if s > 0.0]
+            for k in (1, 5, 40):
+                for exclude in (None, matched[0] if matched else 0):
+                    got = bm25.top_k_neighbors(index, query, k, exclude=exclude)
+                    assert got == reference_top_k(index, query, k, exclude=exclude), (query, k, exclude)
+                    padded += bool(got) and got[-1][1] == 0.0
+        assert padded > 0
+        assert bm25.top_k_neighbors(index, "unknown words only", 5) == []

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from rare.cli import dispatch, main
-from rare.embedder import load
+from rare.embedder import load, save
 
 try:
     import tomllib
@@ -121,8 +121,10 @@ class TestExitCodes:
 
     def test_bad_embedder_shape_is_usage_error(self, tmp_path, capsys):
         # With real training data these values used to reach new_params and
-        # end in a ValueError traceback; now the flag's type rejects them.
-        # The flag form prints argparse's one-line error, then the usage.
+        # end in a ValueError traceback, or (--max-tokens -1) train and then
+        # fail to save, or (--max-tokens 0) cut every text to nothing; now the
+        # flag's type rejects them. The flag form prints argparse's one-line
+        # error, then the usage.
         synth_dir = tmp_path / "data"
         assert dispatch(["synth", "--out", str(synth_dir), *SMALL_SYNTH]) == 0
         out = tmp_path / "m.rare"
@@ -131,6 +133,8 @@ class TestExitCodes:
         bad = [
             ("ngrams", "ngram_orders", "a"), ("ngrams", "ngram_orders", "0"), ("ngrams", "ngram_orders", ","),
             ("hash-dim", "positive_int", "0"), ("dim", "positive_int", "0"), ("dim", "positive_int", "-3"),
+            ("max-tokens", "positive_int", "-1"), ("max-tokens", "positive_int", "0"),
+            ("max-tokens", "positive_int", "abc"),
         ]
         for flag, type_name, value in bad:
             capsys.readouterr()
@@ -344,6 +348,32 @@ class TestBenchCommand:
         assert float(by_setting["inst"][4]) == 0.0  # NN column
         assert float(by_setting["inst+ic"][3]) > float(by_setting["inst"][3])  # AvgQLen
         assert by_setting["inst+ic"][8] != ""  # Inc factor filled
+
+
+class TestZeroQueryEmbeddings:
+    def test_search_ablate_bench_print_one_count(self, pipeline, tmp_path, capsys):
+        data_dir = pipeline / "data"
+        n_queries = len((data_dir / "queries.jsonl").read_text(encoding="utf-8").splitlines())
+        params = load(pipeline / "model.rare")
+        params.projection[:] = 0.0  # every query embeds to all zeros
+        zero_model = tmp_path / "zero.rare"
+        save(params, zero_model)
+        commands = {
+            "search": (["search", "--index", str(pipeline / "index.rfi"), "--queries", str(data_dir / "queries.jsonl"),
+                        "--pool", str(data_dir / "pool.jsonl"), "--task", "synth", "--k", "2"], n_queries),
+            "ablate": (["ablate", "--data", f"synth={data_dir}", "--cell", "inst:0:retrieved",
+                        "--cell", "inst+ic:2:retrieved"], 2 * n_queries),
+            "bench": (["bench", "--data", str(data_dir), "--k", "2", "--reps", "1"], 2 * n_queries),
+        }
+        for name, (argv, total) in commands.items():
+            out = ["--out", str(tmp_path / f"{name}.out")]
+            capsys.readouterr()
+            assert dispatch([*argv, "--model", str(pipeline / "model.rare"), *out]) == 0, name
+            assert "all zeros" not in capsys.readouterr().err
+            assert dispatch([*argv, "--model", str(zero_model), *out]) == 0, name
+            err = capsys.readouterr().err
+            line = f"{total} of {total} query embeddings are all zeros; ranked by document id"
+            assert err.splitlines() == [line], (name, err)
 
 
 def run_synth(argv: list[str], out: Path) -> None:

@@ -16,8 +16,15 @@ from rare.prompt import (
     PromptFormat,
     render_inst,
     render_inst_ic,
-    shuffle_permutation,
 )
+
+
+def shuffle_permutation(seed: int, n: int) -> list[int]:
+    """Oracle: the permutation the shuffle formats apply for a seed and size."""
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return perm
+
 
 EXAMPLES = [
     ICExample(query="a", positive="b", negative="nb"),
@@ -106,8 +113,7 @@ class TestShuffles:
         examples = self.make_examples(8)
         seed = 41
         out = render_inst_ic("", examples, "tq", fmt(FormatKind.SHUFFLE_C, seed=seed))
-        perm = list(range(8))
-        random.Random(seed).shuffle(perm)
+        perm = shuffle_permutation(seed, 8)
         expected = []
         for i, ex in enumerate(examples):
             expected.append(f"Query: {ex.query}")

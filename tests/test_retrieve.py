@@ -3,10 +3,10 @@ and index file formats."""
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rare import bm25
 from rare.bench import profile
@@ -102,6 +102,28 @@ class TestBuildFlatIndex:
         assert not index.matrix[0].any()
 
 
+# Ids mix ASCII, accented, Cyrillic, CJK and astral characters, so their
+# sorted order has nothing to do with row order or with byte length.
+ID_CHARS = "aZ09-_éüдиф中文🙂"
+
+
+@st.composite
+def flat_cases(draw):
+    """An index whose rows repeat a few small-integer vectors and zero rows,
+    so dot products tie exactly and ties straddle the k-th score; the query
+    is one such vector or zero, and top_k may exceed the row count."""
+    dim = draw(st.integers(1, 4))
+    vector = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    distinct = draw(st.lists(vector, min_size=1, max_size=4))
+    n = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.sampled_from([[0] * dim, *distinct]), min_size=n, max_size=n))
+    ids = draw(st.lists(st.text(ID_CHARS, min_size=1, max_size=3), min_size=n, max_size=n, unique=True))
+    q = draw(st.one_of(st.just([0] * dim), vector))
+    top_k = draw(st.integers(1, n + 3))
+    index = FlatIndex(ids=ids, matrix=np.array(rows, dtype=np.float64), dim=dim)
+    return index, np.array(q, dtype=np.float64), top_k
+
+
 class TestSearch:
     def build_random_index(self, rng, n, dim=8, with_ties=False):
         mat = np.zeros((n, dim))
@@ -155,13 +177,20 @@ class TestSearch:
         with pytest.raises(DimMismatch):
             search(index, np.zeros(9), 3)
 
-    def test_zero_query_warns_and_orders_by_id(self, rng, caplog):
+    def test_zero_query_orders_by_id(self, rng):
         index = self.build_random_index(rng, 10)
-        with caplog.at_level(logging.WARNING, logger="rare.retrieve"):
-            got = search(index, np.zeros(index.dim), 10)
-        assert any("all zeros" in rec.message for rec in caplog.records)
+        got = search(index, np.zeros(index.dim), 10)
         assert [doc_id for doc_id, _ in got] == sorted(index.ids)
         assert all(score == 0.0 for _, score in got)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(case=flat_cases())
+    def test_partial_selection_matches_full_sort(self, case):
+        index, q, top_k = case
+        got = search(index, q, top_k)
+        scores = index.matrix @ q
+        order = sorted(range(len(index)), key=lambda row: (-scores[row], index.ids[row]))[:top_k]
+        assert got == [(index.ids[row], float(scores[row])) for row in order]
 
 
 def disambiguation_fixture():
@@ -239,7 +268,6 @@ class TestRunInference:
                 PromptFormat(kind=FormatKind.INST_IC), k=2, top_k=3,
             )
 
-
     def test_stage_times_accumulate(self):
         params = small_params()
         corpus, pool = disambiguation_fixture()
@@ -254,6 +282,21 @@ class TestRunInference:
                     + render_inst_ic("", [pool.examples[1]], "weather frost", fmt).approx_len)
         assert times.tokens == 2 * one_pass
         assert times.select_s > 0.0 and times.query_s > 0.0 and times.search_s > 0.0
+        assert (times.queries, times.zero_queries) == (4, 0)
+
+    def test_zero_query_embeddings_counted_not_logged(self, caplog):
+        params = small_params()
+        corpus, pool = disambiguation_fixture()
+        index = build_flat_index(corpus, params)
+        params.projection[:] = 0.0  # every query now embeds to all zeros
+        queries = [Query(id="q1", text="orchard fruit"), Query(id="q2", text="weather frost")]
+        times = StageTimes()
+        with caplog.at_level("DEBUG"):
+            run = run_inference(queries, "", pool, index, params, PromptFormat(kind=FormatKind.INST_IC),
+                                k=1, top_k=4, times=times)
+        assert (times.queries, times.zero_queries) == (2, 2)
+        assert caplog.records == []
+        assert [doc_id for doc_id, _ in run["q1"]] == sorted(corpus)
 
 
 class TestPoolIndex:

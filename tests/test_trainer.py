@@ -11,7 +11,7 @@ import pytest
 
 from rare import bm25
 from rare.data import ExamplePool, ICExample, TrainExample
-from rare.embedder import embed, new_params
+from rare.embedder import cosine, embed, new_params
 from rare.errors import (
     EmptyPool,
     MissingNegative,
@@ -25,13 +25,35 @@ from rare.trainer import (
     SelectionPolicy,
     TrainConfig,
     batch_grads,
-    contrastive_loss,
-    loss_from_similarities,
     select_examples,
     train,
 )
 
 from conftest import WORDS, fd_grads, oracle_candidates, random_text
+
+
+def loss_from_similarities(sims: np.ndarray, temperature: float, positive_index: int = 0) -> float:
+    """Oracle: stable -log softmax at `positive_index` of sims / temperature."""
+    if temperature <= 0.0:
+        raise NonPositiveTemperature(f"temperature must be positive, got {temperature}")
+    z = np.asarray(sims, dtype=np.float64) / temperature
+    m = float(np.max(z))
+    return float(-(z[positive_index] - m) + np.log(np.sum(np.exp(z - m))))
+
+
+def contrastive_loss(
+    q_emb: np.ndarray,
+    pos_emb: np.ndarray,
+    hard_neg_emb: np.ndarray | None,
+    in_batch_embs: list[np.ndarray],
+    temperature: float,
+) -> float:
+    """Oracle: loss of one query against its positive, hard negative and in-batch negatives."""
+    sims = [cosine(q_emb, pos_emb)]
+    if hard_neg_emb is not None:
+        sims.append(cosine(q_emb, hard_neg_emb))
+    sims.extend(cosine(q_emb, e) for e in in_batch_embs)
+    return loss_from_similarities(np.array(sims), temperature)
 
 
 def small_params(seed=0, hash_dim=256, embed_dim=12):
