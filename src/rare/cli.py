@@ -86,6 +86,14 @@ def positive_int(raw: str) -> int:
     return value
 
 
+def nonneg_int(raw: str) -> int:
+    """An argparse type for counts where 0 means none, such as the example count."""
+    value = int(raw)
+    if value < 0:
+        raise ValueError(raw)
+    return value
+
+
 def ngram_orders(raw: str) -> tuple[int, ...]:
     """Comma-separated positive n-gram orders, at least one."""
     orders = tuple(positive_int(n) for n in raw.split(",") if n.strip())
@@ -349,9 +357,9 @@ def _parse_cell(raw: str) -> AblationCell:
     if selection not in SELECT_CHOICES:
         raise UsageError(f"unknown selection {selection!r} in --cell {raw!r}")
     try:
-        k = int(k_raw)
+        k = nonneg_int(k_raw)
     except ValueError:
-        raise UsageError(f"k must be an integer in --cell {raw!r}") from None
+        raise UsageError(f"k must be a non-negative integer in --cell {raw!r}") from None
     brackets = len(parts) == 4 and parts[3] == "brackets"
     return AblationCell(
         fmt=PromptFormat(kind=FormatKind(fmt_name), bracket_queries=brackets),
@@ -424,7 +432,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="contrastively train the embedder projection")
     p.add_argument("--data", required=True, help="train.jsonl")
     p.add_argument("--pool", action="append", help="pool.jsonl, or TASK=pool.jsonl, repeatable")
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=nonneg_int, default=5)
     p.add_argument("--temp", type=float, default=0.01)
     p.add_argument("--mix", type=float, default=0.7, help="probability of in-context rendering")
     p.add_argument("--select", choices=SELECT_CHOICES, default="retrieved")
@@ -453,8 +461,8 @@ def build_parser() -> _Parser:
     p.add_argument("--pool", default=None)
     p.add_argument("--task", default="default", help="task id for the example pool")
     p.add_argument("--instruction", default="")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--topk", type=int, default=10)
+    p.add_argument("--k", type=nonneg_int, default=5)
+    p.add_argument("--topk", type=positive_int, default=10)
     p.add_argument("--select", choices=SELECT_CHOICES, default="retrieved")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tag", default="rare")
@@ -465,7 +473,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="score a run file with nDCG@K")
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=positive_int, default=10)
     p.add_argument("--dataset", default="")
     p.add_argument("--out", required=True)
     p.add_argument("--buckets-out", default=None, help="also write Score@Top-1 bucket deltas")
@@ -482,8 +490,8 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--cell", action="append", required=True, help="format:k:selection[:brackets], repeatable")
     p.add_argument("--instruction", default="")
-    p.add_argument("--topk", type=int, default=10)
-    p.add_argument("--ndcg-k", type=int, default=10)
+    p.add_argument("--topk", type=positive_int, default=10)
+    p.add_argument("--ndcg-k", type=positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ablate)
@@ -494,8 +502,8 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--setting", choices=["inst", "inst+ic", "both"], default="both")
     p.add_argument("--instruction", default="")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--topk", type=int, default=10)
+    p.add_argument("--k", type=nonneg_int, default=5)
+    p.add_argument("--topk", type=positive_int, default=10)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bench)

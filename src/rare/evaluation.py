@@ -28,6 +28,8 @@ def ndcg_at_k(ranked: list[tuple[str, float]], judged: dict[str, int], k: int) -
     Unjudged documents gain nothing. Returns 0.0 when no judged document has
     a positive grade; callers decide whether such queries count.
     """
+    if k < 1:
+        raise SpecInvalid(f"nDCG cutoff k must be at least 1, got {k}")
     gains = sorted((g for g in judged.values() if g > 0), reverse=True)
     if not gains:
         return 0.0

@@ -44,7 +44,6 @@ class PromptFormat:
 class AugmentedQuery:
     text: str
     n_examples: int
-    format: PromptFormat
     approx_len: int = field(default=0)  # whitespace token count of text
 
 
@@ -52,21 +51,20 @@ def _query_segment(payload: str, bracket: bool) -> str:
     return f"Query: [{payload}]" if bracket else f"Query: {payload}"
 
 
-def _finish(segments: list[str], n_examples: int, fmt: PromptFormat) -> AugmentedQuery:
+def _finish(segments: list[str], n_examples: int) -> AugmentedQuery:
     text = SEPARATOR.join(segments)
-    return AugmentedQuery(text=text, n_examples=n_examples, format=fmt, approx_len=len(text.split()))
+    return AugmentedQuery(text=text, n_examples=n_examples, approx_len=len(text.split()))
 
 
 def render_inst(instruction: str, query: str, bracket_queries: bool = False) -> AugmentedQuery:
     """Render the plain instruction format with no in-context examples."""
     if not query:
         raise EmptyQuery("cannot render an empty query")
-    fmt = PromptFormat(kind=FormatKind.INST, bracket_queries=bracket_queries)
     segments = []
     if instruction:
         segments.append(f"Instruct: {instruction}")
     segments.append(_query_segment(query, bracket_queries))
-    return _finish(segments, 0, fmt)
+    return _finish(segments, 0)
 
 
 def _example_segments(examples: list[ICExample], fmt: PromptFormat) -> list[str]:
@@ -125,5 +123,5 @@ def render_inst_ic(
     segments.extend(_example_segments(examples, fmt))
     segments.append(_query_segment(query, fmt.bracket_queries))
     n_rendered = 0 if fmt.kind is FormatKind.INST else len(examples)
-    return _finish(segments, n_rendered, fmt)
+    return _finish(segments, n_rendered)
 

@@ -82,70 +82,53 @@ class BatchLoss:
     grads: np.ndarray  # same shape as the projection
 
 
-@dataclass
-class _Encoded:
-    feats: dict[int, float]
-    e: np.ndarray
-    norm: float
-
-
-def _encode_texts(texts: list[str], params: EmbedderParams) -> dict[str, _Encoded]:
-    cache: dict[str, _Encoded] = {}
-    for text in texts:
-        if text in cache:
-            continue
-        feats = featurize(params, text)
-        u = project(params, feats)
-        norm = float(np.linalg.norm(u))
-        e = u / norm if norm > 0.0 else np.zeros(params.embed_dim)
-        cache[text] = _Encoded(feats=feats, e=e, norm=norm)
-    return cache
-
-
 def batch_grads(batch: list[RenderedExample], params: EmbedderParams, config: TrainConfig) -> BatchLoss:
     """Mean loss over the batch and its exact gradient w.r.t. the projection."""
     if config.temperature <= 0.0:
         raise NonPositiveTemperature(f"temperature must be positive, got {config.temperature}")
     if not batch:
         raise SpecInvalid("batch_grads needs a non-empty batch")
-    texts: list[str] = []
-    for ex in batch:
-        texts.append(ex.query)
-        texts.append(ex.positive)
-        if ex.negative:
-            texts.append(ex.negative)
-    cache = _encode_texts(texts, params)
+    # Every query and positive gets a row, even when empty; a negative only
+    # when non-empty (`or ex.positive` repeats a text that already has one).
+    texts = list(dict.fromkeys(t for ex in batch for t in (ex.query, ex.positive, ex.negative or ex.positive)))
+    row = {text: r for r, text in enumerate(texts)}
+    feats, norms = [], []
+    emb = np.zeros((len(texts), params.embed_dim))
+    for r, text in enumerate(texts):
+        feats.append(featurize(params, text))
+        u = project(params, feats[r])
+        norms.append(float(np.linalg.norm(u)))
+        if norms[r] > 0.0:
+            emb[r] = u / norms[r]
+    distinct = list(dict.fromkeys(batch))
+    slot = {ex: s for s, ex in enumerate(distinct)}
 
     tau = config.temperature
     total_loss = 0.0
-    g_by_text: dict[str, np.ndarray] = {}
+    # Per-row gradients in first-touch order: the scatter below sums each
+    # column of W in this order, and that order decides the bits.
+    g_by_row: dict[int, np.ndarray] = {}
 
-    def add_grad(text: str, g: np.ndarray) -> None:
-        acc = g_by_text.get(text)
-        if acc is None:
-            g_by_text[text] = g.copy()
-        else:
-            acc += g
+    def add_grad(r: int, g: np.ndarray) -> None:
+        g_by_row[r] = g_by_row[r] + g if r in g_by_row else g
 
     for i, ex in enumerate(batch):
-        cand_texts = [ex.positive]
+        if config.dedupe_in_batch:
+            others = distinct[: slot[ex]] + distinct[slot[ex] + 1 :]
+        else:
+            others = batch[:i] + batch[i + 1 :]
+        cands = [row[ex.positive]]
         if config.use_hard_negative and ex.negative:
-            cand_texts.append(ex.negative)
-        seen: list[RenderedExample] = [ex]
-        for j, other in enumerate(batch):
-            if j == i:
-                continue
-            if config.dedupe_in_batch:
-                if any(other == s for s in seen):
-                    continue
-                seen.append(other)
-            cand_texts.append(other.positive)
+            cands.append(row[ex.negative])
+        for other in others:
+            cands.append(row[other.positive])
             if config.include_batch_hard_negatives and other.negative:
-                cand_texts.append(other.negative)
+                cands.append(row[other.negative])
 
-        q = cache[ex.query]
-        e_cands = np.stack([cache[t].e for t in cand_texts])
-        sims = e_cands @ q.e
+        q = row[ex.query]
+        e_q = emb[q]
+        e_cands = emb[cands]
+        sims = e_cands @ e_q
         z = sims / tau
         m = float(np.max(z))
         exp_z = np.exp(z - m)
@@ -155,22 +138,18 @@ def batch_grads(batch: list[RenderedExample], params: EmbedderParams, config: Tr
         coef[0] -= 1.0
         coef /= tau
 
-        if q.norm > 0.0:
+        if norms[q] > 0.0:
             v = coef @ e_cands
-            add_grad(ex.query, (v - q.e * float(q.e @ v)) / q.norm)
-            for c, text_c in enumerate(cand_texts):
-                tc = cache[text_c]
-                if tc.norm > 0.0:
-                    add_grad(text_c, coef[c] * (q.e - sims[c] * tc.e) / tc.norm)
+            add_grad(q, (v - e_q * float(e_q @ v)) / norms[q])
+            for c, r in enumerate(cands):
+                if norms[r] > 0.0:
+                    add_grad(r, coef[c] * (e_q - sims[c] * emb[r]) / norms[r])
 
     n = len(batch)
     grads = np.zeros_like(params.projection)
-    for text, g in g_by_text.items():
-        feats = cache[text].feats
-        if not feats:
-            continue
-        cols = np.fromiter(feats.keys(), dtype=np.int64, count=len(feats))
-        vals = np.fromiter(feats.values(), dtype=np.float64, count=len(feats))
+    for r, g in g_by_row.items():
+        cols = np.fromiter(feats[r].keys(), dtype=np.int64, count=len(feats[r]))
+        vals = np.fromiter(feats[r].values(), dtype=np.float64, count=len(feats[r]))
         grads[:, cols] += np.outer(g / n, vals)
     value = total_loss / n
     if not np.isfinite(value) or not np.all(np.isfinite(grads)):

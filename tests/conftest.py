@@ -73,7 +73,8 @@ def fd_grads(batch, params: EmbedderParams, config, h: float = 1e-5) -> np.ndarr
     index_of: dict[str, int] = {}
     for ex in batch:
         for text in (ex.query, ex.positive, ex.negative):
-            if text and text not in index_of:
+            # An empty query keeps a row: its zero features embed to zero.
+            if text is not None and text not in index_of:
                 index_of[text] = len(texts)
                 texts.append(text)
     X = np.stack([dense_features(params, t) for t in texts])

@@ -350,6 +350,66 @@ class TestBenchCommand:
         assert by_setting["inst+ic"][8] != ""  # Inc factor filled
 
 
+class TestCountFlags:
+    def test_out_of_domain_counts_are_usage_errors(self, pipeline, tmp_path, capsys):
+        # These used to end in a ZeroDivisionError traceback (eval --k 0,
+        # ablate --ndcg-k 0), exit 0 with an empty ranking (--topk 0/-3), or
+        # run as inst under a negative k's label (search/bench/train --k).
+        data_dir = pipeline / "data"
+        out = tmp_path / "out"
+        commands = {
+            "search": ["search", "--index", str(pipeline / "index.rfi"), "--model", str(pipeline / "model.rare"),
+                       "--queries", str(data_dir / "queries.jsonl"), "--pool", str(data_dir / "pool.jsonl"),
+                       "--task", "synth"],
+            "eval": ["eval", "--run", str(pipeline / "run.trec"), "--qrels", str(data_dir / "qrels.tsv")],
+            "ablate": ["ablate", "--data", f"synth={data_dir}", "--model", str(pipeline / "model.rare"),
+                       "--cell", "inst+ic:2:retrieved"],
+            "bench": ["bench", "--data", str(data_dir), "--model", str(pipeline / "model.rare"), "--reps", "1"],
+            "train": ["train", "--data", str(data_dir / "train.jsonl"), "--pool", str(data_dir / "pool.jsonl"),
+                      "--epochs", "1", *SMALL_EMBEDDER],
+        }
+        bad = [
+            ("eval", "k", "positive_int", "0"), ("eval", "k", "positive_int", "-1"),
+            ("ablate", "ndcg-k", "positive_int", "0"), ("ablate", "topk", "positive_int", "0"),
+            ("search", "topk", "positive_int", "0"), ("search", "topk", "positive_int", "-3"),
+            ("bench", "topk", "positive_int", "0"),
+            ("search", "k", "nonneg_int", "-2"), ("bench", "k", "nonneg_int", "-3"),
+            ("train", "k", "nonneg_int", "-1"),
+        ]
+        for command, flag, type_name, value in bad:
+            argv = [*commands[command], "--out", str(out)]
+            capsys.readouterr()
+            assert dispatch([*argv, f"--{flag}", value]) == 1, (command, flag, value)
+            err = capsys.readouterr().err
+            assert err.splitlines()[0] == f"rare {command}: argument --{flag}: invalid {type_name} value: '{value}'"
+            assert "Traceback" not in err
+
+            assert dispatch([*argv, "--config", f"{flag}={value}"]) == 1, (command, flag, value)
+            err = capsys.readouterr().err
+            assert err.strip().splitlines() == [f"--config {flag}: invalid {type_name} value {value!r}"], err
+        ablate = [*commands["ablate"][:-2], "--out", str(out)]
+        # --cell is required, so the --config form overrides a valid one.
+        for form in (["--cell", "inst+ic:-1:retrieved"],
+                     ["--cell", "inst:0:retrieved", "--config", "cell=inst+ic:-1:retrieved"]):
+            capsys.readouterr()
+            assert dispatch([*ablate, *form]) == 1, form
+            err = capsys.readouterr().err
+            assert err.strip().splitlines() == [
+                "k must be a non-negative integer in --cell 'inst+ic:-1:retrieved'"
+            ], err
+        assert not out.exists()
+
+    def test_zero_examples_stays_valid(self, pipeline, tmp_path):
+        # --k 0 means no examples: the plain-instruction serving workload uses it.
+        data_dir = pipeline / "data"
+        run = tmp_path / "run.trec"
+        assert dispatch([
+            "search", "--index", str(pipeline / "index.rfi"), "--model", str(pipeline / "model.rare"),
+            "--queries", str(data_dir / "queries.jsonl"), "--format", "inst", "--k", "0", "--out", str(run),
+        ]) == 0
+        assert run.read_text(encoding="utf-8")
+
+
 class TestZeroQueryEmbeddings:
     def test_search_ablate_bench_print_one_count(self, pipeline, tmp_path, capsys):
         data_dir = pipeline / "data"

@@ -74,6 +74,12 @@ class TestNdcgAtK:
         assert abs(ndcg_at_k(ranked("a", "b"), judged, 1) - 1.0) < 1e-12
         assert ndcg_at_k(ranked("x", "a"), judged, 1) == 0.0
 
+    def test_cutoff_below_one_rejected(self):
+        # k=0 used to divide by a zero ideal DCG; k=-1 scored all but the last rank.
+        for k in (0, -1):
+            with pytest.raises(SpecInvalid):
+                ndcg_at_k(ranked("a", "b"), {"a": 1}, k)
+
     def test_unjudged_documents_are_ignored(self):
         judged = {"a": 1}
         with_noise = ndcg_at_k(ranked("z1", "a", "z2"), judged, 10)

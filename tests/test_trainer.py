@@ -269,6 +269,36 @@ class TestBatchGrads:
             rel = np.abs(analytic - numeric) / denom
             assert float(rel.max()) < 1e-4
 
+    def test_shared_texts_repeats_and_gaps_match_oracles(self, rng):
+        # One text in several roles, two examples sharing a positive, repeated
+        # examples, an empty query and a missing negative. Each distinct text
+        # is embedded once, so every role must read and feed that one row.
+        for trial in range(6):
+            params = small_params(seed=trial, hash_dim=128, embed_dim=8)
+            t = [random_text(rng, 6) for _ in range(6)]
+            a = RenderedExample(query=t[0], positive=t[1], negative=t[2])
+            b = RenderedExample(query=t[3], positive=t[2], negative=t[4])  # B's positive is A's negative
+            c = RenderedExample(query=t[1], positive=t[5])  # C's query is A's positive; no negative
+            d = RenderedExample(query="", positive=t[5], negative=t[0])  # shares C's positive
+            batch = [a, b, c, a, d, b]
+            rng.shuffle(batch)
+            for dedupe in (True, False):
+                config = TrainConfig(
+                    temperature=rng.uniform(0.05, 0.5),
+                    include_batch_hard_negatives=trial % 2 == 0,
+                    dedupe_in_batch=dedupe,
+                )
+                result = batch_grads(batch, params, config)
+                losses = []
+                for i, ex in enumerate(batch):
+                    q = embed(params, ex.query)
+                    sims = np.array([float(q @ embed(params, c)) for c in oracle_candidates(batch, i, config)])
+                    losses.append(loss_from_similarities(sims, config.temperature))
+                assert abs(result.value - sum(losses) / len(batch)) < 1e-9
+                numeric = fd_grads(batch, params, config)
+                denom = np.maximum(np.maximum(np.abs(result.grads), np.abs(numeric)), 1e-6)
+                assert float((np.abs(result.grads - numeric) / denom).max()) < 1e-4
+
     def test_grads_shape_and_finiteness(self, rng):
         params = small_params()
         batch = [random_example(rng) for _ in range(3)]
