@@ -6,6 +6,10 @@ with a seeded, process-independent hash. Bucket counts normalized by the
 total n-gram count form a sparse feature vector x; the embedding is the
 L2-normalized projection W @ x. Texts producing no n-grams embed to the zero
 vector, and cosine against a zero vector is defined as 0.
+
+W is held column-major (Fortran order) in memory, so the columns of a text's
+buckets are contiguous 8 * embed_dim-byte reads; the RARE1 file stores it
+row-major.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binfile import Reader
+from .binfile import Reader, relayout
 from .bm25 import tokenize
 from .errors import DimMismatch, NonFiniteParams, SerializationError
 
@@ -35,7 +39,7 @@ class EmbedderParams:
     hash_dim: int
     embed_dim: int
     ngram_orders: tuple[int, ...]
-    projection: np.ndarray  # (embed_dim, hash_dim) float64
+    projection: np.ndarray  # (embed_dim, hash_dim) float64, column-major
     hash_seed: int
     max_tokens: int | None = None
 
@@ -54,7 +58,7 @@ def new_params(
         raise ValueError(problem)
     bound = 1.0 / np.sqrt(hash_dim)
     rng = np.random.default_rng(seed)
-    projection = rng.uniform(-bound, bound, size=(embed_dim, hash_dim))
+    projection = relayout(rng.uniform(-bound, bound, size=(embed_dim, hash_dim)), "F")
     return EmbedderParams(
         hash_dim=hash_dim,
         embed_dim=embed_dim,
@@ -139,7 +143,7 @@ def save(params: EmbedderParams, path: str | Path) -> None:
         fh.write(struct.pack(f"<{len(params.ngram_orders)}I", *params.ngram_orders))
         fh.write(struct.pack("<q", params.hash_seed))
         fh.write(struct.pack("<Q", params.max_tokens or 0))
-        fh.write(np.ascontiguousarray(params.projection, dtype="<f8").tobytes())
+        fh.write(relayout(params.projection, "C"))
 
 
 def load(path: str | Path) -> EmbedderParams:
@@ -152,7 +156,7 @@ def load(path: str | Path) -> EmbedderParams:
     problem = _shape_problem(hash_dim, embed_dim, orders)
     if problem:
         raise SerializationError(f"{path}: {problem}")
-    projection = rd.matrix(embed_dim, hash_dim)
+    projection = rd.matrix(embed_dim, hash_dim, "F")
     rd.end()
     return EmbedderParams(
         hash_dim=int(hash_dim),

@@ -17,7 +17,8 @@ and the candidate side:
 
 and dL/dW accumulates g xT for each text with features x. Texts that embed
 to the zero vector have constant similarity 0 by convention and contribute
-no gradient.
+no gradient. The gradient is zero outside the columns of the batch's
+features, so it is kept, and W updated, on those columns only.
 """
 
 from __future__ import annotations
@@ -79,7 +80,20 @@ class RenderedExample:
 @dataclass
 class BatchLoss:
     value: float
-    grads: np.ndarray  # same shape as the projection
+    cols: np.ndarray  # sorted columns of the projection the batch's features touch
+    block: np.ndarray  # (len(cols), embed_dim): the gradient of those columns, as rows
+    shape: tuple[int, int]  # the projection's
+
+    @property
+    def grads(self) -> np.ndarray:
+        """The dense gradient, zero outside `cols`; same shape as the projection."""
+        dense = np.zeros(self.shape)
+        dense[:, self.cols] = self.block.T
+        return dense
+
+    def descend(self, projection: np.ndarray, learning_rate: float) -> None:
+        """`projection -= learning_rate * grads`, on `cols` only: w - lr * 0.0 == w."""
+        projection.T[self.cols] -= learning_rate * self.block
 
 
 def batch_grads(batch: list[RenderedExample], params: EmbedderParams, config: TrainConfig) -> BatchLoss:
@@ -105,7 +119,7 @@ def batch_grads(batch: list[RenderedExample], params: EmbedderParams, config: Tr
 
     tau = config.temperature
     total_loss = 0.0
-    # Per-row gradients in first-touch order: the scatter below sums each
+    # Per-row gradients in first-touch order: the block below sums each
     # column of W in this order, and that order decides the bits.
     g_by_row: dict[int, np.ndarray] = {}
 
@@ -146,15 +160,18 @@ def batch_grads(batch: list[RenderedExample], params: EmbedderParams, config: Tr
                     add_grad(r, coef[c] * (e_q - sims[c] * emb[r]) / norms[r])
 
     n = len(batch)
-    grads = np.zeros_like(params.projection)
+    cols = np.unique(np.fromiter((c for r in g_by_row for c in feats[r]), dtype=np.int64))
+    # Each touched column sums its per-text terms from 0.0 in g_by_row order,
+    # as a dense gradient would; a text's own columns are distinct.
+    block = np.zeros((len(cols), params.embed_dim))
     for r, g in g_by_row.items():
-        cols = np.fromiter(feats[r].keys(), dtype=np.int64, count=len(feats[r]))
+        text_cols = np.fromiter(feats[r].keys(), dtype=np.int64, count=len(feats[r]))
         vals = np.fromiter(feats[r].values(), dtype=np.float64, count=len(feats[r]))
-        grads[:, cols] += np.outer(g / n, vals)
+        block[np.searchsorted(cols, text_cols)] += np.outer(vals, g / n)
     value = total_loss / n
-    if not np.isfinite(value) or not np.all(np.isfinite(grads)):
+    if not np.isfinite(value) or not np.all(np.isfinite(block)):
         raise NonFiniteLoss(f"batch produced non-finite loss or gradient (loss={value})")
-    return BatchLoss(value=value, grads=grads)
+    return BatchLoss(value=value, cols=cols, block=block, shape=params.projection.shape)
 
 
 def select_examples(
@@ -255,7 +272,7 @@ def train(
                     RenderedExample(query=aug.text, positive=ex.positive, negative=ex.negative or None)
                 )
             result = batch_grads(rendered, params, config)
-            params.projection -= config.learning_rate * result.grads
+            result.descend(params.projection, config.learning_rate)
             epoch_loss += result.value * len(chunk)
         mean_loss = epoch_loss / n
         history.append({"epoch": epoch, "mean_loss": mean_loss})

@@ -3,12 +3,16 @@ binary parameter format."""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rare import embedder
 from rare.embedder import EmbedderParams, cosine, embed, featurize, load, new_params, project, save
@@ -279,3 +283,56 @@ class TestSerialization:
             path.write_bytes(good[:start] + bytes(width) + good[start + width:])
             with pytest.raises(SerializationError):
                 load(path)
+
+
+# Words with repeats, non-ASCII letters and gram-free punctuation.
+LAYOUT_WORDS = WORDS[:5] + ["naïve", "straße", "東京", "ωμέγα", "...", "!?", "a-b"]
+
+
+@functools.lru_cache(maxsize=1)
+def default_projections() -> tuple[np.ndarray, np.ndarray]:
+    """A default-size W, column-major as held and row-major as on disk."""
+    projection = new_params(seed=3).projection
+    return projection, np.ascontiguousarray(projection)
+
+
+class TestColumnMajorLayout:
+    """W is held column-major in memory; no embedding or file byte may depend on it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        text=st.one_of(st.lists(st.sampled_from(LAYOUT_WORDS), max_size=100).map(" ".join), st.text(max_size=40)),
+        orders=st.sampled_from([(1,), (1, 2), (1, 2, 3)]),
+        max_tokens=st.one_of(st.none(), st.integers(1, 8)),
+    )
+    def test_layout_moves_no_bit(self, text, orders, max_tokens):
+        column_major, row_major_w = default_projections()
+        params = EmbedderParams(hash_dim=column_major.shape[1], embed_dim=column_major.shape[0],
+                                ngram_orders=orders, projection=column_major, hash_seed=3, max_tokens=max_tokens)
+        row_major = dataclasses.replace(params, projection=row_major_w)
+        assert params.projection.flags.f_contiguous and row_major.projection.flags.c_contiguous
+        feats = featurize(params, text)
+        assert project(params, feats).tobytes() == project(row_major, feats).tobytes()
+        assert embed(params, text).tobytes() == embed(row_major, text).tobytes()
+
+    def test_new_params_and_load_are_column_major(self, tmp_path):
+        params = small_params(seed=4)
+        assert params.projection.flags.f_contiguous
+        path = tmp_path / "model.bin"
+        save(params, path)
+        assert load(path).projection.flags.f_contiguous
+
+    def test_save_bytes_do_not_depend_on_layout(self, tmp_path):
+        params = small_params(seed=5, hash_dim=3000)  # not a multiple of the copy tile
+        a, b = tmp_path / "f.bin", tmp_path / "c.bin"
+        save(params, a)
+        save(dataclasses.replace(params, projection=np.ascontiguousarray(params.projection)), b)
+        assert a.read_bytes() == b.read_bytes()
+        header = len(a.read_bytes()) - params.projection.size * 8
+        assert a.read_bytes()[header:] == np.ascontiguousarray(params.projection, dtype="<f8").tobytes()
+
+    def test_load_save_round_trips_the_file(self, tmp_path):
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+        save(small_params(seed=6, max_tokens=9), first)
+        save(load(first), second)
+        assert second.read_bytes() == first.read_bytes()

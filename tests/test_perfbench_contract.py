@@ -4,8 +4,9 @@
 `perfbench/oracle.py` builds its own BM25 index and calls
 `rare.trainer.select_examples` positionally. The benchmark's own smoke test
 is slow and outside testpaths, so this checks both in fresh interpreters: a
-rename under src, or a change to the BM25 index the oracle cannot use, fails
-here first.
+rename under src, a change to the BM25 index the oracle cannot use, or a
+training path that stops calling the wrapped names (which zeroes the
+per-layer metrics without an error), fails here first.
 """
 
 from __future__ import annotations
@@ -74,3 +75,19 @@ def test_oracle_accepts_search_run(tmp_path):
     first[2], second[2] = second[2], first[2]
     run.write_text("\n".join([" ".join(first), " ".join(second), *lines[2:]]) + "\n", encoding="utf-8")
     assert run_child(oracle).returncode == 1
+
+
+def test_traced_train_reports_its_layers(tmp_path):
+    data, spans_file = tmp_path / "data", tmp_path / "spans.json"
+    assert dispatch(["synth", "--out", str(data), *SMOKE_SYNTH]) == 0
+    train = ["train", "--data", str(data / "train.jsonl"), "--pool", str(data / "pool.jsonl"),
+             "--epochs", "1", "--hash-dim", "2048", "--dim", "16", "--out", str(tmp_path / "model.rare")]
+    result = run_child([str(ROOT / "perfbench" / "tracer.py"), str(spans_file), "--", *train])
+    assert result.returncode == 0, result.stderr
+    traced = json.loads(spans_file.read_text())
+    spans = traced["spans"]
+    # The trainer embeds through the wrapped featurize and project, inside batch_grads.
+    under_grads = {name for name, _, _, parent, _ in spans
+                   if parent >= 0 and spans[parent][0] == "trainer.batch_grads"}
+    assert {"embedder.featurize", "embedder.project"} <= under_grads
+    assert traced["bucket_hits"] + traced["bucket_misses"] > 0

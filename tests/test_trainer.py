@@ -3,6 +3,7 @@ selection policies, and the training loop."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -11,7 +12,7 @@ import pytest
 
 from rare import bm25
 from rare.data import ExamplePool, ICExample, TrainExample
-from rare.embedder import cosine, embed, new_params
+from rare.embedder import cosine, embed, featurize, new_params
 from rare.errors import (
     EmptyPool,
     MissingNegative,
@@ -306,6 +307,40 @@ class TestBatchGrads:
         assert result.grads.shape == params.projection.shape
         assert np.all(np.isfinite(result.grads))
         assert math.isfinite(result.value)
+
+    def test_sparse_update_equals_dense_update(self):
+        # The sparse step touches only the batch's columns of W; a dense
+        # reference on a row-major copy must reach the same bytes.
+        config = TrainConfig(temperature=0.1)
+        cases = [
+            (config, [RenderedExample(query="", positive="apple banana", negative="cherry stone"),
+                      RenderedExample(query="river maple", positive="cloud ember", negative="frost galaxy")]),
+            (config, [RenderedExample(query="harbor island", positive="jungle kernel"),
+                      RenderedExample(query="lunar meadow", positive="nectar orchid", negative="prairie raven")]),
+            (TrainConfig(temperature=0.1, include_batch_hard_negatives=True),
+             [RenderedExample(query="apple cherry", positive="apple banana", negative="stone apple"),
+              RenderedExample(query="river stone", positive="river maple", negative="cloud river")]),
+            (config, [RenderedExample(query="", positive="...", negative="!!"),
+                      RenderedExample(query="?", positive="", negative=None)]),
+            # "apple" is a gram of both texts, so its column sums two terms.
+            (config, [RenderedExample(query="apple banana", positive="apple cherry", negative="stone maple")]),
+        ]
+        for hash_dim in (256, 16):  # 16 buckets: distinct grams collide too
+            sparse = small_params(seed=6, hash_dim=hash_dim)
+            dense = dataclasses.replace(sparse, projection=np.array(sparse.projection, order="C"))
+            for _ in range(3):
+                for case_config, batch in cases:
+                    result = batch_grads(batch, sparse, case_config)
+                    before = sparse.projection.copy()
+                    result.descend(sparse.projection, 0.05)
+                    dense.projection -= 0.05 * batch_grads(batch, dense, case_config).grads
+                    assert sparse.projection.tobytes() == dense.projection.tobytes()
+                    changed = np.flatnonzero((sparse.projection != before).any(axis=0))
+                    assert set(changed) <= set(result.cols.tolist())
+        gram_free = batch_grads(cases[3][1], sparse, config)
+        assert gram_free.cols.size == 0 and gram_free.block.shape == (0, sparse.embed_dim)
+        shared = featurize(sparse, "apple banana").keys() & featurize(sparse, "apple cherry").keys()
+        assert shared
 
 
 def make_pool(n, prefix="pq"):
