@@ -24,7 +24,8 @@ def relayout(src: np.ndarray, order: str) -> np.ndarray:
 
     The copy goes in 32 x 1024 tiles. Copying a whole 64 x 65,536 matrix
     between row- and column-major order at once strides a full row or column
-    per element on one side, and took 40-80 ms against about 22 ms in tiles.
+    per element on one side: on a 2-core x86-64 host that took 40-80 ms, and
+    the tiled copy about 22 ms.
     """
     out = np.empty(src.shape, dtype="<f8", order=order)
     rows, cols = src.shape

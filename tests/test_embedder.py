@@ -323,7 +323,7 @@ class TestColumnMajorLayout:
         assert load(path).projection.flags.f_contiguous
 
     def test_save_bytes_do_not_depend_on_layout(self, tmp_path):
-        params = small_params(seed=5, hash_dim=3000)  # not a multiple of the copy tile
+        params = small_params(seed=5, hash_dim=3000, embed_dim=40)  # not multiples of the copy tile
         a, b = tmp_path / "f.bin", tmp_path / "c.bin"
         save(params, a)
         save(dataclasses.replace(params, projection=np.ascontiguousarray(params.projection)), b)
@@ -333,6 +333,6 @@ class TestColumnMajorLayout:
 
     def test_load_save_round_trips_the_file(self, tmp_path):
         first, second = tmp_path / "first.bin", tmp_path / "second.bin"
-        save(small_params(seed=6, max_tokens=9), first)
+        save(small_params(seed=6, max_tokens=9, hash_dim=3000, embed_dim=40), first)
         save(load(first), second)
         assert second.read_bytes() == first.read_bytes()
