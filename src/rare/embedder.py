@@ -7,9 +7,10 @@ total n-gram count form a sparse feature vector x; the embedding is the
 L2-normalized projection W @ x. Texts producing no n-grams embed to the zero
 vector, and cosine against a zero vector is defined as 0.
 
-W is held column-major (Fortran order) in memory, so the columns of a text's
-buckets are contiguous 8 * embed_dim-byte reads; the RARE1 file stores it
-row-major.
+W is held column-major (Fortran order), so the columns of a text's buckets
+are contiguous 8 * embed_dim-byte reads. The RARE1 file (version 2) stores
+the same bytes: W column-major, which is the row-major (hash_dim, embed_dim)
+matrix Wᵀ.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .binfile import Reader, relayout
+from .binfile import Reader
 from .bm25 import tokenize
 from .errors import DimMismatch, NonFiniteParams, SerializationError
 
 MAGIC = b"RARE1"
-VERSION = 1
+VERSION = 2
 
 DEFAULT_HASH_DIM = 1 << 16
 DEFAULT_EMBED_DIM = 64
@@ -58,7 +59,7 @@ def new_params(
         raise ValueError(problem)
     bound = 1.0 / np.sqrt(hash_dim)
     rng = np.random.default_rng(seed)
-    projection = relayout(rng.uniform(-bound, bound, size=(embed_dim, hash_dim)), "F")
+    projection = np.asfortranarray(rng.uniform(-bound, bound, size=(embed_dim, hash_dim)))
     return EmbedderParams(
         hash_dim=hash_dim,
         embed_dim=embed_dim,
@@ -78,7 +79,7 @@ def _shape_problem(hash_dim: int, embed_dim: int, orders: tuple[int, ...]) -> st
     return None
 
 
-@lru_cache(maxsize=1 << 20)
+@lru_cache(maxsize=1 << 16)  # a train sees ~13k distinct grams; an L index ~630k at ~270 B each
 def _bucket(hash_seed: int, hash_dim: int, gram: str) -> int:
     key = (hash_seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
     digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=key).digest()
@@ -117,13 +118,23 @@ def project(params: EmbedderParams, feats: dict[int, float]) -> np.ndarray:
     return u
 
 
-def embed(params: EmbedderParams, text: str) -> np.ndarray:
-    """Unit-norm embedding of `text`, or the zero vector for gram-free text."""
-    u = project(params, featurize(params, text))
+def unit(u: np.ndarray) -> tuple[np.ndarray, float]:
+    """`u / ||u||` and `||u||`, or the zero vector and 0.0 when `u` is zero.
+
+    Finite entries of about 1e154 or more overflow the norm to infinity, and
+    `u / inf` would be a silent zero embedding, so that is an error.
+    """
     norm = float(np.linalg.norm(u))
     if norm == 0.0:
-        return np.zeros(params.embed_dim)
-    return u / norm
+        return np.zeros(u.shape), 0.0
+    if not np.isfinite(norm):
+        raise NonFiniteParams("embedding norm overflowed")
+    return u / norm, norm
+
+
+def embed(params: EmbedderParams, text: str) -> np.ndarray:
+    """Unit-norm embedding of `text`, or the zero vector for gram-free text."""
+    return unit(project(params, featurize(params, text)))[0]
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -134,7 +145,7 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def save(params: EmbedderParams, path: str | Path) -> None:
-    """Write parameters: magic RARE1, little-endian header, row-major float64 W."""
+    """Write parameters: magic RARE1, little-endian header, column-major float64 W."""
     with Path(path).open("wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
@@ -143,7 +154,7 @@ def save(params: EmbedderParams, path: str | Path) -> None:
         fh.write(struct.pack(f"<{len(params.ngram_orders)}I", *params.ngram_orders))
         fh.write(struct.pack("<q", params.hash_seed))
         fh.write(struct.pack("<Q", params.max_tokens or 0))
-        fh.write(relayout(params.projection, "C"))
+        fh.write(np.asfortranarray(params.projection, dtype="<f8").T)
 
 
 def load(path: str | Path) -> EmbedderParams:
@@ -156,7 +167,7 @@ def load(path: str | Path) -> EmbedderParams:
     problem = _shape_problem(hash_dim, embed_dim, orders)
     if problem:
         raise SerializationError(f"{path}: {problem}")
-    projection = rd.matrix(embed_dim, hash_dim, "F")
+    projection = rd.matrix(hash_dim, embed_dim).T
     rd.end()
     return EmbedderParams(
         hash_dim=int(hash_dim),

@@ -171,7 +171,7 @@ def save_index(index: FlatIndex, path: str | Path) -> None:
             raw = doc_id.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
-        fh.write(np.ascontiguousarray(index.matrix, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(index.matrix, dtype="<f8"))
 
 
 def load_flat_index(path: str | Path) -> FlatIndex:

@@ -24,6 +24,7 @@ features, so it is kept, and W updated, on those columns only.
 from __future__ import annotations
 
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import bm25
 from .data import ExamplePool, ICExample, TrainExample
-from .embedder import EmbedderParams, featurize, project
+from .embedder import EmbedderParams, featurize, project, unit
 from .errors import (
     EmptyPool,
     MissingNegative,
@@ -110,10 +111,8 @@ def batch_grads(batch: list[RenderedExample], params: EmbedderParams, config: Tr
     emb = np.zeros((len(texts), params.embed_dim))
     for r, text in enumerate(texts):
         feats.append(featurize(params, text))
-        u = project(params, feats[r])
-        norms.append(float(np.linalg.norm(u)))
-        if norms[r] > 0.0:
-            emb[r] = u / norms[r]
+        emb[r], norm = unit(project(params, feats[r]))
+        norms.append(norm)
     distinct = list(dict.fromkeys(batch))
     slot = {ex: s for s, ex in enumerate(distinct)}
 
@@ -210,6 +209,10 @@ def _validate(train_set: list[TrainExample], pools: dict[str, ExamplePool], conf
         raise SpecInvalid("training set is empty")
     if not 0.0 <= config.ic_mixture <= 1.0:
         raise SpecInvalid(f"ic_mixture must be in [0, 1], got {config.ic_mixture}")
+    if not (math.isfinite(config.learning_rate) and math.isfinite(config.temperature)):
+        raise SpecInvalid(
+            f"learning_rate and temperature must be finite, got {config.learning_rate} and {config.temperature}"
+        )
     if config.temperature <= 0.0:
         raise NonPositiveTemperature(f"temperature must be positive, got {config.temperature}")
     if config.k < 0 or config.batch_size < 1 or config.epochs < 0 or config.learning_rate < 0:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from rare.cli import dispatch, main
-from rare.embedder import load, save
+from rare.embedder import load, new_params, save
 
 try:
     import tomllib
@@ -86,19 +86,85 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_numeric_blowup_is_exit_three(self, tmp_path, capsys):
-        # An infinite learning rate turns the first update non-finite
-        # (inf * 0 gradient entries produce NaN), so the next batch trips
-        # the parameter finiteness check.
+        # A learning rate of 1e308 overflows the first update to infinity,
+        # so the next batch trips the parameter finiteness check.
         synth_dir = tmp_path / "data"
         assert dispatch(["synth", "--out", str(synth_dir), *SMALL_SYNTH]) == 0
         code = dispatch([
             "train", "--data", str(synth_dir / "train.jsonl"),
             "--pool", str(synth_dir / "pool.jsonl"),
-            "--k", "2", "--epochs", "2", "--batch", "8", "--lr", "inf",
+            "--k", "2", "--epochs", "2", "--batch", "8", "--lr", "1e308",
             "--out", str(tmp_path / "m.rare"), *SMALL_EMBEDDER,
         ])
         assert code == 3
         assert "numeric" in capsys.readouterr().err.lower()
+
+    def test_non_finite_rate_is_usage_error(self, tmp_path, capsys):
+        # Rejected before training, in the flag and the --config form.
+        synth_dir = tmp_path / "data"
+        assert dispatch(["synth", "--out", str(synth_dir), *SMALL_SYNTH]) == 0
+        out = tmp_path / "m.rare"
+        train = ["train", "--data", str(synth_dir / "train.jsonl"), "--pool", str(synth_dir / "pool.jsonl"),
+                 "--k", "2", "--epochs", "2", "--batch", "8", "--out", str(out), *SMALL_EMBEDDER]
+        for key in ("lr", "temp"):
+            for value in ("nan", "inf"):
+                for extra in ([f"--{key}", value], ["--config", f"{key}={value}"]):
+                    capsys.readouterr()
+                    assert dispatch([*train, *extra]) == 1, extra
+                    err = capsys.readouterr().err
+                    assert err.splitlines() == [err.strip()] and "must be finite" in err, err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_norm_overflow_is_exit_three(self, tmp_path, capsys):
+        # Finite weights past ~1e154 overflow an embedding's norm, and u / inf
+        # would silently embed every text to zero.
+        synth_dir = tmp_path / "data"
+        assert dispatch(["synth", "--out", str(synth_dir), *SMALL_SYNTH]) == 0
+        capsys.readouterr()
+        code = dispatch([
+            "train", "--data", str(synth_dir / "train.jsonl"), "--pool", str(synth_dir / "pool.jsonl"),
+            "--k", "2", "--epochs", "2", "--batch", "8", "--lr", "1e200",
+            "--out", str(tmp_path / "m.rare"), *SMALL_EMBEDDER,
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.splitlines() == ["numeric failure: embedding norm overflowed"], err
+
+        params = new_params(hash_dim=2048, embed_dim=16)
+        params.projection *= 1e200
+        save(params, tmp_path / "huge.rare")
+        code = dispatch(["index", "--corpus", str(synth_dir / "corpus.jsonl"),
+                         "--model", str(tmp_path / "huge.rare"), "--out", str(tmp_path / "i.rfi")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.splitlines() == ["numeric failure: embedding norm overflowed"], err
+
+    def test_version_one_model_is_exit_two(self, tmp_path, capsys):
+        # Version 1 stored W row-major; there is no read path for it.
+        synth_dir = tmp_path / "data"
+        assert dispatch(["synth", "--out", str(synth_dir), *SMALL_SYNTH]) == 0
+        params = new_params(hash_dim=2048, embed_dim=16)
+        model, old = tmp_path / "m.rare", tmp_path / "v1.rare"
+        save(params, model)
+        blob = model.read_bytes()
+        header = len(blob) - params.projection.size * 8
+        old.write_bytes(blob[:5] + (1).to_bytes(4, "little") + blob[9:header]
+                        + params.projection.astype("<f8").tobytes(order="C"))
+        index = tmp_path / "i.rfi"
+        corpus = ["--corpus", str(synth_dir / "corpus.jsonl")]
+        assert dispatch(["index", *corpus, "--model", str(model), "--out", str(index)]) == 0
+        capsys.readouterr()
+        commands = [
+            ["index", *corpus, "--model", str(old), "--out", str(tmp_path / "j.rfi")],
+            ["search", "--index", str(index), "--model", str(old), "--queries", str(synth_dir / "queries.jsonl"),
+             "--format", "inst", "--k", "0", "--out", str(tmp_path / "run.trec")],
+        ]
+        for argv in commands:
+            assert dispatch(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert err.splitlines() == [f"error: {old}: unsupported model version 1"], err
+        assert not (tmp_path / "j.rfi").exists() and not (tmp_path / "run.trec").exists()
 
     def test_bad_config_pair_is_usage_error(self, tmp_path, capsys):
         synth = ["synth", "--out", str(tmp_path / "d")]

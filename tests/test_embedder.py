@@ -147,6 +147,26 @@ class TestProjectAndEmbed:
         with pytest.raises(NonFiniteParams):
             project(params, feats)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_norm_overflow_rejected(self):
+        # Finite entries near 1e198 overflow the norm; u / inf would embed to zero.
+        params = small_params()
+        params.projection *= 1e200
+        u = project(params, featurize(params, "alpha beta"))
+        assert np.all(np.isfinite(u))
+        with pytest.raises(NonFiniteParams):
+            embed(params, "alpha beta")
+
+    def test_unit_keeps_the_division_bits(self, rng):
+        params = small_params()
+        for _ in range(30):
+            u = project(params, featurize(params, random_text(rng, max_tokens=10)))
+            e, norm = embedder.unit(u)
+            assert norm == float(np.linalg.norm(u))
+            assert e.tobytes() == (u / norm).tobytes()
+        e, norm = embedder.unit(np.zeros(params.embed_dim))
+        assert norm == 0.0 and not e.any() and e.shape == (params.embed_dim,)
+
 
 class TestCosine:
     def test_hand_case(self):
@@ -291,7 +311,7 @@ LAYOUT_WORDS = WORDS[:5] + ["naïve", "straße", "東京", "ωμέγα", "...", 
 
 @functools.lru_cache(maxsize=1)
 def default_projections() -> tuple[np.ndarray, np.ndarray]:
-    """A default-size W, column-major as held and row-major as on disk."""
+    """A default-size W, column-major as held and as a row-major copy."""
     projection = new_params(seed=3).projection
     return projection, np.ascontiguousarray(projection)
 
@@ -323,13 +343,14 @@ class TestColumnMajorLayout:
         assert load(path).projection.flags.f_contiguous
 
     def test_save_bytes_do_not_depend_on_layout(self, tmp_path):
-        params = small_params(seed=5, hash_dim=3000, embed_dim=40)  # not multiples of the copy tile
+        # The file holds W column-major (version 2) whatever the array's order.
+        params = small_params(seed=5, hash_dim=3000, embed_dim=40)
         a, b = tmp_path / "f.bin", tmp_path / "c.bin"
         save(params, a)
         save(dataclasses.replace(params, projection=np.ascontiguousarray(params.projection)), b)
         assert a.read_bytes() == b.read_bytes()
         header = len(a.read_bytes()) - params.projection.size * 8
-        assert a.read_bytes()[header:] == np.ascontiguousarray(params.projection, dtype="<f8").tobytes()
+        assert a.read_bytes()[header:] == params.projection.astype("<f8").tobytes(order="F")
 
     def test_load_save_round_trips_the_file(self, tmp_path):
         first, second = tmp_path / "first.bin", tmp_path / "second.bin"
