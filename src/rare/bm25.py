@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -23,8 +24,6 @@ from .errors import EmptyCollection, OrdinalOutOfRange
 K1 = 1.2
 B = 0.75
 
-_PUNCT = set(string.punctuation)
-
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip ASCII punctuation off token edges.
@@ -32,16 +31,7 @@ def tokenize(text: str) -> list[str]:
     Interior punctuation survives, so "don't" stays one token. Tokens that
     are all punctuation are dropped. No stemming, no stopword removal.
     """
-    out: list[str] = []
-    for raw in text.lower().split():
-        start, end = 0, len(raw)
-        while start < end and raw[start] in _PUNCT:
-            start += 1
-        while end > start and raw[end - 1] in _PUNCT:
-            end -= 1
-        if end > start:
-            out.append(raw[start:end])
-    return out
+    return list(filter(None, map(str.strip, text.lower().split(), repeat(string.punctuation))))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,8 @@ import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, data, embedder, synth
 from .bench import add_inc_factors, emit_csv, profile
 from .errors import ConfigError, DataError, NumericError, RareError
@@ -524,7 +526,10 @@ def dispatch(argv: list[str]) -> int:
         if not getattr(args, "command", None):
             raise UsageError(parser.format_usage())
         _apply_config_pairs(args, parser.commands[args.command])
-        return args.func(argv, args)
+        # Overflow and NaN on the way to a numeric failure are each caught by an
+        # explicit check, which prints the one line below; numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(argv, args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +61,12 @@ def new_params(
         raise ValueError(problem)
     bound = 1.0 / np.sqrt(hash_dim)
     rng = np.random.default_rng(seed)
-    projection = np.asfortranarray(rng.uniform(-bound, bound, size=(embed_dim, hash_dim)))
+    # Drawn 8 rows at a time into the column-major W: the same numbers as one
+    # (embed_dim, hash_dim) draw, without a 32 MiB C-order copy at the defaults.
+    projection = np.empty((embed_dim, hash_dim), order="F")
+    for start in range(0, embed_dim, 8):
+        rows = min(8, embed_dim - start)
+        projection[start : start + rows] = rng.uniform(-bound, bound, size=(rows, hash_dim))
     return EmbedderParams(
         hash_dim=hash_dim,
         embed_dim=embed_dim,
@@ -87,22 +94,21 @@ def _bucket(hash_seed: int, hash_dim: int, gram: str) -> int:
 
 
 def featurize(params: EmbedderParams, text: str) -> dict[int, float]:
-    """Sparse hashed n-gram features; values sum to 1 when any gram exists."""
+    """Sparse hashed n-gram features; values sum to 1 when any gram exists.
+
+    Buckets keep the order their first gram reaches them, orders in turn;
+    `project` sums in that order, and that order decides the bits.
+    """
     tokens = tokenize(text)
     if params.max_tokens is not None:
         tokens = tokens[: params.max_tokens]
-    counts: dict[int, int] = {}
-    total = 0
-    for order in params.ngram_orders:
-        if len(tokens) < order:
-            continue
-        for i in range(len(tokens) - order + 1):
-            gram = " ".join(tokens[i : i + order])
-            bucket = _bucket(params.hash_seed, params.hash_dim, gram)
-            counts[bucket] = counts.get(bucket, 0) + 1
-            total += 1
-    if total == 0:
+    grams = list(chain.from_iterable(
+        map(" ".join, zip(*(tokens[j:] for j in range(order)))) for order in params.ngram_orders
+    ))
+    if not grams:
         return {}
+    total = len(grams)
+    counts = Counter(map(partial(_bucket, params.hash_seed, params.hash_dim), grams))
     return {bucket: count / total for bucket, count in counts.items()}
 
 

@@ -97,8 +97,44 @@ class BatchLoss:
         projection.T[self.cols] -= learning_rate * self.block
 
 
-def batch_grads(batch: list[RenderedExample], params: EmbedderParams, config: TrainConfig) -> BatchLoss:
-    """Mean loss over the batch and its exact gradient w.r.t. the projection."""
+class Features:
+    """Each text's features, kept through the epoch after the last one that used it.
+
+    Features do not depend on W. `now` holds this epoch's texts and `last` the
+    previous epoch's; `next_epoch` drops whatever the epoch now ending did not
+    use. Memory stays within two epochs' distinct texts, also when rendered
+    queries never repeat (random example selection).
+    """
+
+    def __init__(self, params: EmbedderParams) -> None:
+        self.params = params
+        self.now: dict[str, dict[int, float]] = {}
+        self.last: dict[str, dict[int, float]] = {}
+
+    def of(self, text: str) -> dict[int, float]:
+        feats = self.now.get(text)
+        if feats is None:  # a gram-free text's features are {}
+            feats = self.last.pop(text, None)
+            if feats is None:
+                feats = featurize(self.params, text)
+            self.now[text] = feats
+        return feats
+
+    def next_epoch(self) -> None:
+        self.last, self.now = self.now, {}
+
+
+def batch_grads(
+    batch: list[RenderedExample],
+    params: EmbedderParams,
+    config: TrainConfig,
+    features: Features | None = None,
+) -> BatchLoss:
+    """Mean loss over the batch and its exact gradient w.r.t. the projection.
+
+    `features` carries texts' features across calls; without it every text
+    of the batch is featurized afresh.
+    """
     if config.temperature <= 0.0:
         raise NonPositiveTemperature(f"temperature must be positive, got {config.temperature}")
     if not batch:
@@ -107,10 +143,12 @@ def batch_grads(batch: list[RenderedExample], params: EmbedderParams, config: Tr
     # when non-empty (`or ex.positive` repeats a text that already has one).
     texts = list(dict.fromkeys(t for ex in batch for t in (ex.query, ex.positive, ex.negative or ex.positive)))
     row = {text: r for r, text in enumerate(texts)}
+    if features is None:
+        features = Features(params)
     feats, norms = [], []
     emb = np.zeros((len(texts), params.embed_dim))
     for r, text in enumerate(texts):
-        feats.append(featurize(params, text))
+        feats.append(features.of(text))
         emb[r], norm = unit(project(params, feats[r]))
         norms.append(norm)
     distinct = list(dict.fromkeys(batch))
@@ -241,7 +279,8 @@ def train(
     In-context examples are re-selected every epoch, and each example flips
     its own seeded coin per epoch: with probability `ic_mixture` the query is
     rendered with examples, otherwise in the plain instruction format.
-    Documents are always embedded bare.
+    Documents are always embedded bare. A text's features are computed
+    again only after a whole epoch that did not use it.
     """
     _validate(train_set, pools, config)
     uses_examples = config.format.uses_examples(config.k) and config.ic_mixture > 0.0
@@ -250,6 +289,7 @@ def train(
     coin_rng = random.Random(f"{config.seed}:coin")
     select_rng = random.Random(f"{config.seed}:select")
 
+    features = Features(params)
     history: list[dict] = []
     n = len(train_set)
     for epoch in range(config.epochs):
@@ -274,9 +314,10 @@ def train(
                 rendered.append(
                     RenderedExample(query=aug.text, positive=ex.positive, negative=ex.negative or None)
                 )
-            result = batch_grads(rendered, params, config)
+            result = batch_grads(rendered, params, config, features)
             result.descend(params.projection, config.learning_rate)
             epoch_loss += result.value * len(chunk)
+        features.next_epoch()
         mean_loss = epoch_loss / n
         history.append({"epoch": epoch, "mean_loss": mean_loss})
         log.info("epoch %d: mean loss %.6f", epoch, mean_loss)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import importlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -23,6 +24,7 @@ except ModuleNotFoundError:  # Python 3.10: tomllib is stdlib from 3.11
     tomllib = None
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SRC = PYPROJECT.parent / "src"
 SUBPROCESS_TIMEOUT_S = 120
 
 SMALL_SYNTH = [
@@ -141,6 +143,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert err.splitlines()[-1] == "numeric failure: embedding norm overflowed" and "Traceback" not in err, err
+
+    def test_numeric_failure_is_one_line_outside_pytest(self, tmp_path):
+        # In a plain interpreter numpy would print an overflow warning, with
+        # its source line, before the failure; stderr must hold one line.
+        def rare(*argv):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+            return subprocess.run([sys.executable, "-m", "rare.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=SUBPROCESS_TIMEOUT_S)
+
+        synth_dir = tmp_path / "data"
+        assert rare("synth", "--out", str(synth_dir), *SMALL_SYNTH).returncode == 0
+        params = new_params(hash_dim=2048, embed_dim=16)
+        params.projection *= 1e200
+        save(params, tmp_path / "huge.rare")
+        runs = [
+            rare("train", "--data", str(synth_dir / "train.jsonl"), "--pool", str(synth_dir / "pool.jsonl"),
+                 "--k", "2", "--epochs", "2", "--batch", "8", "--lr", "1e308",
+                 "--out", str(tmp_path / "m.rare"), *SMALL_EMBEDDER),
+            rare("index", "--corpus", str(synth_dir / "corpus.jsonl"), "--model", str(tmp_path / "huge.rare"),
+                 "--out", str(tmp_path / "i.rfi")),
+        ]
+        for result in runs:
+            lines = [line for line in result.stderr.splitlines() if not line.startswith("INFO ")]
+            assert result.returncode == 3, result.stderr
+            assert len(lines) == 1 and lines[0].startswith("numeric failure:"), result.stderr
 
     def test_version_one_model_is_exit_two(self, tmp_path, capsys):
         # Version 1 stored W row-major; there is no read path for it.

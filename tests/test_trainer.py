@@ -4,6 +4,7 @@ selection policies, and the training loop."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import random
 
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 
 from rare import bm25
+from rare import trainer as trainer_module
+from rare.cli import dispatch
 from rare.data import ExamplePool, ICExample, TrainExample
 from rare.embedder import cosine, embed, featurize, new_params
 from rare.errors import (
@@ -22,6 +25,7 @@ from rare.errors import (
 )
 from rare.prompt import FormatKind, PromptFormat
 from rare.trainer import (
+    Features,
     RenderedExample,
     SelectionPolicy,
     TrainConfig,
@@ -516,3 +520,108 @@ class TestTrain:
         config = self.config(format=PromptFormat(kind=FormatKind.INST), epochs=1)
         _, history = train(train_set, {}, small_params(), config)
         assert len(history) == 1
+
+
+def count_featurize(monkeypatch) -> list[str]:
+    """Texts passed to the trainer's `featurize`, in call order."""
+    calls: list[str] = []
+
+    def counted(params, text):
+        calls.append(text)
+        return featurize(params, text)
+
+    monkeypatch.setattr(trainer_module, "featurize", counted)
+    return calls
+
+
+class TestFeatureCache:
+    def test_shared_cache_matches_fresh_features(self, rng):
+        # Batches reuse texts across calls and epochs while W moves; a shared
+        # cache must give the bytes a per-call one gives.
+        params = small_params(seed=3, hash_dim=64, embed_dim=8)
+        texts = [random_text(rng, 6) for _ in range(8)] + ["", "..."]
+        features = Features(params)
+        for step in range(12):
+            batch = [
+                RenderedExample(query=rng.choice(texts), positive=rng.choice(texts[:8]),
+                                negative=rng.choice([None, *texts]))
+                for _ in range(4)
+            ]
+            if step % 3 == 0:
+                batch[0] = RenderedExample(query="", positive=batch[0].positive, negative=batch[0].negative)
+            config = TrainConfig(temperature=0.1, include_batch_hard_negatives=step % 2 == 0)
+            fresh = batch_grads(batch, params, config)
+            cached = batch_grads(batch, params, config, features)
+            assert cached.value == fresh.value
+            assert cached.cols.tobytes() == fresh.cols.tobytes()
+            assert cached.block.tobytes() == fresh.block.tobytes()
+            fresh.descend(params.projection, 0.5)
+            if step % 4 == 3:
+                features.next_epoch()
+
+    def test_text_unused_for_an_epoch_is_featurized_again(self, monkeypatch):
+        calls = count_featurize(monkeypatch)
+        features = Features(small_params())
+        features.of("apple banana")
+        features.of("cherry stone")
+        features.of("")
+        features.of("")  # a gram-free text's {} is a hit too
+        features.next_epoch()
+        features.of("apple banana")  # used last epoch
+        features.next_epoch()
+        features.of("apple banana")  # used last epoch
+        features.of("cherry stone")  # not used last epoch
+        assert calls == ["apple banana", "cherry stone", "", "cherry stone"]
+
+    def test_batch_grads_featurizes_through_the_cache(self, monkeypatch):
+        calls = count_featurize(monkeypatch)
+        params = small_params()
+        batch = [RenderedExample(query="apple banana", positive="cherry stone", negative="river maple"),
+                 RenderedExample(query="cloud ember", positive="cherry stone", negative="frost galaxy")]
+        features = Features(params)
+        first = batch_grads(batch, params, TrainConfig(), features)
+        assert len(calls) == 5  # distinct texts
+        second = batch_grads(batch, params, TrainConfig(), features)
+        assert len(calls) == 5
+        assert second.block.tobytes() == first.block.tobytes()
+        batch_grads(batch, params, TrainConfig())
+        assert len(calls) == 10  # no cache: every distinct text again
+
+    def test_random_selection_holds_at_most_two_epochs(self, monkeypatch):
+        # Under random selection the rendered queries change every epoch; the
+        # cache holds this epoch's texts and what is left of the last one's.
+        train_set, pools = make_train_task()
+        queries: dict[int, set[str]] = {}
+        held: list[tuple[set[str], set[str]]] = []
+        next_epoch = Features.next_epoch
+
+        def recording(self):
+            held.append((set(self.now), set(self.last)))
+            next_epoch(self)
+
+        monkeypatch.setattr(Features, "next_epoch", recording)
+        config = TrainConfig(k=2, batch_size=8, epochs=5, ic_mixture=1.0, selection=SelectionPolicy.RANDOM, seed=5)
+        train(train_set, pools, small_params(), config,
+              render_hook=lambda epoch, idx, aug: queries.setdefault(epoch, set()).add(aug.text))
+        docs = {t for ex in train_set for t in (ex.positive, ex.negative)}
+        used = [queries[e] | docs for e in range(config.epochs)]
+        assert len(held) == config.epochs
+        for epoch, (now, last) in enumerate(held):
+            assert now == used[epoch]
+            assert last <= (used[epoch - 1] - used[epoch] if epoch else set())
+        assert len(set().union(*used)) > max(len(a | b) for a, b in zip(used, used[1:]))
+
+    def test_default_train_featurizes_within_the_window(self, tmp_path, monkeypatch):
+        # The default `rare train` on synth seed 7 sees 1,024 distinct texts
+        # in 5,650 batch lookups; a text is featurized again only after a
+        # whole epoch without it, which leaves 1,371 calls.
+        data = tmp_path / "data"
+        assert dispatch(["synth", "--out", str(data), "--seed", "7"]) == 0
+        calls = count_featurize(monkeypatch)
+        model = tmp_path / "m.rare"
+        assert dispatch(["train", "--data", str(data / "train.jsonl"), "--pool", str(data / "pool.jsonl"),
+                         "--out", str(model)]) == 0
+        assert len(calls) == 1371
+        assert len(set(calls)) == 1024
+        log = [json.loads(line) for line in (tmp_path / "m.rare.log.jsonl").read_text().splitlines()]
+        assert log[-1]["mean_loss"] == 6.217442360679975
