@@ -86,11 +86,17 @@ def _shape_problem(hash_dim: int, embed_dim: int, orders: tuple[int, ...]) -> st
     return None
 
 
+@lru_cache(maxsize=None)
+def _keyed(hash_seed: int):
+    """blake2b keyed by the seed, to copy per gram: a copy skips the key block."""
+    return hashlib.blake2b(digest_size=8, key=(hash_seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
+
+
 @lru_cache(maxsize=1 << 16)  # a train sees ~13k distinct grams; an L index ~630k at ~270 B each
 def _bucket(hash_seed: int, hash_dim: int, gram: str) -> int:
-    key = (hash_seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=key).digest()
-    return int.from_bytes(digest, "little") % hash_dim
+    h = _keyed(hash_seed).copy()
+    h.update(gram.encode("utf-8"))
+    return int.from_bytes(h.digest(), "little") % hash_dim
 
 
 def featurize(params: EmbedderParams, text: str) -> dict[int, float]:
