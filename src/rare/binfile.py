@@ -2,7 +2,9 @@
 
 Every artifact is a magic string, a little-endian u32 version, a header of
 fixed-width fields and length-prefixed UTF-8 strings, then a row-major
-float64 matrix, which `Reader.matrix` copies once out of the file bytes.
+float64 matrix, which `Reader.matrix` reads straight from the file into the
+array it returns. Every length is checked against the file size before it
+is read, so a header declaring more than the file holds allocates nothing.
 Reading fails with a DataError subclass on a wrong magic or version, a short
 read, bytes left over after the last field, or a string that is not UTF-8,
 and with NonFiniteParams on a matrix holding NaN or infinity.
@@ -10,6 +12,7 @@ and with NonFiniteParams on a matrix holding NaN or infinity.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -19,29 +22,49 @@ from .errors import BadMagic, NonFiniteParams, SerializationError, Truncated, Ve
 
 
 class Reader:
-    """Sequential reader over one artifact; checks magic and version on open."""
+    """Sequential reader over one open artifact; checks magic and version on open.
+
+    Use it as a context manager: the file is closed on every path.
+    """
 
     def __init__(self, path: str | Path, magic: bytes, version: int, what: str):
         self.path = path
-        self.blob = Path(path).read_bytes()
-        self.pos = 0
-        found = self.take(len(magic))
-        if found != magic:
-            raise BadMagic(f"{path}: expected magic {magic!r}, found {found!r}")
-        (found_version,) = self.unpack("<I")
-        if found_version != version:
-            raise VersionMismatch(f"{path}: unsupported {what} version {found_version}")
+        self.fh = Path(path).open("rb")
+        try:
+            self.size = os.fstat(self.fh.fileno()).st_size
+            self.pos = 0
+            found = self.take(len(magic))
+            if found != magic:
+                raise BadMagic(f"{path}: expected magic {magic!r}, found {found!r}")
+            (found_version,) = self.unpack("<I")
+            if found_version != version:
+                raise VersionMismatch(f"{path}: unsupported {what} version {found_version}")
+        except BaseException:
+            self.fh.close()
+            raise
+
+    def __enter__(self) -> Reader:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.close()
 
     def _skip(self, n: int) -> int:
-        """Advance past the next n bytes and return where they start."""
-        if n > len(self.blob) - self.pos:
+        """Claim the next n bytes, which the file must still hold, and return where they start."""
+        if n > self.size - self.pos:
             raise Truncated(f"{self.path}: expected {n} more bytes at offset {self.pos}")
         self.pos += n
         return self.pos - n
 
+    def _check_full(self, got: int, n: int, start: int) -> None:
+        if got != n:  # the file shrank after it was opened
+            raise Truncated(f"{self.path}: expected {n} more bytes at offset {start}")
+
     def take(self, n: int) -> bytes:
         start = self._skip(n)
-        return self.blob[start : start + n]
+        data = self.fh.read(n)
+        self._check_full(len(data), n, start)
+        return data
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -60,13 +83,13 @@ class Reader:
         if rows < 1 or cols < 1:
             raise SerializationError(f"{self.path}: matrix shape ({rows}, {cols}) has an empty side")
         start = self._skip(8 * rows * cols)
-        view = np.frombuffer(self.blob, dtype="<f8", count=rows * cols, offset=start)
-        out = view.reshape(rows, cols).copy()
+        out = np.empty((rows, cols), dtype="<f8")
+        self._check_full(self.fh.readinto(out), out.nbytes, start)
         if not np.all(np.isfinite(out)):
             raise NonFiniteParams(f"{self.path}: matrix contains non-finite values")
         return out
 
     def end(self) -> None:
         """Reject bytes past the last field."""
-        if self.pos != len(self.blob):
-            raise Truncated(f"{self.path}: {len(self.blob) - self.pos} unexpected trailing bytes")
+        if self.pos != self.size:
+            raise Truncated(f"{self.path}: {self.size - self.pos} unexpected trailing bytes")

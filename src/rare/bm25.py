@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import string
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -67,10 +68,7 @@ def build_index(texts: list[str]) -> Bm25Index:
     for ordinal, text in enumerate(texts):
         tokens = tokenize(text)
         lengths.append(len(tokens))
-        counts: dict[str, int] = {}
-        for tok in tokens:
-            counts[tok] = counts.get(tok, 0) + 1
-        for term, tf in counts.items():
+        for term, tf in Counter(tokens).items():
             ordinals, tfs = lists.setdefault(term, ([], []))
             ordinals.append(ordinal)
             tfs.append(tf)
@@ -110,9 +108,7 @@ def top_k_neighbors(
         return []
     if exclude is not None and not 0 <= exclude < index.n_items:
         raise OrdinalOutOfRange(f"exclude ordinal {exclude} not in [0, {index.n_items})")
-    counts: dict[str, int] = {}
-    for tok in tokenize(query):
-        counts[tok] = counts.get(tok, 0) + 1
+    counts = Counter(tokenize(query))
     scores = np.zeros(index.n_items)
     # Terms are added in sorted order and each product is evaluated left to
     # right, so a score does not depend on query word order and is the same

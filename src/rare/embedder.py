@@ -5,7 +5,8 @@ configured orders, and each n-gram is hashed into one of `hash_dim` buckets
 with a seeded, process-independent hash. Bucket counts normalized by the
 total n-gram count form a sparse feature vector x; the embedding is the
 L2-normalized projection W @ x. Texts producing no n-grams embed to the zero
-vector, and cosine against a zero vector is defined as 0.
+vector, and cosine against a zero vector is defined as 0. Buckets are
+looked up in one gram table, a dict that hashes a gram only on a miss.
 
 W is held column-major (Fortran order), so the columns of a text's buckets
 are contiguous 8 * embed_dim-byte reads. The RARE1 file (version 2) stores
@@ -17,9 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, partial
 from itertools import chain
 from pathlib import Path
 
@@ -86,17 +86,51 @@ def _shape_problem(hash_dim: int, embed_dim: int, orders: tuple[int, ...]) -> st
     return None
 
 
-@lru_cache(maxsize=None)
-def _keyed(hash_seed: int):
-    """blake2b keyed by the seed, to copy per gram: a copy skips the key block."""
-    return hashlib.blake2b(digest_size=8, key=(hash_seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
+# hits are gram lookups answered from the table, misses are gram hashes.
+CacheInfo = namedtuple("CacheInfo", "hits misses")
 
 
-@lru_cache(maxsize=1 << 16)  # a train sees ~13k distinct grams; an L index ~630k at ~270 B each
-def _bucket(hash_seed: int, hash_dim: int, gram: str) -> int:
-    h = _keyed(hash_seed).copy()
-    h.update(gram.encode("utf-8"))
-    return int.from_bytes(h.digest(), "little") % hash_dim
+class _GramTable(dict):
+    """Gram string -> bucket for one (hash_seed, hash_dim); a miss hashes the gram.
+
+    A hit is a C-level dict lookup. The table empties when it holds `cap`
+    grams (a train sees ~13k distinct grams; an L index ~630k at ~270 B
+    each) and whenever it is asked for another (hash_seed, hash_dim). The
+    lookup and hash counts run over the table's lifetime.
+    """
+
+    def __init__(self, cap: int = 1 << 16):
+        super().__init__()
+        self.cap = cap
+        self.seed: int | None = None
+        self.dim = 0
+        self.keyed = None
+        self.lookups = 0
+        self.hashes = 0
+
+    def serve(self, hash_seed: int, hash_dim: int) -> _GramTable:
+        """This table, emptied first if it last served another (hash_seed, hash_dim)."""
+        if hash_seed != self.seed or hash_dim != self.dim:
+            self.clear()
+            self.seed, self.dim = hash_seed, hash_dim
+            # blake2b keyed by the seed, to copy per gram: a copy skips the key block.
+            self.keyed = hashlib.blake2b(digest_size=8, key=(hash_seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
+        return self
+
+    def __missing__(self, gram: str) -> int:
+        if len(self) >= self.cap:
+            self.clear()
+        h = self.keyed.copy()
+        h.update(gram.encode("utf-8"))
+        bucket = self[gram] = int.from_bytes(h.digest(), "little") % self.dim
+        self.hashes += 1
+        return bucket
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self.lookups - self.hashes, self.hashes)
+
+
+_bucket = _GramTable()
 
 
 def featurize(params: EmbedderParams, text: str) -> dict[int, float]:
@@ -114,7 +148,9 @@ def featurize(params: EmbedderParams, text: str) -> dict[int, float]:
     if not grams:
         return {}
     total = len(grams)
-    counts = Counter(map(partial(_bucket, params.hash_seed, params.hash_dim), grams))
+    table = _bucket.serve(params.hash_seed, params.hash_dim)
+    table.lookups += total
+    counts = Counter(map(table.__getitem__, grams))
     return {bucket: count / total for bucket, count in counts.items()}
 
 
@@ -170,17 +206,17 @@ def save(params: EmbedderParams, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> EmbedderParams:
-    rd = Reader(path, MAGIC, VERSION, "model")
-    hash_dim, embed_dim = rd.unpack("<QQ")
-    (n_orders,) = rd.unpack("<I")
-    orders = rd.unpack(f"<{n_orders}I")
-    (hash_seed,) = rd.unpack("<q")
-    (raw_max,) = rd.unpack("<Q")
-    problem = _shape_problem(hash_dim, embed_dim, orders)
-    if problem:
-        raise SerializationError(f"{path}: {problem}")
-    projection = rd.matrix(hash_dim, embed_dim).T
-    rd.end()
+    with Reader(path, MAGIC, VERSION, "model") as rd:
+        hash_dim, embed_dim = rd.unpack("<QQ")
+        (n_orders,) = rd.unpack("<I")
+        orders = rd.unpack(f"<{n_orders}I")
+        (hash_seed,) = rd.unpack("<q")
+        (raw_max,) = rd.unpack("<Q")
+        problem = _shape_problem(hash_dim, embed_dim, orders)
+        if problem:
+            raise SerializationError(f"{path}: {problem}")
+        projection = rd.matrix(hash_dim, embed_dim).T
+        rd.end()
     return EmbedderParams(
         hash_dim=int(hash_dim),
         embed_dim=int(embed_dim),

@@ -45,7 +45,9 @@ def build_flat_index(corpus: dict[str, Document], params: EmbedderParams) -> Fla
     if not corpus:
         raise EmptyCorpus("cannot index an empty corpus")
     docs = list(corpus.values())
-    matrix = np.stack([embed(params, document_text(d)) for d in docs])
+    matrix = np.empty((len(docs), params.embed_dim))
+    for row, doc in enumerate(docs):
+        matrix[row] = embed(params, document_text(doc))
     return FlatIndex(ids=[d.id for d in docs], matrix=matrix, dim=params.embed_dim)
 
 
@@ -175,9 +177,9 @@ def save_index(index: FlatIndex, path: str | Path) -> None:
 
 
 def load_flat_index(path: str | Path) -> FlatIndex:
-    rd = Reader(path, MAGIC, VERSION, "index")
-    n, dim = rd.unpack("<QQ")
-    ids = [rd.text() for _ in range(n)]
-    matrix = rd.matrix(n, dim)
-    rd.end()
+    with Reader(path, MAGIC, VERSION, "index") as rd:
+        n, dim = rd.unpack("<QQ")
+        ids = [rd.text() for _ in range(n)]
+        matrix = rd.matrix(n, dim)
+        rd.end()
     return FlatIndex(ids=ids, matrix=matrix, dim=int(dim))
