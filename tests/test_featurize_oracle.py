@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import random
 import string
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rare import embedder
 from rare.bm25 import tokenize
 from rare.embedder import featurize, new_params
 
@@ -42,20 +44,24 @@ def oracle_tokenize(text: str) -> list[str]:
     return out
 
 
-def oracle_featurize(params, text: str) -> dict[int, float]:
+def oracle_grams(params, text: str) -> list[str]:
     tokens = oracle_tokenize(text)
     if params.max_tokens is not None:
         tokens = tokens[: params.max_tokens]
+    grams: list[str] = []
+    for order in params.ngram_orders:
+        for i in range(len(tokens) - order + 1):
+            grams.append(" ".join(tokens[i : i + order]))
+    return grams
+
+
+def oracle_featurize(params, text: str) -> dict[int, float]:
     counts: dict[int, int] = {}
     total = 0
-    for order in params.ngram_orders:
-        if len(tokens) < order:
-            continue
-        for i in range(len(tokens) - order + 1):
-            gram = " ".join(tokens[i : i + order])
-            bucket = oracle_bucket(params.hash_seed, params.hash_dim, gram)
-            counts[bucket] = counts.get(bucket, 0) + 1
-            total += 1
+    for gram in oracle_grams(params, text):
+        bucket = oracle_bucket(params.hash_seed, params.hash_dim, gram)
+        counts[bucket] = counts.get(bucket, 0) + 1
+        total += 1
     if total == 0:
         return {}
     return {bucket: count / total for bucket, count in counts.items()}
@@ -112,3 +118,44 @@ def test_named_cases():
                 got = featurize(params, text)
                 assert list(got.items()) == list(oracle_featurize(params, text).items()), (ngram_orders, text)
     assert featurize(new_params(hash_dim=97, embed_dim=2, ngram_orders=(2, 3)), "word") == {}
+
+
+# Texts over a 40-word vocabulary: grams repeat within and across texts.
+_rng = random.Random(3)
+_VOCAB = [f"w{i}" for i in range(40)] + ["Don't", "naïve", "東京"]
+CORPUS = [" ".join(_rng.choice(_VOCAB) for _ in range(_rng.randint(0, 30))) for _ in range(60)]
+
+
+def test_featurize_matches_oracle_across_table_flushes(monkeypatch):
+    table = embedder._GramTable(cap=16)
+    monkeypatch.setattr(embedder, "_bucket", table)
+    params = new_params(hash_dim=97, embed_dim=2, ngram_orders=(1, 2, 3))
+    for text in CORPUS:
+        assert list(featurize(params, text).items()) == list(oracle_featurize(params, text).items())
+        assert len(table) <= 16
+    distinct = {g for text in CORPUS for g in oracle_grams(params, text)}
+    assert table.cache_info().misses > len(distinct)  # flushed grams were hashed again
+
+
+def test_featurize_matches_oracle_while_params_alternate(monkeypatch):
+    monkeypatch.setattr(embedder, "_bucket", embedder._GramTable())
+    a = new_params(hash_dim=97, embed_dim=2, ngram_orders=(1, 2), seed=1)
+    b = new_params(hash_dim=1 << 16, embed_dim=2, ngram_orders=(1, 2), seed=2)
+    # Same dimension, another seed: a table keyed on the dimension alone goes stale.
+    c = dataclasses.replace(a, hash_seed=5)
+    for text in CORPUS:
+        for params in (a, b, c):
+            assert list(featurize(params, text).items()) == list(oracle_featurize(params, text).items())
+
+
+def test_cache_info_counts_lookups_and_hashes(monkeypatch):
+    table = embedder._GramTable()
+    monkeypatch.setattr(embedder, "_bucket", table)
+    params = new_params(hash_dim=1 << 16, embed_dim=2, ngram_orders=(1, 2))
+    grams = [g for text in CORPUS for g in oracle_grams(params, text)]
+    for text in CORPUS:
+        featurize(params, text)
+    info = embedder._bucket.cache_info()
+    assert info.hits + info.misses == len(grams)
+    assert info.misses == len(set(grams))
+    assert info.hits > 0

@@ -91,3 +91,5 @@ def test_traced_train_reports_its_layers(tmp_path):
                    if parent >= 0 and spans[parent][0] == "trainer.batch_grads"}
     assert {"embedder.featurize", "embedder.project"} <= under_grads
     assert traced["bucket_hits"] + traced["bucket_misses"] > 0
+    assert traced["bucket_hits"] > 0
+    assert traced["bucket_misses"] > 0
