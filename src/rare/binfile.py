@@ -69,14 +69,32 @@ class Reader:
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def text(self) -> str:
-        """A u32 byte length followed by that many UTF-8 bytes."""
-        (length,) = self.unpack("<I")
-        start = self.pos
-        try:
-            return self.take(length).decode("utf-8")
-        except UnicodeDecodeError:
-            raise SerializationError(f"{self.path}: string at offset {start} is not valid UTF-8") from None
+    def texts(self, count: int, trailer: int) -> list[str]:
+        """`count` strings, each a u32 byte length followed by that many UTF-8
+        bytes, that fill the file up to its last `trailer` bytes; the block
+        is read with one call."""
+        base = self.pos
+        nbytes = self.size - base - trailer
+        if nbytes < 0:
+            raise Truncated(f"{self.path}: expected {trailer} more bytes at offset {base}")
+        block = self.take(nbytes)
+        out = []
+        at = 0
+        for _ in range(count):
+            if at + 4 > nbytes:
+                raise Truncated(f"{self.path}: expected 4 more bytes at offset {base + at}")
+            (length,) = struct.unpack_from("<I", block, at)
+            at += 4
+            if length > nbytes - at:
+                raise Truncated(f"{self.path}: expected {length} more bytes at offset {base + at}")
+            try:
+                out.append(block[at : at + length].decode("utf-8"))
+            except UnicodeDecodeError:
+                raise SerializationError(f"{self.path}: string at offset {base + at} is not valid UTF-8") from None
+            at += length
+        if at != nbytes:
+            raise Truncated(f"{self.path}: {nbytes - at} unexpected bytes after the strings at offset {base + at}")
+        return out
 
     def matrix(self, rows: int, cols: int) -> np.ndarray:
         """A finite row-major (rows, cols) float64 matrix; both sides must be positive."""

@@ -1,16 +1,19 @@
 """Exact dense retrieval over a flat embedding index.
 
 The index holds one row per document, embedding `title + " " + text`. Search
-is a full dot product against every row followed by top-K selection, so the
-result is exact: scores descending, ties broken by ascending document id.
+is exact in two passes: a float32 scan of every row picks the candidates
+that can reach the top K, and only their 4-row blocks are scored again in
+float64. The result is the float64 top K with the float64 scores: scores
+descending, ties broken by ascending document id.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +29,44 @@ MAGIC = b"RFI1"
 VERSION = 1
 
 
+_SCAN_CHUNK = 256  # rows scaled per step while the float32 copy is built
+
+
 @dataclass
 class FlatIndex:
     ids: list[str]
-    matrix: np.ndarray  # (n, dim) float64, rows unit norm or zero
+    matrix: np.ndarray  # (n, dim) C-order float64, rows unit norm or zero; fixed once searched
     dim: int
+    _scan: tuple[np.ndarray, float, float] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def scan(self) -> tuple[np.ndarray, float, float]:
+        """The float32 copy `c32` of `s * matrix`, with `s` and `R`; built on first use.
+
+        `s` is a power of two with max|s * matrix| < 1, so the scaling is
+        exact and no float32 entry overflows. `R` is the largest row norm
+        of `s * matrix`, taken from the float64 scaled rows a few at a time,
+        so no full-size float64 temporary is made.
+        """
+        if self._scan is None:
+            matrix = self.matrix
+            s = _power_of_two_below(max(matrix.max(initial=0.0), -matrix.min(initial=0.0)))
+            c32 = np.empty(matrix.shape, dtype=np.float32)
+            r2 = 0.0
+            for lo in range(0, len(matrix), _SCAN_CHUNK):
+                scaled = matrix[lo : lo + _SCAN_CHUNK] * s
+                c32[lo : lo + _SCAN_CHUNK] = scaled
+                r2 = max(r2, float(np.einsum("ij,ij->i", scaled, scaled).max()))
+            self._scan = (c32, s, math.sqrt(r2))
+        return self._scan
+
+
+def _power_of_two_below(peak: float) -> float:
+    """The power of two p with 1/2 <= peak * p < 1 (1 for a zero peak). For a
+    peak below 2**-1023, p is capped at 2**1023, so that it stays finite."""
+    return math.ldexp(1.0, min(-math.frexp(peak)[1], 1023))
 
 
 def document_text(doc: Document) -> str:
@@ -54,24 +87,96 @@ def build_flat_index(corpus: dict[str, Document], params: EmbedderParams) -> Fla
 def search(index: FlatIndex, q_emb: np.ndarray, top_k: int) -> list[tuple[str, float]]:
     """Exact top-K by dot product; ties and the all-zero case order by doc id.
 
-    The k-th best score is found by partial selection. Every row scoring at
-    least that much is kept, so a tie at the boundary cannot drop the row
-    with the smaller id, and only those rows are sorted.
+    Returns the float64 scores `index.matrix @ q_emb` would give, but
+    computes them only for the rows `_rescore_rows` picks from a float32
+    scan. Every row scoring at least the k-th best is kept, so a tie at the
+    boundary cannot drop the row with the smaller id, and only those rows
+    are sorted.
     """
     if q_emb.shape != (index.dim,):
         raise DimMismatch(f"query dim {q_emb.shape} does not match index dim ({index.dim},)")
     if top_k <= 0:
         return []
-    scores = index.matrix @ q_emb
-    n = len(scores)
-    if top_k < n:
-        kth = np.partition(scores, n - top_k)[n - top_k]
-        rows = np.flatnonzero(scores >= kth).tolist()
+    n = len(index.matrix)
+    rows = _rescore_rows(index, q_emb, top_k) if top_k < n else None
+    if rows is None:
+        rows, scores = range(n), index.matrix @ q_emb
     else:
-        rows = range(n)
+        scores = index.matrix[rows] @ q_emb
+        rows = rows.tolist()
+    m = len(scores)
+    if top_k < m:
+        kth = np.partition(scores, m - top_k)[m - top_k]
+        keep = np.flatnonzero(scores >= kth).tolist()
+    else:
+        keep = range(m)
     ids = index.ids
-    ranked = sorted(rows, key=lambda row: (-scores[row], ids[row]))[:top_k]
-    return [(ids[row], float(scores[row])) for row in ranked]
+    ranked = sorted(keep, key=lambda j: (-scores[j], ids[rows[j]]))[:top_k]
+    return [(ids[rows[j]], float(scores[j])) for j in ranked]
+
+
+def _rescore_rows(index: FlatIndex, q: np.ndarray, top_k: int) -> np.ndarray | None:
+    """The rows to score in float64: whole 4-row blocks holding every row of
+    the exact top K; None when that is every row.
+
+    Let `f_i` be the float64 score `(index.matrix @ q)[i]`, `f_k` the k-th
+    largest, and `a_i` the float32 score of the scaled row against `t * q`,
+    where `t` is a power of two with max|t * q| < 1. Then
+    `|a_i - s*t*f_i| <= delta` for every row, with
+
+        delta = (d+2) * 2**-22 * R * |t*q| + d * 2**-120 + 2*d * 2**-1074 * s*t.
+
+    The first term bounds the float32 rounding of both factors and of the
+    d-term sum, `(d+2) * 2**-24 * |s*M_i| * |t*q|` to first order (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.1, with Cauchy-Schwarz
+    and `|s*M_i| <= R`), with a factor of 4 that also covers the float64
+    rounding of `f_i` and the higher-order terms. The second bounds float32
+    underflow: every scaled factor and product is below 1, and each of the
+    at most 3d operands and products that underflows is off by at most
+    2**-150. (Scaling lifts the largest entries of both factors to at least
+    2**-51, so the first term already exceeds it unless a factor is zero;
+    it is kept so the bound does not rest on that.) The third bounds the
+    underflow of the float64 score itself: d products each off by at most
+    2**-1075 before scaling, with a factor of 4.
+
+    Take the k rows with the largest `a`. One of them has `f_j <= f_k`, so
+    the k-th largest `a`, `kth`, is at most `a_j <= s*t*f_k + delta`. Any
+    row with `f_i >= f_k` has `a_i >= s*t*f_k - delta >= kth - 2*delta`. So
+    the candidates `a >= kth - 2*delta` hold every row of the exact top K
+    and every row tied with the k-th. Among them the k-th largest float64
+    score is again `f_k`, and the selection in `search` keeps the same rows.
+
+    The candidates' blocks `[4b, 4b+4)` are scored in row order, and a
+    candidate in the `n % 4` tail brings `[max(head-4, 0), n)`, with
+    `head = n - n % 4`, scored last. OpenBLAS's gemv scores rows in groups
+    of four from the first row and the `n % 4` rows after them apart, and a
+    product of fewer than four rows can take yet another path. So a row
+    gathered this way is computed as in `matrix @ q`, to the bit
+    (tests/test_retrieve.py pins this). That holds while the full product
+    runs on one BLAS thread: a threaded gemv splits the rows at
+    ceil(n / threads), and when that is not a multiple of 4, a few rows
+    near the split get the last bit of a different kernel.
+    """
+    c32, s, r = index.scan()
+    n, d = c32.shape
+    t = _power_of_two_below(np.abs(q).max())
+    tq = q * t
+    a = c32 @ tq.astype(np.float32)
+    kth = np.partition(a, n - top_k)[n - top_k]
+    delta = (d + 2) * 2.0**-22 * r * math.sqrt(tq @ tq) + d * 2.0**-120 + 2 * d * (s * t) * 2.0**-1074
+    candidates = np.flatnonzero(a >= np.float64(kth) - 2 * delta)
+    if len(candidates) < top_k:  # a non-finite query: score every row as before
+        return None
+    hit = np.zeros(-(-n // 4), dtype=bool)  # one flag per 4-row block; the last covers the n % 4 tail
+    hit[candidates >> 2] = True
+    tail = n % 4 > 0 and hit[-1]
+    if tail:
+        hit[-2:] = False  # the tail is scored with the block before it
+    blocks = np.flatnonzero(hit)
+    tail_rows = np.arange(max(n - n % 4 - 4, 0) if tail else n, n)
+    if 4 * len(blocks) + len(tail_rows) == n:
+        return None
+    return np.concatenate([(4 * blocks[:, None] + np.arange(4)).ravel(), tail_rows])
 
 
 @dataclass
@@ -179,7 +284,7 @@ def save_index(index: FlatIndex, path: str | Path) -> None:
 def load_flat_index(path: str | Path) -> FlatIndex:
     with Reader(path, MAGIC, VERSION, "index") as rd:
         n, dim = rd.unpack("<QQ")
-        ids = [rd.text() for _ in range(n)]
+        ids = rd.texts(n, trailer=8 * n * dim)
         matrix = rd.matrix(n, dim)
         rd.end()
     return FlatIndex(ids=ids, matrix=matrix, dim=int(dim))

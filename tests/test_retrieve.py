@@ -3,13 +3,17 @@ and index file formats."""
 
 from __future__ import annotations
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rare import bm25
 from rare.bench import profile
+from rare.binfile import Reader
 from rare.data import Document, ExamplePool, ICExample, Query, TrainExample
 from rare.embedder import embed, new_params
 from rare.errors import (
@@ -191,6 +195,144 @@ class TestSearch:
         scores = index.matrix @ q
         order = sorted(range(len(index)), key=lambda row: (-scores[row], index.ids[row]))[:top_k]
         assert got == [(index.ids[row], float(scores[row])) for row in order]
+
+
+def oracle_search(index, q_emb, top_k):
+    """`search` as it was before the float32 scan: one float64 product over
+    every row, then the same selection. The reference for the scan."""
+    if top_k <= 0:
+        return []
+    scores = index.matrix @ q_emb
+    n = len(scores)
+    if top_k < n:
+        kth = np.partition(scores, n - top_k)[n - top_k]
+        rows = np.flatnonzero(scores >= kth).tolist()
+    else:
+        rows = range(n)
+    ids = index.ids
+    ranked = sorted(rows, key=lambda row: (-scores[row], ids[row]))[:top_k]
+    return [(ids[row], float(scores[row])) for row in ranked]
+
+
+# Exponents at the float32 limits (normal 2^-126, subnormal 2^-149, top
+# 2^127) and the float64 limits (normal 2^-1022, subnormal 2^-1074, top 2^1023).
+EXPONENTS = [0, 1, -1, 60, -60, 126, -126, 127, -149, -150, 500, -500, 1000, -1000, 1022, -1022, -1074]
+
+
+@st.composite
+def scaled_cases(draw):
+    """An index and a query that stress the float32 scan. Each case draws a
+    few row kinds and makes every row one of them: small integers (exact
+    ties), floats, zero rows, copies of earlier rows, or near copies of row 0
+    that differ from it by about one float32 ulp per entry. Against row 0 as
+    the query, float32 often orders near copies differently from float64.
+    The matrix is scaled by a power of two near a float32 or float64 range
+    limit, and each row by one of a few small further powers. The query is
+    zero, a fresh vector or row 0, scaled the same way. Ids are unique and
+    in an order unrelated to the rows; k is 1, n-1, n or n+5."""
+    n = draw(st.integers(1, 41))
+    dim = draw(st.integers(1, 64))
+    nprng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def vector(kind):
+        return nprng.integers(-3, 4, dim).astype(np.float64) if kind == "int" else nprng.uniform(-1, 1, dim)
+
+    def some_of(values):
+        return st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True)
+
+    kinds = draw(st.lists(st.sampled_from(draw(some_of(["int", "float", "zero", "copy", "near"]))),
+                          min_size=n, max_size=n))
+    matrix = np.zeros((n, dim))
+    matrix[0] = vector(kinds[0]) if kinds[0] != "zero" else 0.0
+    for row, kind in enumerate(kinds[1:], start=1):
+        if kind == "copy":
+            matrix[row] = matrix[nprng.integers(0, row)]
+        elif kind == "near":
+            matrix[row] = matrix[0] + matrix[0] * nprng.uniform(-2.0, 2.0, dim) * 2.0**-24
+        elif kind != "zero":
+            matrix[row] = vector(kind)
+    spread = draw(st.lists(st.sampled_from(draw(some_of([0, 1, -1, -30, -140]))), min_size=n, max_size=n))
+    exps = np.minimum(draw(st.sampled_from(EXPONENTS)) + np.array(spread), 1022)
+    row0 = matrix[0].copy()
+    matrix = np.ldexp(matrix, exps[:, None])
+    q_kind = draw(st.sampled_from(["int", "float", "row", "zero"]))
+    if q_kind == "zero":
+        q = np.zeros(dim)
+    else:
+        q = row0 if q_kind == "row" else vector(q_kind)
+        q = np.ldexp(q, draw(st.sampled_from(EXPONENTS)))
+    ids = [f"d{i:02d}" for i in draw(st.permutations(range(n)))]
+    top_k = draw(st.sampled_from([1, max(n - 1, 1), n, n + 5]))
+    return FlatIndex(ids=ids, matrix=matrix, dim=dim), q, top_k
+
+
+class TestTwoPassSearch:
+    """`search` scans a float32 copy of the index and rescores only the
+    candidates in float64; it must still return the old search's ids and
+    score floats."""
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(case=scaled_cases())
+    def test_equals_full_product_search(self, case):
+        index, q, top_k = case
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            finite = np.all(np.isfinite(index.matrix @ q))
+        assume(finite)
+        assert search(index, q, top_k) == oracle_search(index, q, top_k)
+
+    @pytest.mark.parametrize("dim", [*range(1, 18), 32, 63, 64, 65])
+    def test_gathered_blocks_score_like_the_full_product(self, dim):
+        """The rescoring relies on OpenBLAS's gemv on one thread: a gathered
+        product of whole 4-row blocks, then the n % 4 tail rows together with
+        the block before them, equals the full product on those rows bit for
+        bit. The sizes stay below those at which gemv uses more threads."""
+        nprng = np.random.default_rng(dim)
+        for n in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 37, 38, 39, 40, 255, 256, 257, 258]:
+            matrix = nprng.standard_normal((n, dim))
+            head = n - n % 4
+            tail = np.arange(max(head - 4, 0), n) if n % 4 else np.arange(0)
+            free_blocks = head // 4 - (1 if n % 4 else 0)  # blocks not scored with the tail
+            for trial in range(6):
+                q = nprng.standard_normal(dim)
+                blocks = np.sort(nprng.permutation(max(free_blocks, 0))[: 1 + trial])
+                with_tail = len(tail) > 0 and (trial % 2 == 1 or len(blocks) == 0)
+                rows = np.concatenate([(4 * blocks[:, None] + np.arange(4)).ravel(),
+                                       tail if with_tail else np.arange(0)])
+                got = (matrix[rows] @ q).tobytes()
+                assert got == (matrix @ q)[rows].tobytes(), (
+                    f"BLAS assumption broken at n={n}, dim={dim}: a gathered product of 4-row blocks "
+                    f"and the tail with its preceding block no longer has the full product's bits, "
+                    f"so retrieve.search is no longer exact"
+                )
+
+    def test_float32_copy_is_built_by_the_first_search_only(self, rng, tmp_path):
+        def has_copy(index):
+            held = [v for value in vars(index).values() for v in (value if isinstance(value, tuple) else [value])]
+            return any(isinstance(v, np.ndarray) and v.dtype == np.float32 for v in held)
+
+        params = small_params()
+        built = build_flat_index(make_corpus([random_text(rng, 6) for _ in range(9)]), params)
+        save_index(built, tmp_path / "index.rfi")
+        assert not has_copy(built)
+        assert not has_copy(load_flat_index(tmp_path / "index.rfi"))
+
+        n, dim = 1 << 14, 64
+        nprng = np.random.default_rng(5)
+        matrix = nprng.standard_normal((n, dim))
+        matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+        save_index(FlatIndex(ids=[f"d{i}" for i in range(n)], matrix=matrix, dim=dim), tmp_path / "big.rfi")
+        index = load_flat_index(tmp_path / "big.rfi")
+        q = matrix[7].copy()
+        tracemalloc.start()
+        try:
+            got = search(index, q, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert has_copy(index)
+        assert got[0][0] == "d7"
+        # The float32 copy is half the matrix; a full-size float64 temporary would double that.
+        assert 0.5 * matrix.nbytes <= peak <= 0.6 * matrix.nbytes
 
 
 def disambiguation_fixture():
@@ -440,4 +582,40 @@ class TestIndexSerialization:
         # Layout: magic(4) version(4) n(8) dim(8), then u32 length + "a".
         path.write_bytes(blob[:28] + b"\xff" + blob[29:])
         with pytest.raises(DataError, match="UTF-8"):
+            load_flat_index(path)
+
+    def test_id_block_is_read_with_one_call(self, rng, tmp_path, monkeypatch):
+        index = self.make_index(rng, n=50, dim=3)
+        path = tmp_path / "index.bin"
+        save_index(index, path)
+        reads = []
+        real_take = Reader.take
+
+        def counting_take(reader, n):
+            reads.append(n)
+            return real_take(reader, n)
+
+        monkeypatch.setattr(Reader, "take", counting_take)
+        assert load_flat_index(path).ids == index.ids
+        assert len(reads) == 4  # magic, version, (n, dim), the id block
+
+    def test_id_length_past_the_block_is_truncated(self, rng, tmp_path):
+        index = self.make_index(rng, n=2, dim=2)
+        index.ids = ["a", "b"]
+        path = tmp_path / "index.bin"
+        save_index(index, path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 24, 7)  # the first id claims 7 bytes; the id block holds 10
+        path.write_bytes(bytes(blob))
+        with pytest.raises(Truncated):
+            load_flat_index(path)
+
+    def test_bad_utf8_names_its_offset(self, rng, tmp_path):
+        index = self.make_index(rng, n=2, dim=2)
+        index.ids = ["a", "b"]
+        path = tmp_path / "index.bin"
+        save_index(index, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:33] + b"\xff" + blob[34:])  # the second id's byte
+        with pytest.raises(DataError, match="string at offset 33 is not valid UTF-8"):
             load_flat_index(path)
