@@ -13,9 +13,14 @@ One executable, `rare`, with subcommands covering the whole loop:
     rare bench   --data data/synth --model model.rare --setting both --out latency.csv
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure. Every
-produced artifact gets a sibling `<name>.manifest.json`. Flag values can also
-be supplied as `--config key=value` pairs, which override parsed flags by
-destination name. No environment variables are consulted.
+file a successful command writes (synth's five, the model and its log, the
+index, run, report, buckets CSV, ablation and latency CSVs) gets a sibling
+`<name>.manifest.json` with the command line, the parsed options, the options
+named `*seed`, and the sha256 of each file read, keyed `train`, `pool` or
+`pool:TASK`, `corpus`, `model`, `index`, `queries`, `run`, `qrels`,
+`baseline_run`, or `NAME:corpus|queries|qrels|pool` per dataset directory.
+Flag values can also be supplied as `--config key=value` pairs, which override
+parsed flags by destination name. No environment variables are consulted.
 """
 
 from __future__ import annotations
@@ -59,10 +64,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def _require_file(path: str, what: str) -> Path:
+def _require_file(path: str | Path, what: str, inputs: dict[str, Path], key: str) -> Path:
+    """The existing file at `path`, recorded in `inputs` under `key` for the manifest."""
     p = Path(path)
     if not p.is_file():
         raise DataError(f"{what} not found: {p}")
+    inputs[key] = p
     return p
 
 
@@ -141,27 +148,12 @@ def _apply_config_pairs(args: argparse.Namespace, command: argparse.ArgumentPars
         setattr(args, action.dest, value)
 
 
-def _manifest_config(args: argparse.Namespace) -> dict:
-    skip = {"func", "config"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        out[key] = str(value) if isinstance(value, Path) else value
-    return out
-
-
 def _report_zero_queries(zero: int, total: int) -> None:
     if zero:
         print(f"{zero} of {total} query embeddings are all zeros; ranked by document id", file=sys.stderr)
 
 
-def _emit_manifest(argv: list[str], args: argparse.Namespace, artifact: Path, inputs: dict[str, Path], seeds: dict) -> None:
-    manifest = build_manifest(["rare", *argv], _manifest_config(args), seeds, inputs)
-    write_manifest(manifest, artifact)
-
-
-def _cmd_synth(argv: list[str], args: argparse.Namespace) -> int:
+def _cmd_synth(args: argparse.Namespace, inputs: dict[str, Path]) -> list[str | Path]:
     spec = synth.SynthSpec(
         n_clusters=args.clusters,
         vocab_per_cluster=args.vocab_per_cluster,
@@ -174,43 +166,39 @@ def _cmd_synth(argv: list[str], args: argparse.Namespace) -> int:
     bench_data = synth.generate(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    data.write_corpus(bench_data.corpus, out / "corpus.jsonl")
-    data.write_queries(bench_data.queries, out / "queries.jsonl")
-    data.write_qrels(bench_data.qrels, out / "qrels.tsv")
-    data.write_train(bench_data.train_set, out / "train.jsonl")
-    data.write_pool(bench_data.pool, out / "pool.jsonl")
-    _emit_manifest(argv, args, out / "corpus.jsonl", {}, {"seed": args.seed})
+    written = [out / name for name in ("corpus.jsonl", "queries.jsonl", "qrels.tsv", "train.jsonl", "pool.jsonl")]
+    writers = (data.write_corpus, data.write_queries, data.write_qrels, data.write_train, data.write_pool)
+    values = (bench_data.corpus, bench_data.queries, bench_data.qrels, bench_data.train_set, bench_data.pool)
+    for write, value, path in zip(writers, values, written):
+        write(value, path)
     print(
         f"wrote {len(bench_data.corpus)} docs, {len(bench_data.queries)} queries, "
         f"{len(bench_data.train_set)} training triples to {out}"
     )
-    return 0
+    return written
 
 
 def _parse_pools(
-    pool_args: list[str], train_set: list[data.TrainExample]
-) -> tuple[dict[str, data.ExamplePool], dict[str, Path]]:
-    """Load each `--pool PATH` or `--pool TASK=PATH`; also returns their manifest inputs."""
+    pool_args: list[str], train_set: list[data.TrainExample], inputs: dict[str, Path]
+) -> dict[str, data.ExamplePool]:
+    """Load each `--pool PATH` or `--pool TASK=PATH`."""
     task_ids = sorted({ex.task_id for ex in train_set})
     pools: dict[str, data.ExamplePool] = {}
-    inputs: dict[str, Path] = {}
     for entry in pool_args:
         task, sep, path = entry.partition("=")
         if sep and not Path(task).exists():
-            pools[task] = data.load_example_pool(_require_file(path, "example pool"), task)
-            inputs[f"pool:{task}"] = Path(path)
+            pools[task] = data.load_example_pool(_require_file(path, "example pool", inputs, f"pool:{task}"), task)
         else:
             if len(task_ids) != 1:
                 raise UsageError("train set has multiple tasks; use --pool TASK=PATH for each")
-            pools[task_ids[0]] = data.load_example_pool(_require_file(entry, "example pool"), task_ids[0])
-            inputs["pool"] = Path(entry)
-    return pools, inputs
+            task = task_ids[0]
+            pools[task] = data.load_example_pool(_require_file(entry, "example pool", inputs, "pool"), task)
+    return pools
 
 
-def _cmd_train(argv: list[str], args: argparse.Namespace) -> int:
-    train_path = _require_file(args.data, "training data")
-    train_set = data.load_train(train_path)
-    pools, pool_inputs = _parse_pools(args.pool or [], train_set)
+def _cmd_train(args: argparse.Namespace, inputs: dict[str, Path]) -> list[str | Path]:
+    train_set = data.load_train(_require_file(args.data, "training data", inputs, "train"))
+    pools = _parse_pools(args.pool or [], train_set, inputs)
     params = embedder.new_params(
         hash_dim=args.hash_dim,
         embed_dim=args.dim,
@@ -238,37 +226,30 @@ def _cmd_train(argv: list[str], args: argparse.Namespace) -> int:
     with log_path.open("w", encoding="utf-8") as fh:
         for entry in history:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    inputs = {"train": train_path, **pool_inputs}
-    _emit_manifest(argv, args, out, inputs, {"seed": args.seed, "shuffle_seed": args.shuffle_seed})
     final = history[-1]["mean_loss"] if history else float("nan")
     print(f"trained {args.epochs} epochs, final mean loss {final:.6f}, model at {out}")
-    return 0
+    return [out, log_path]
 
 
-def _cmd_index(argv: list[str], args: argparse.Namespace) -> int:
-    corpus = data.load_corpus(_require_file(args.corpus, "corpus"))
-    params = embedder.load(_require_file(args.model, "model"))
+def _cmd_index(args: argparse.Namespace, inputs: dict[str, Path]) -> list[str | Path]:
+    corpus = data.load_corpus(_require_file(args.corpus, "corpus", inputs, "corpus"))
+    params = embedder.load(_require_file(args.model, "model", inputs, "model"))
     index = build_flat_index(corpus, params)
     save_index(index, args.out)
-    _emit_manifest(
-        argv, args, Path(args.out),
-        {"corpus": Path(args.corpus), "model": Path(args.model)},
-        {},
-    )
     print(f"indexed {len(index)} documents into {args.out}")
-    return 0
+    return [args.out]
 
 
-def _cmd_search(argv: list[str], args: argparse.Namespace) -> int:
-    index = load_flat_index(_require_file(args.index, "index"))
-    params = embedder.load(_require_file(args.model, "model"))
-    queries = data.load_queries(_require_file(args.queries, "queries"))
+def _cmd_search(args: argparse.Namespace, inputs: dict[str, Path]) -> list[str | Path]:
+    index = load_flat_index(_require_file(args.index, "index", inputs, "index"))
+    params = embedder.load(_require_file(args.model, "model", inputs, "model"))
+    queries = data.load_queries(_require_file(args.queries, "queries", inputs, "queries"))
     fmt = _format_from_args(args)
     pool = None
     if fmt.uses_examples(args.k):
         if not args.pool:
             raise UsageError(f"format {fmt.kind.value} needs --pool")
-        pool = data.load_example_pool(_require_file(args.pool, "example pool"), args.task)
+        pool = data.load_example_pool(_require_file(args.pool, "example pool", inputs, "pool"), args.task)
     times = StageTimes()
     run = run_inference(
         queries, args.instruction, pool, index, params,
@@ -277,17 +258,17 @@ def _cmd_search(argv: list[str], args: argparse.Namespace) -> int:
     )
     _report_zero_queries(times.zero_queries, times.queries)
     write_run(run, args.out, tag=args.tag)
-    inputs = {"index": Path(args.index), "model": Path(args.model), "queries": Path(args.queries)}
-    if args.pool:
-        inputs["pool"] = Path(args.pool)
-    _emit_manifest(argv, args, Path(args.out), inputs, {"seed": args.seed, "shuffle_seed": args.shuffle_seed})
     print(f"searched {len(queries)} queries, run written to {args.out}")
-    return 0
+    return [args.out]
 
 
-def _cmd_eval(argv: list[str], args: argparse.Namespace) -> int:
-    run_path = _require_file(args.run, "run file")
-    qrels_path = _require_file(args.qrels, "qrels file")
+def _cmd_eval(args: argparse.Namespace, inputs: dict[str, Path]) -> list[str | Path]:
+    if args.buckets_out:
+        for flag in ("baseline_run", "queries", "pool", "model"):
+            if not getattr(args, flag):
+                raise UsageError(f"--buckets-out needs --{flag.replace('_', '-')}")
+    run_path = _require_file(args.run, "run file", inputs, "run")
+    qrels_path = _require_file(args.qrels, "qrels file", inputs, "qrels")
     run = load_run(run_path)
     qrels = data.load_qrels(qrels_path)
     fingerprint = hashlib.sha256(
@@ -308,43 +289,40 @@ def _cmd_eval(argv: list[str], args: argparse.Namespace) -> int:
         "fingerprint": report.fingerprint,
         "per_query": report.per_query,
     }
-    Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    inputs = {"run": run_path, "qrels": qrels_path}
 
     if args.buckets_out:
-        for flag in ("baseline_run", "queries", "pool", "model"):
-            if not getattr(args, flag):
-                raise UsageError(f"--buckets-out needs --{flag.replace('_', '-')}")
-        baseline = evaluate(load_run(_require_file(args.baseline_run, "baseline run")), qrels, args.k)
-        queries = data.load_queries(_require_file(args.queries, "queries"))
-        pool = data.load_example_pool(_require_file(args.pool, "example pool"), args.task)
-        params = embedder.load(_require_file(args.model, "model"))
+        baseline_run = load_run(_require_file(args.baseline_run, "baseline run", inputs, "baseline_run"))
+        baseline = evaluate(baseline_run, qrels, args.k)
+        queries = data.load_queries(_require_file(args.queries, "queries", inputs, "queries"))
+        pool = data.load_example_pool(_require_file(args.pool, "example pool", inputs, "pool"), args.task)
+        params = embedder.load(_require_file(args.model, "model", inputs, "model"))
         buckets = score_at_top1(queries, pool, params, report, baseline, args.bin_width)
         with Path(args.buckets_out).open("w", encoding="utf-8", newline="") as fh:
             fh.write("Lower,Upper,N,MeanNdcgDelta\n")
             for b in buckets:
                 delta = "" if b.mean_ndcg_delta is None else repr(b.mean_ndcg_delta)
                 fh.write(f"{b.lower!r},{b.upper!r},{b.n},{delta}\n")
-        inputs["baseline_run"] = Path(args.baseline_run)
-    _emit_manifest(argv, args, Path(args.out), inputs, {})
+    Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     mean = "n/a" if report.mean is None else f"{report.mean:.4f}"
     print(f"nDCG@{args.k} = {mean} over {report.n_evaluated} queries "
           f"({len(report.zero_relevant)} had no relevant documents)")
-    return 0
+    return [args.out, args.buckets_out] if args.buckets_out else [args.out]
 
 
-def _load_bundle(entry: str, instruction: str) -> DatasetBundle:
+def _load_bundle(entry: str, instruction: str, inputs: dict[str, Path]) -> DatasetBundle:
     name, sep, path = entry.partition("=")
     root = Path(path if sep else entry)
     if not sep:
         name = root.name
     if not root.is_dir():
         raise DataError(f"dataset directory not found: {root}")
-    corpus = data.load_corpus(_require_file(root / "corpus.jsonl", "corpus"))
-    queries = data.load_queries(_require_file(root / "queries.jsonl", "queries"))
-    qrels = data.load_qrels(_require_file(root / "qrels.tsv", "qrels"))
+    corpus = data.load_corpus(_require_file(root / "corpus.jsonl", "corpus", inputs, f"{name}:corpus"))
+    queries = data.load_queries(_require_file(root / "queries.jsonl", "queries", inputs, f"{name}:queries"))
+    qrels = data.load_qrels(_require_file(root / "qrels.tsv", "qrels", inputs, f"{name}:qrels"))
     pool_path = root / "pool.jsonl"
-    pool = data.load_example_pool(pool_path, name) if pool_path.is_file() else None
+    pool = None
+    if pool_path.is_file():
+        pool = data.load_example_pool(_require_file(pool_path, "example pool", inputs, f"{name}:pool"), name)
     return DatasetBundle(name=name, corpus=corpus, queries=queries, qrels=qrels,
                          pool=pool, instruction=instruction)
 
@@ -370,27 +348,21 @@ def _parse_cell(raw: str) -> AblationCell:
     )
 
 
-def _cmd_ablate(argv: list[str], args: argparse.Namespace) -> int:
-    params = embedder.load(_require_file(args.model, "model"))
-    bundles = [_load_bundle(entry, args.instruction) for entry in args.data]
+def _cmd_ablate(args: argparse.Namespace, inputs: dict[str, Path]) -> list[str | Path]:
+    params = embedder.load(_require_file(args.model, "model", inputs, "model"))
+    bundles = [_load_bundle(entry, args.instruction, inputs) for entry in args.data]
     cells = [_parse_cell(raw) for raw in args.cell]
     times = StageTimes()
     table = ablate(cells, bundles, params, top_k=args.topk, ndcg_k=args.ndcg_k, seed=args.seed, times=times)
     _report_zero_queries(times.zero_queries, times.queries)
     write_ablation_csv(table, args.out)
-    inputs = {"model": Path(args.model)}
-    for bundle, entry in zip(bundles, args.data):
-        _, sep, path = entry.partition("=")
-        root = Path(path if sep else entry)
-        inputs[f"{bundle.name}:corpus"] = root / "corpus.jsonl"
-    _emit_manifest(argv, args, Path(args.out), inputs, {"seed": args.seed})
     print(f"wrote {len(cells)} x {len(bundles)} ablation table to {args.out}")
-    return 0
+    return [args.out]
 
 
-def _cmd_bench(argv: list[str], args: argparse.Namespace) -> int:
-    params = embedder.load(_require_file(args.model, "model"))
-    bundle = _load_bundle(f"{args.dataset}={args.data}" if args.dataset else args.data, args.instruction)
+def _cmd_bench(args: argparse.Namespace, inputs: dict[str, Path]) -> list[str | Path]:
+    params = embedder.load(_require_file(args.model, "model", inputs, "model"))
+    bundle = _load_bundle(f"{args.dataset}={args.data}" if args.dataset else args.data, args.instruction, inputs)
     index = build_flat_index(bundle.corpus, params)
     settings = {
         "inst": [FormatKind.INST],
@@ -407,12 +379,11 @@ def _cmd_bench(argv: list[str], args: argparse.Namespace) -> int:
     _report_zero_queries(sum(r.zero_queries for r in reports), len(bundle.queries) * len(reports))
     add_inc_factors(reports)
     emit_csv(reports, args.out)
-    _emit_manifest(argv, args, Path(args.out), {"model": Path(args.model)}, {})
     for r in reports:
         inc = f", inc {r.inc_factor:.2f}x" if r.inc_factor is not None else ""
         print(f"{r.dataset} [{r.setting}] total {r.total_s:.4f}s "
               f"(nn {r.nn_s:.4f} query {r.query_s:.4f} search {r.search_s:.4f}){inc}")
-    return 0
+    return [args.out]
 
 
 def build_parser() -> _Parser:
@@ -526,10 +497,17 @@ def dispatch(argv: list[str]) -> int:
         if not getattr(args, "command", None):
             raise UsageError(parser.format_usage())
         _apply_config_pairs(args, parser.commands[args.command])
+        inputs: dict[str, Path] = {}
         # Overflow and NaN on the way to a numeric failure are each caught by an
         # explicit check, which prints the one line below; numpy need not warn.
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(argv, args)
+            written = args.func(args, inputs)
+        options = {key: value for key, value in sorted(vars(args).items()) if key not in ("func", "config")}
+        seeds = {key: value for key, value in options.items() if key.endswith("seed")}
+        manifest = build_manifest(["rare", *argv], options, seeds, inputs)
+        for path in written:
+            write_manifest(manifest, path)
+        return 0
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -118,6 +118,14 @@ def _read_jsonl(path: str | Path):
             yield line_no, obj
 
 
+def _write_jsonl(path: str | Path, objs) -> None:
+    """Write one JSON object per line, non-ASCII text as is."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for obj in objs:
+            fh.write(json.dumps(obj, ensure_ascii=False))
+            fh.write("\n")
+
+
 def _require_str(obj: dict, key: str, path: str, line_no: int, allow_empty: bool = False) -> str:
     if key not in obj:
         raise MalformedLine(path, line_no, f"missing field {key!r}")
@@ -226,17 +234,11 @@ def load_example_pool(path: str | Path, task_id: str) -> ExamplePool:
 
 
 def write_corpus(corpus: dict[str, Document], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for doc in corpus.values():
-            fh.write(json.dumps({"_id": doc.id, "title": doc.title, "text": doc.text}, ensure_ascii=False))
-            fh.write("\n")
+    _write_jsonl(path, ({"_id": doc.id, "title": doc.title, "text": doc.text} for doc in corpus.values()))
 
 
 def write_queries(queries: list[Query], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for q in queries:
-            fh.write(json.dumps({"_id": q.id, "text": q.text}, ensure_ascii=False))
-            fh.write("\n")
+    _write_jsonl(path, ({"_id": q.id, "text": q.text} for q in queries))
 
 
 def write_qrels(qrels: QRels, path: str | Path) -> None:
@@ -248,28 +250,9 @@ def write_qrels(qrels: QRels, path: str | Path) -> None:
 
 
 def write_train(examples: list[TrainExample], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(
-                json.dumps(
-                    {
-                        "task_id": ex.task_id,
-                        "instruction": ex.instruction,
-                        "query": ex.query,
-                        "positive": ex.positive,
-                        "negative": ex.negative,
-                    },
-                    ensure_ascii=False,
-                )
-            )
-            fh.write("\n")
+    _write_jsonl(path, map(vars, examples))
 
 
 def write_pool(pool: ExamplePool, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for ex in pool.examples:
-            obj: dict[str, str] = {"query": ex.query, "positive": ex.positive}
-            if ex.negative is not None:
-                obj["negative"] = ex.negative
-            fh.write(json.dumps(obj, ensure_ascii=False))
-            fh.write("\n")
+    """Write the pool's examples; a None negative is left out of its line."""
+    _write_jsonl(path, ({k: v for k, v in vars(ex).items() if v is not None} for ex in pool.examples))

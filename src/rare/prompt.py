@@ -51,20 +51,9 @@ def _query_segment(payload: str, bracket: bool) -> str:
     return f"Query: [{payload}]" if bracket else f"Query: {payload}"
 
 
-def _finish(segments: list[str], n_examples: int) -> AugmentedQuery:
-    text = SEPARATOR.join(segments)
-    return AugmentedQuery(text=text, n_examples=n_examples, approx_len=len(text.split()))
-
-
 def render_inst(instruction: str, query: str, bracket_queries: bool = False) -> AugmentedQuery:
     """Render the plain instruction format with no in-context examples."""
-    if not query:
-        raise EmptyQuery("cannot render an empty query")
-    segments = []
-    if instruction:
-        segments.append(f"Instruct: {instruction}")
-    segments.append(_query_segment(query, bracket_queries))
-    return _finish(segments, 0)
+    return render_inst_ic(instruction, [], query, PromptFormat(FormatKind.INST, bracket_queries))
 
 
 def _example_segments(examples: list[ICExample], fmt: PromptFormat) -> list[str]:
@@ -122,6 +111,7 @@ def render_inst_ic(
         segments.append(f"Instruct: {instruction}")
     segments.extend(_example_segments(examples, fmt))
     segments.append(_query_segment(query, fmt.bracket_queries))
+    text = SEPARATOR.join(segments)
     n_rendered = 0 if fmt.kind is FormatKind.INST else len(examples)
-    return _finish(segments, n_rendered)
+    return AugmentedQuery(text=text, n_examples=n_rendered, approx_len=len(text.split()))
 

@@ -117,7 +117,8 @@ def search(index: FlatIndex, q_emb: np.ndarray, top_k: int) -> list[tuple[str, f
 
 def _rescore_rows(index: FlatIndex, q: np.ndarray, top_k: int) -> np.ndarray | None:
     """The rows to score in float64: whole 4-row blocks holding every row of
-    the exact top K; None when that is every row.
+    the exact top K; None when that is every row, or when a score may not
+    be finite.
 
     Let `f_i` be the float64 score `(index.matrix @ q)[i]`, `f_k` the k-th
     largest, and `a_i` the float32 score of the scaled row against `t * q`,
@@ -161,12 +162,18 @@ def _rescore_rows(index: FlatIndex, q: np.ndarray, top_k: int) -> np.ndarray | N
     n, d = c32.shape
     t = _power_of_two_below(np.abs(q).max())
     tq = q * t
+    norm = math.sqrt(tq @ tq)
+    # The bound needs finite scores: |f_i| <= (R/s) * (norm/t) < 2**e. Where that
+    # can reach 2**1023 a score may overflow, and a non-finite query has no
+    # finite norm: score every row. Adding exponents keeps the check itself
+    # from overflowing or dividing by zero.
+    e = math.frexp(r * norm)[1] - math.frexp(s)[1] - math.frexp(t)[1] + 2
+    if not math.isfinite(norm) or e > 1023:
+        return None
     a = c32 @ tq.astype(np.float32)
     kth = np.partition(a, n - top_k)[n - top_k]
-    delta = (d + 2) * 2.0**-22 * r * math.sqrt(tq @ tq) + d * 2.0**-120 + 2 * d * (s * t) * 2.0**-1074
+    delta = (d + 2) * 2.0**-22 * r * norm + d * 2.0**-120 + 2 * d * (s * t) * 2.0**-1074
     candidates = np.flatnonzero(a >= np.float64(kth) - 2 * delta)
-    if len(candidates) < top_k:  # a non-finite query: score every row as before
-        return None
     hit = np.zeros(-(-n // 4), dtype=bool)  # one flag per 4-row block; the last covers the n % 4 tail
     hit[candidates >> 2] = True
     tail = n % 4 > 0 and hit[-1]

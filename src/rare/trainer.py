@@ -197,7 +197,9 @@ def batch_grads(
                     add_grad(r, coef[c] * (e_q - sims[c] * emb[r]) / norms[r])
 
     n = len(batch)
-    cols = np.unique(np.fromiter((c for r in g_by_row for c in feats[r]), dtype=np.int64))
+    touched = np.zeros(params.hash_dim, dtype=bool)
+    touched[np.fromiter((c for r in g_by_row for c in feats[r]), dtype=np.int64)] = True
+    cols = np.flatnonzero(touched)
     # Each touched column sums its per-text terms from 0.0 in g_by_row order,
     # as a dense gradient would; a text's own columns are distinct.
     block = np.zeros((len(cols), params.embed_dim))

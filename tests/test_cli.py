@@ -17,6 +17,7 @@ import pytest
 
 from rare.cli import dispatch, main
 from rare.embedder import load, new_params, save
+from rare.manifest import digest_file, manifest_path
 
 try:
     import tomllib
@@ -529,6 +530,126 @@ class TestZeroQueryEmbeddings:
             err = capsys.readouterr().err
             line = f"{total} of {total} query embeddings are all zeros; ranked by document id"
             assert err.splitlines() == [line], (name, err)
+
+
+def files_under(root: Path) -> set[Path]:
+    return {p for p in root.rglob("*") if p.is_file()}
+
+
+class TestManifests:
+    """`dispatch` writes one manifest beside every file a command wrote. Its
+    `input_digests` name exactly the files the command read, and its seeds
+    are the parsed options named `*seed`."""
+
+    def test_every_command_records_what_it_read_and_wrote(self, tmp_path):
+        d = tmp_path / "data"
+        corpus, queries, qrels, pool = (d / n for n in ("corpus.jsonl", "queries.jsonl", "qrels.tsv", "pool.jsonl"))
+        model, index, run = tmp_path / "model.rare", tmp_path / "index.rfi", tmp_path / "run.trec"
+        report, buckets = tmp_path / "report.json", tmp_path / "buckets.csv"
+        ablation, latency = tmp_path / "ablation.csv", tmp_path / "latency.csv"
+        dataset = {"synth:corpus": corpus, "synth:queries": queries, "synth:qrels": qrels, "synth:pool": pool}
+        steps = [  # argv, files written, files read by manifest key, seeds
+            (["synth", "--out", str(d), *SMALL_SYNTH],
+             [corpus, queries, qrels, d / "train.jsonl", pool], {}, {"seed": 3}),
+            (["train", "--data", str(d / "train.jsonl"), "--pool", f"synth={pool}", "--k", "2", "--epochs", "1",
+              "--batch", "16", "--seed", "5", "--out", str(model), *SMALL_EMBEDDER],
+             [model, tmp_path / "model.rare.log.jsonl"], {"train": d / "train.jsonl", "pool:synth": pool},
+             {"seed": 5, "shuffle_seed": 0}),
+            (["index", "--corpus", str(corpus), "--model", str(model), "--out", str(index)],
+             [index], {"corpus": corpus, "model": model}, {}),
+            (["search", "--index", str(index), "--model", str(model), "--queries", str(queries), "--pool", str(pool),
+              "--task", "synth", "--k", "2", "--shuffle-seed", "4", "--out", str(run)],
+             [run], {"index": index, "model": model, "queries": queries, "pool": pool},
+             {"seed": 0, "shuffle_seed": 4}),
+            (["eval", "--run", str(run), "--qrels", str(qrels), "--out", str(report), "--buckets-out", str(buckets),
+              "--baseline-run", str(run), "--queries", str(queries), "--pool", str(pool), "--task", "synth",
+              "--model", str(model)],
+             [report, buckets],
+             {"run": run, "qrels": qrels, "baseline_run": run, "queries": queries, "pool": pool, "model": model}, {}),
+            (["ablate", "--data", f"synth={d}", "--model", str(model), "--cell", "inst:0:retrieved",
+              "--cell", "inst+ic:2:retrieved", "--out", str(ablation)],
+             [ablation], {"model": model, **dataset}, {"seed": 0}),
+            (["bench", "--data", str(d), "--dataset", "synth", "--model", str(model), "--k", "2", "--reps", "1",
+              "--out", str(latency)],
+             [latency], {"model": model, **dataset}, {}),
+        ]
+        for argv, wrote, read, seeds in steps:
+            before = files_under(tmp_path)
+            assert dispatch(argv) == 0, argv[0]
+            new = files_under(tmp_path) - before
+            assert new == {*wrote, *(manifest_path(p) for p in wrote)}, argv[0]
+            digests = {key: digest_file(path) for key, path in read.items()}
+            for artifact in wrote:
+                manifest = json.loads(manifest_path(artifact).read_text(encoding="utf-8"))
+                assert manifest["command"] == ["rare", *argv]
+                assert manifest["input_digests"] == digests, (argv[0], artifact.name)
+                assert manifest["seeds"] == seeds, (argv[0], artifact.name)
+
+    def test_search_without_examples_records_no_pool(self, pipeline, tmp_path):
+        data_dir = pipeline / "data"
+        run = tmp_path / "run.trec"
+        assert dispatch([
+            "search", "--index", str(pipeline / "index.rfi"), "--model", str(pipeline / "model.rare"),
+            "--queries", str(data_dir / "queries.jsonl"), "--pool", str(data_dir / "pool.jsonl"),
+            "--format", "inst", "--k", "0", "--out", str(run),
+        ]) == 0
+        manifest = json.loads(manifest_path(run).read_text(encoding="utf-8"))
+        assert set(manifest["input_digests"]) == {"index", "model", "queries"}
+
+    def test_task_pools(self, pipeline, tmp_path, capsys):
+        # A train set with two tasks needs one --pool TASK=PATH per task.
+        lines = (pipeline / "data" / "train.jsonl").read_text(encoding="utf-8").splitlines()
+        examples = [json.loads(line) for line in lines]
+        for ex in examples[::2]:
+            ex["task_id"] = "other"
+        train_path = tmp_path / "train.jsonl"
+        train_path.write_text("".join(json.dumps(ex) + "\n" for ex in examples), encoding="utf-8")
+        pool = pipeline / "data" / "pool.jsonl"
+        model = tmp_path / "m.rare"
+        train = ["train", "--data", str(train_path), "--k", "2", "--epochs", "1", "--batch", "16",
+                 "--out", str(model), *SMALL_EMBEDDER]
+        capsys.readouterr()
+        assert dispatch([*train, "--pool", str(pool)]) == 1
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == ["train set has multiple tasks; use --pool TASK=PATH for each"]
+        assert files_under(tmp_path) == {train_path}
+
+        assert dispatch([*train, "--pool", f"synth={pool}", "--pool", f"other={pool}"]) == 0
+        manifest = json.loads(manifest_path(model).read_text(encoding="utf-8"))
+        assert manifest["input_digests"] == {
+            "train": digest_file(train_path), "pool:synth": digest_file(pool), "pool:other": digest_file(pool),
+        }
+
+    def test_failed_eval_writes_nothing(self, pipeline, tmp_path, capsys):
+        # The bucket flags are checked, and every bucket input read, before
+        # the report is written; a failed command leaves no file and no manifest.
+        data_dir = pipeline / "data"
+        eval_argv = ["eval", "--run", str(pipeline / "run.trec"), "--qrels", str(data_dir / "qrels.tsv"),
+                     "--out", str(tmp_path / "r.json"), "--buckets-out", str(tmp_path / "b.csv")]
+        companions = ["--queries", str(data_dir / "queries.jsonl"), "--pool", str(data_dir / "pool.jsonl"),
+                      "--task", "synth", "--model", str(pipeline / "model.rare")]
+        assert dispatch(eval_argv) == 1
+        assert "--buckets-out needs --baseline-run" in capsys.readouterr().err
+        assert dispatch([*eval_argv, *companions, "--baseline-run", str(tmp_path / "missing.trec")]) == 2
+        assert "baseline run not found" in capsys.readouterr().err
+        assert files_under(tmp_path) == set()
+
+
+class TestTrainImports:
+    def test_train_does_not_load_numpy_ma(self, tmp_path):
+        # numpy.ma comes with the first np.unique call in a process, and costs
+        # every `rare train` about 13 ms; batch_grads does not need it.
+        synth_argv = ["synth", "--out", str(tmp_path / "d"), *SMALL_SYNTH]
+        train_argv = ["train", "--data", str(tmp_path / "d" / "train.jsonl"),
+                      "--pool", str(tmp_path / "d" / "pool.jsonl"), "--k", "2", "--epochs", "1",
+                      "--out", str(tmp_path / "m.rare"), *SMALL_EMBEDDER]
+        child = (f"import sys\nfrom rare.cli import dispatch\nassert dispatch({synth_argv!r}) == 0\n"
+                 f"assert dispatch({train_argv!r}) == 0\nprint('numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True,
+                                timeout=SUBPROCESS_TIMEOUT_S)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"
 
 
 def run_synth(argv: list[str], out: Path) -> None:

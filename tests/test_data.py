@@ -200,6 +200,24 @@ class TestRoundTrips:
         data.write_queries([Query("q1", "text")], p)
         assert p.read_text(encoding="utf-8").endswith("\n")
 
+    def test_jsonl_bytes(self, tmp_path):
+        # Key order, separators and non-ASCII text are part of the synth files' bytes.
+        p = tmp_path / "out.jsonl"
+        data.write_corpus({"d1": Document("d1", "Tïtle", "text")}, p)
+        assert p.read_bytes() == '{"_id": "d1", "title": "Tïtle", "text": "text"}\n'.encode()
+        data.write_queries([Query("q1", "wörd")], p)
+        assert p.read_bytes() == '{"_id": "q1", "text": "wörd"}\n'.encode()
+        data.write_train([TrainExample("t", "i", "q", "p", "n"), TrainExample("t", "", "q2", "p2")], p)
+        assert p.read_text(encoding="utf-8").splitlines() == [
+            '{"task_id": "t", "instruction": "i", "query": "q", "positive": "p", "negative": "n"}',
+            '{"task_id": "t", "instruction": "", "query": "q2", "positive": "p2", "negative": ""}',
+        ]
+        data.write_pool(ExamplePool("t", [ICExample("a", "pa", "na"), ICExample("b", "pb")]), p)
+        assert p.read_text(encoding="utf-8").splitlines() == [
+            '{"query": "a", "positive": "pa", "negative": "na"}',
+            '{"query": "b", "positive": "pb"}',
+        ]
+
 
 class TestQRels:
     def test_grades_for_missing_query(self):

@@ -3,6 +3,7 @@ and index file formats."""
 
 from __future__ import annotations
 
+import math
 import struct
 import tracemalloc
 
@@ -279,6 +280,41 @@ class TestTwoPassSearch:
             finite = np.all(np.isfinite(index.matrix @ q))
         assume(finite)
         assert search(index, q, top_k) == oracle_search(index, q, top_k)
+
+    def test_overflowing_scores_tie_like_the_full_product(self):
+        # Rows 0 and 5 both score +inf; the tie goes to the smaller id.
+        matrix = np.full((8, 2), 0.25)
+        matrix[0], matrix[5] = 1.5e308, 1.7e308
+        index = FlatIndex(ids=[f"d{i}" for i in range(8)], matrix=matrix, dim=2)
+        q = np.array([0.6, 0.8])
+        with np.errstate(over="ignore"):
+            assert search(index, q, 1) == oracle_search(index, q, 1) == [("d0", np.inf)]
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(case=scaled_cases(), bad=st.sampled_from(["overflow", np.nan, np.inf, -np.inf]), at=st.integers(0, 63))
+    def test_overflow_and_non_finite_queries_equal_full_product_search(self, case, bad, at):
+        """Scores that overflow, or a query holding NaN or an infinity, are
+        scored in full; ids and score bits still match the full product."""
+        index, q, top_k = case
+        q = q.copy()
+        if bad == "overflow":
+            # Lift the largest matrix entry into [2**1022, 2**1023) and the
+            # largest query entry into [4, 8): the rows that keep the top
+            # scale overflow, to +inf, -inf or NaN.
+            peak_m, peak_q = np.abs(index.matrix).max(), np.abs(q).max()
+            if peak_m > 0:
+                matrix = np.ldexp(index.matrix, 1023 - math.frexp(peak_m)[1])
+                index = FlatIndex(ids=index.ids, matrix=matrix, dim=index.dim)
+            if peak_q > 0:
+                q = np.ldexp(q, 3 - math.frexp(peak_q)[1])
+        else:
+            q[at % len(q)] = bad
+
+        def bits(ranked):
+            return [(doc_id, score.hex()) for doc_id, score in ranked]
+
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            assert bits(search(index, q, top_k)) == bits(oracle_search(index, q, top_k))
 
     @pytest.mark.parametrize("dim", [*range(1, 18), 32, 63, 64, 65])
     def test_gathered_blocks_score_like_the_full_product(self, dim):
