@@ -223,9 +223,7 @@ def _cmd_train(args: argparse.Namespace, inputs: dict[str, Path]) -> list[str | 
     out = Path(args.out)
     embedder.save(params, out)
     log_path = Path(args.log) if args.log else out.with_name(out.name + ".log.jsonl")
-    with log_path.open("w", encoding="utf-8") as fh:
-        for entry in history:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    data._write_jsonl(log_path, history)
     final = history[-1]["mean_loss"] if history else float("nan")
     print(f"trained {args.epochs} epochs, final mean loss {final:.6f}, model at {out}")
     return [out, log_path]
@@ -309,11 +307,15 @@ def _cmd_eval(args: argparse.Namespace, inputs: dict[str, Path]) -> list[str | P
     return [args.out, args.buckets_out] if args.buckets_out else [args.out]
 
 
-def _load_bundle(entry: str, instruction: str, inputs: dict[str, Path]) -> DatasetBundle:
+def _dataset_entry(entry: str) -> tuple[str, Path]:
+    """The NAME and directory of a `--data` entry: NAME=dir, or a dir named by its last component."""
     name, sep, path = entry.partition("=")
     root = Path(path if sep else entry)
-    if not sep:
-        name = root.name
+    return (name if sep else root.name), root
+
+
+def _load_bundle(entry: str, instruction: str, inputs: dict[str, Path]) -> DatasetBundle:
+    name, root = _dataset_entry(entry)
     if not root.is_dir():
         raise DataError(f"dataset directory not found: {root}")
     corpus = data.load_corpus(_require_file(root / "corpus.jsonl", "corpus", inputs, f"{name}:corpus"))
@@ -349,6 +351,10 @@ def _parse_cell(raw: str) -> AblationCell:
 
 
 def _cmd_ablate(args: argparse.Namespace, inputs: dict[str, Path]) -> list[str | Path]:
+    names = [_dataset_entry(entry)[0] for entry in args.data]
+    for name in names:
+        if names.count(name) > 1:
+            raise UsageError(f"--data names dataset {name!r} more than once; give each a distinct NAME=dir")
     params = embedder.load(_require_file(args.model, "model", inputs, "model"))
     bundles = [_load_bundle(entry, args.instruction, inputs) for entry in args.data]
     cells = [_parse_cell(raw) for raw in args.cell]

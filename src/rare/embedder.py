@@ -170,13 +170,17 @@ def unit(u: np.ndarray) -> tuple[np.ndarray, float]:
     """`u / ||u||` and `||u||`, or the zero vector and 0.0 when `u` is zero.
 
     Finite entries of about 1e154 or more overflow the norm to infinity, and
-    `u / inf` would be a silent zero embedding, so that is an error.
+    `u / inf` would be a silent zero embedding, so that is an error. So is a
+    nonzero norm below 2**-511: its squares are subnormal, and `u / norm` could
+    hold entries above 1, outside the range `retrieve.search` takes.
     """
     norm = float(np.linalg.norm(u))
-    if norm == 0.0:
-        return np.zeros(u.shape), 0.0
     if not np.isfinite(norm):
         raise NonFiniteParams("embedding norm overflowed")
+    if norm < 2.0**-511:
+        if u.any():
+            raise NonFiniteParams("embedding norm underflowed")
+        return np.zeros(u.shape), 0.0
     return u / norm, norm
 
 

@@ -1,10 +1,12 @@
 """Exact dense retrieval over a flat embedding index.
 
-The index holds one row per document, embedding `title + " " + text`. Search
-is exact in two passes: a float32 scan of every row picks the candidates
-that can reach the top K, and only their 4-row blocks are scored again in
-float64. The result is the float64 top K with the float64 scores: scores
-descending, ties broken by ascending document id.
+The index holds one row per document, embedding `title + " " + text`. Every
+entry of the index and of a query lies in [-1, 1], as in the unit-or-zero
+vectors `embed` makes; search rejects anything else. Search is exact in two
+passes: a float32 scan of every row picks the candidates that can reach the
+top K, and only their 4-row blocks are scored again in float64. The result
+is the float64 top K with the float64 scores: scores descending, ties broken
+by ascending document id.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .binfile import Reader
 from .data import Document, ExamplePool, Query
 from .embedder import EmbedderParams, embed
-from .errors import DimMismatch, EmptyCorpus, MalformedRow, SpecInvalid
+from .errors import DataError, DimMismatch, EmptyCorpus, MalformedRow, SpecInvalid
 from .prompt import PromptFormat, render_inst, render_inst_ic
 from .trainer import SelectionPolicy, select_examples
 
@@ -29,44 +31,25 @@ MAGIC = b"RFI1"
 VERSION = 1
 
 
-_SCAN_CHUNK = 256  # rows scaled per step while the float32 copy is built
-
-
 @dataclass
 class FlatIndex:
     ids: list[str]
-    matrix: np.ndarray  # (n, dim) C-order float64, rows unit norm or zero; fixed once searched
+    matrix: np.ndarray  # (n, dim) C-order float64, every entry in [-1, 1]; fixed once searched
     dim: int
-    _scan: tuple[np.ndarray, float, float] | None = field(default=None, init=False, repr=False, compare=False)
+    _scan: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def scan(self) -> tuple[np.ndarray, float, float]:
-        """The float32 copy `c32` of `s * matrix`, with `s` and `R`; built on first use.
-
-        `s` is a power of two with max|s * matrix| < 1, so the scaling is
-        exact and no float32 entry overflows. `R` is the largest row norm
-        of `s * matrix`, taken from the float64 scaled rows a few at a time,
-        so no full-size float64 temporary is made.
-        """
+    def scan(self) -> np.ndarray:
+        """The float32 copy of `matrix`, built on first use once every entry
+        is checked to lie in [-1, 1] (NaN fails the check)."""
         if self._scan is None:
             matrix = self.matrix
-            s = _power_of_two_below(max(matrix.max(initial=0.0), -matrix.min(initial=0.0)))
-            c32 = np.empty(matrix.shape, dtype=np.float32)
-            r2 = 0.0
-            for lo in range(0, len(matrix), _SCAN_CHUNK):
-                scaled = matrix[lo : lo + _SCAN_CHUNK] * s
-                c32[lo : lo + _SCAN_CHUNK] = scaled
-                r2 = max(r2, float(np.einsum("ij,ij->i", scaled, scaled).max()))
-            self._scan = (c32, s, math.sqrt(r2))
+            if not max(matrix.max(initial=0.0), -matrix.min(initial=0.0)) <= 1.0:
+                raise DataError("index entries must lie in [-1, 1]; rebuild it with `rare index`")
+            self._scan = matrix.astype(np.float32)
         return self._scan
-
-
-def _power_of_two_below(peak: float) -> float:
-    """The power of two p with 1/2 <= peak * p < 1 (1 for a zero peak). For a
-    peak below 2**-1023, p is capped at 2**1023, so that it stays finite."""
-    return math.ldexp(1.0, min(-math.frexp(peak)[1], 1023))
 
 
 def document_text(doc: Document) -> str:
@@ -95,10 +78,13 @@ def search(index: FlatIndex, q_emb: np.ndarray, top_k: int) -> list[tuple[str, f
     """
     if q_emb.shape != (index.dim,):
         raise DimMismatch(f"query dim {q_emb.shape} does not match index dim ({index.dim},)")
+    if not np.abs(q_emb).max(initial=0.0) <= 1.0:
+        raise DataError("query entries must lie in [-1, 1]")
     if top_k <= 0:
         return []
-    n = len(index.matrix)
-    rows = _rescore_rows(index, q_emb, top_k) if top_k < n else None
+    c32 = index.scan()
+    n = len(c32)
+    rows = _rescore_rows(c32, q_emb, top_k) if top_k < n else None
     if rows is None:
         rows, scores = range(n), index.matrix @ q_emb
     else:
@@ -115,36 +101,34 @@ def search(index: FlatIndex, q_emb: np.ndarray, top_k: int) -> list[tuple[str, f
     return [(ids[rows[j]], float(scores[j])) for j in ranked]
 
 
-def _rescore_rows(index: FlatIndex, q: np.ndarray, top_k: int) -> np.ndarray | None:
+def _rescore_rows(c32: np.ndarray, q: np.ndarray, top_k: int) -> np.ndarray | None:
     """The rows to score in float64: whole 4-row blocks holding every row of
-    the exact top K; None when that is every row, or when a score may not
-    be finite.
+    the exact top K; None when that is every row.
 
-    Let `f_i` be the float64 score `(index.matrix @ q)[i]`, `f_k` the k-th
-    largest, and `a_i` the float32 score of the scaled row against `t * q`,
-    where `t` is a power of two with max|t * q| < 1. Then
-    `|a_i - s*t*f_i| <= delta` for every row, with
+    Let `M` be the index matrix, `c32` its float32 copy, `f_i` the float64
+    score `(M @ q)[i]`, `f_k` the k-th largest, and `a_i` the float32 score
+    of `c32[i]` against `q`. Every entry of `M` and `q` lies in [-1, 1], so
+    no score overflows and `|a_i - f_i| <= delta` for every row, with
 
-        delta = (d+2) * 2**-22 * R * |t*q| + d * 2**-120 + 2*d * 2**-1074 * s*t.
+        delta = (d+2) * 2**-22 * sqrt(d) * |q| + d * 2**-120 + 2*d * 2**-1074.
 
     The first term bounds the float32 rounding of both factors and of the
-    d-term sum, `(d+2) * 2**-24 * |s*M_i| * |t*q|` to first order (Higham,
+    d-term sum, `(d+2) * 2**-24 * |M_i| * |q|` to first order (Higham,
     Accuracy and Stability of Numerical Algorithms, 3.1, with Cauchy-Schwarz
-    and `|s*M_i| <= R`), with a factor of 4 that also covers the float64
+    and `|M_i| <= sqrt(d)`), with a factor of 4 that also covers the float64
     rounding of `f_i` and the higher-order terms. The second bounds float32
-    underflow: every scaled factor and product is below 1, and each of the
-    at most 3d operands and products that underflows is off by at most
-    2**-150. (Scaling lifts the largest entries of both factors to at least
-    2**-51, so the first term already exceeds it unless a factor is zero;
-    it is kept so the bound does not rest on that.) The third bounds the
-    underflow of the float64 score itself: d products each off by at most
-    2**-1075 before scaling, with a factor of 4.
+    underflow: every factor and product is at most 1, and each of the at
+    most 3d operands and products that underflows is off by at most
+    2**-150. It also covers a query whose `q @ q` underflows: then
+    `|q| < 2**-511`, and the first term with the true norm is smaller still.
+    The third bounds the underflow of the float64 score itself: d products
+    each off by at most 2**-1075, with a factor of 4.
 
     Take the k rows with the largest `a`. One of them has `f_j <= f_k`, so
-    the k-th largest `a`, `kth`, is at most `a_j <= s*t*f_k + delta`. Any
-    row with `f_i >= f_k` has `a_i >= s*t*f_k - delta >= kth - 2*delta`. So
-    the candidates `a >= kth - 2*delta` hold every row of the exact top K
-    and every row tied with the k-th. Among them the k-th largest float64
+    the k-th largest `a`, `kth`, is at most `a_j <= f_k + delta`. Any row
+    with `f_i >= f_k` has `a_i >= f_k - delta >= kth - 2*delta`. So the
+    candidates `a >= kth - 2*delta` hold every row of the exact top K and
+    every row tied with the k-th. Among them the k-th largest float64
     score is again `f_k`, and the selection in `search` keeps the same rows.
 
     The candidates' blocks `[4b, 4b+4)` are scored in row order, and a
@@ -158,21 +142,10 @@ def _rescore_rows(index: FlatIndex, q: np.ndarray, top_k: int) -> np.ndarray | N
     ceil(n / threads), and when that is not a multiple of 4, a few rows
     near the split get the last bit of a different kernel.
     """
-    c32, s, r = index.scan()
     n, d = c32.shape
-    t = _power_of_two_below(np.abs(q).max())
-    tq = q * t
-    norm = math.sqrt(tq @ tq)
-    # The bound needs finite scores: |f_i| <= (R/s) * (norm/t) < 2**e. Where that
-    # can reach 2**1023 a score may overflow, and a non-finite query has no
-    # finite norm: score every row. Adding exponents keeps the check itself
-    # from overflowing or dividing by zero.
-    e = math.frexp(r * norm)[1] - math.frexp(s)[1] - math.frexp(t)[1] + 2
-    if not math.isfinite(norm) or e > 1023:
-        return None
-    a = c32 @ tq.astype(np.float32)
+    a = c32 @ q.astype(np.float32)
     kth = np.partition(a, n - top_k)[n - top_k]
-    delta = (d + 2) * 2.0**-22 * r * norm + d * 2.0**-120 + 2 * d * (s * t) * 2.0**-1074
+    delta = (d + 2) * 2.0**-22 * math.sqrt(d) * math.sqrt(q @ q) + d * 2.0**-120 + 2 * d * 2.0**-1074
     candidates = np.flatnonzero(a >= np.float64(kth) - 2 * delta)
     hit = np.zeros(-(-n // 4), dtype=bool)  # one flag per 4-row block; the last covers the n % 4 tail
     hit[candidates >> 2] = True

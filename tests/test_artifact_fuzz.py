@@ -1,9 +1,11 @@
 """Corrupt binary artifacts through the real `search` command: a truncated,
 extended or header-flipped `RARE1` model or `RFI1` index ends in a usage,
-data or numeric exit code, never in an uncaught exception."""
+data or numeric exit code, never in an uncaught exception, and a corrupt
+float inside the index matrix ends in the code its value calls for."""
 
 from __future__ import annotations
 
+import math
 import struct
 
 import pytest
@@ -75,3 +77,34 @@ def test_corrupt_artifact_exit_code(artifacts, target, mutation):
     assert code in (0, 1, 2, 3)
     if kind in ("truncate", "append"):
         assert code == 2
+
+
+
+# One float of the index matrix gets a byte flipped, or its 11-bit exponent
+# field rewritten: a byte flip alone cannot reach an infinity or NaN from a
+# float in [-1, 1). 0x3FF and 0x400 sit at the range edge, 0x7FF is inf/NaN.
+float_mutations = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 7), st.integers(1, 255)),
+    st.tuples(st.just("exponent"), st.integers(0, 0x7FF) | st.sampled_from([0x3FF, 0x400, 0x7FF])),
+)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(where=st.floats(0.0, 1.0, exclude_max=True), mutation=float_mutations)
+def test_corrupt_index_matrix_exit_code(artifacts, where, mutation):
+    """The changed float may stay in [-1, 1] (exit 0), leave it (exit 2) or
+    stop being finite (exit 3)."""
+    blob = bytearray((artifacts / "index.rfi").read_bytes())
+    floats = struct.unpack_from("<Q", blob, 8)[0] * DIM
+    at = len(blob) - 8 * (floats - int(where * floats))
+    bits = int.from_bytes(blob[at : at + 8], "little")
+    if mutation[0] == "flip":
+        bits ^= mutation[2] << (8 * mutation[1])
+    else:
+        bits = bits & ~(0x7FF << 52) | mutation[1] << 52
+    blob[at : at + 8] = bits.to_bytes(8, "little")
+    value = struct.unpack_from("<d", blob, at)[0]
+    corrupt = artifacts / "bad-matrix.rfi"
+    corrupt.write_bytes(blob)
+    expected = 0 if abs(value) <= 1.0 else 2 if math.isfinite(value) else 3
+    assert search(artifacts, artifacts / "model.rare", corrupt) == expected, value

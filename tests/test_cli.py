@@ -9,6 +9,7 @@ import importlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +145,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert err.splitlines()[-1] == "numeric failure: embedding norm overflowed" and "Traceback" not in err, err
+
+    def test_norm_underflow_is_exit_three(self, tmp_path, capsys):
+        # Weights near 1e-162 give norms whose squares are subnormal; u / norm
+        # could then hold entries above 1, which search does not take.
+        synth_dir = tmp_path / "data"
+        assert dispatch(["synth", "--out", str(synth_dir), *SMALL_SYNTH]) == 0
+        params = new_params(hash_dim=2048, embed_dim=16)
+        params.projection *= 1e-162
+        save(params, tmp_path / "tiny.rare")
+        capsys.readouterr()
+        code = dispatch(["index", "--corpus", str(synth_dir / "corpus.jsonl"),
+                         "--model", str(tmp_path / "tiny.rare"), "--out", str(tmp_path / "i.rfi")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.splitlines() == ["numeric failure: embedding norm underflowed"], err
+        assert not (tmp_path / "i.rfi").exists()
+
+    def test_out_of_range_index_is_exit_two(self, pipeline, tmp_path, capsys):
+        # Index entries outside [-1, 1] are not unit-or-zero rows `rare index` writes.
+        blob = (pipeline / "index.rfi").read_bytes()
+        bad = tmp_path / "bad.rfi"
+        bad.write_bytes(blob[:-8] + struct.pack("<d", 2.0))
+        data_dir = pipeline / "data"
+        capsys.readouterr()
+        code = dispatch(["search", "--index", str(bad), "--model", str(pipeline / "model.rare"),
+                         "--queries", str(data_dir / "queries.jsonl"), "--format", "inst", "--k", "0",
+                         "--out", str(tmp_path / "run.trec")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == ["error: index entries must lie in [-1, 1]; rebuild it with `rare index`"], err
+        assert not (tmp_path / "run.trec").exists()
 
     def test_numeric_failure_is_one_line_outside_pytest(self, tmp_path):
         # In a plain interpreter numpy would print an overflow warning, with
@@ -409,6 +441,21 @@ class TestAblateCommand:
         ])
         assert code == 1
 
+    def test_repeated_dataset_name_is_usage_error(self, pipeline, tmp_path, capsys):
+        # The table is keyed by dataset NAME, so a second `synth` used to put its
+        # result under both columns and lose the first dataset's.
+        out = tmp_path / "dup.csv"
+        for second in (f"synth={pipeline / 'data'}", str(tmp_path / "synth")):
+            code = dispatch([
+                "ablate", "--data", f"synth={pipeline / 'data'}", "--data", second,
+                "--model", str(pipeline / "model.rare"), "--cell", "inst:0:retrieved", "--out", str(out),
+            ])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.strip().splitlines() == [
+                "--data names dataset 'synth' more than once; give each a distinct NAME=dir"
+            ]
+            assert not out.exists()
 
     def test_missing_pool_is_usage_error(self, pipeline, tmp_path, capsys):
         # A dataset directory without pool.jsonl cannot serve an inst+ic cell.

@@ -167,6 +167,33 @@ class TestProjectAndEmbed:
         e, norm = embedder.unit(np.zeros(params.embed_dim))
         assert norm == 0.0 and not e.any() and e.shape == (params.embed_dim,)
 
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 64),
+           exp=st.one_of(st.integers(-1074, 1023), st.integers(-540, -480)))
+    def test_unit_entries_lie_in_the_search_range(self, seed, dim, exp):
+        """From the smallest subnormal scale to the largest, `unit` returns
+        entries in [-1, 1], the range `retrieve.search` takes, or raises.
+        Entries of one vector spread over up to 60 binades, so some squares
+        are subnormal while others are not."""
+        nprng = np.random.default_rng(seed)
+        u = np.ldexp(nprng.uniform(-1, 1, dim), exp - nprng.integers(0, 61, dim))
+        try:
+            with np.errstate(over="ignore", under="ignore"):
+                e, norm = embedder.unit(u)
+        except NonFiniteParams:
+            return
+        assert np.abs(e).max(initial=0.0) <= 1.0
+        assert (norm == 0.0) == (not u.any())
+
+    def test_underflowing_norm_rejected(self):
+        # The square of 1e-161 is subnormal: its norm comes out as 9.94e-162,
+        # and u / norm would be 1.006, outside the range search takes.
+        u = np.array([1e-161, 0.0])
+        with pytest.raises(NonFiniteParams, match="underflowed"):
+            embedder.unit(u)
+        e, norm = embedder.unit(np.ldexp(u, 300))
+        assert np.abs(e).max() <= 1.0 and norm > 0.0
+
 
 class TestCosine:
     def test_hand_case(self):
