@@ -38,7 +38,7 @@ from . import __version__, data, embedder, synth
 from .bench import add_inc_factors, emit_csv, profile
 from .errors import ConfigError, DataError, NumericError, RareError
 from .evaluation import AblationCell, DatasetBundle, ablate, evaluate, score_at_top1, write_ablation_csv
-from .manifest import build_manifest, write_manifest
+from .manifest import build_manifest, digest_file, write_manifest
 from .prompt import FormatKind, PromptFormat
 from .retrieve import (
     StageTimes,
@@ -99,6 +99,15 @@ def nonneg_int(raw: str) -> int:
     """An argparse type for counts where 0 means none, such as the example count."""
     value = int(raw)
     if value < 0:
+        raise ValueError(raw)
+    return value
+
+
+def model_seed(raw: str) -> int:
+    """An argparse type for train's seed, which seeds numpy's generator and is
+    stored in the model header as an int64: 0 <= seed < 2**63."""
+    value = int(raw)
+    if not 0 <= value < 2**63:
         raise ValueError(raw)
     return value
 
@@ -271,8 +280,7 @@ def _cmd_eval(args: argparse.Namespace, inputs: dict[str, Path]) -> list[str | P
     qrels = data.load_qrels(qrels_path)
     fingerprint = hashlib.sha256(
         json.dumps(
-            {"k": args.k, "run": hashlib.sha256(run_path.read_bytes()).hexdigest(),
-             "qrels": hashlib.sha256(qrels_path.read_bytes()).hexdigest()},
+            {"k": args.k, "run": digest_file(run_path), "qrels": digest_file(qrels_path)},
             sort_keys=True,
         ).encode()
     ).hexdigest()
@@ -418,7 +426,7 @@ def build_parser() -> _Parser:
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--lr", type=float, default=0.003)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=model_seed, default=0)
     p.add_argument("--no-hard-negative", action="store_true")
     p.add_argument("--include-batch-hard-negatives", action="store_true")
     p.add_argument("--log", default=None, help="training log path (default: <out>.log.jsonl)")
@@ -514,19 +522,13 @@ def dispatch(argv: list[str]) -> int:
         for path in written:
             write_manifest(manifest, path)
         return 0
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RareError as exc:
+    except (RareError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

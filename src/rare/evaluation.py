@@ -181,8 +181,8 @@ def score_at_top1(
     bucket reports how many queries landed in it and the mean nDCG delta
     (report_a minus report_b) over those queries.
     """
-    if not 0.0 < bin_width <= 1.0:
-        raise SpecInvalid(f"bin width must be in (0, 1], got {bin_width}")
+    if not 1e-3 <= bin_width <= 1.0:
+        raise SpecInvalid(f"bin width must be in [0.001, 1], got {bin_width}")
     n_bins = math.ceil(1.0 / bin_width)
     counts = [0] * n_bins
     sums = [0.0] * n_bins

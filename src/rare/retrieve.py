@@ -72,9 +72,11 @@ def search(index: FlatIndex, q_emb: np.ndarray, top_k: int) -> list[tuple[str, f
 
     Returns the float64 scores `index.matrix @ q_emb` would give, but
     computes them only for the rows `_rescore_rows` picks from a float32
-    scan. Every row scoring at least the k-th best is kept, so a tie at the
-    boundary cannot drop the row with the smaller id, and only those rows
-    are sorted.
+    scan, and sorts only those rows. They include every row scoring at
+    least the k-th best, so a tie at the boundary cannot drop the row with
+    the smaller id. When every row is picked (a zero query, or `top_k` at
+    least n), they are scored with the full product instead of a gathered
+    copy.
     """
     if q_emb.shape != (index.dim,):
         raise DimMismatch(f"query dim {q_emb.shape} does not match index dim ({index.dim},)")
@@ -82,28 +84,18 @@ def search(index: FlatIndex, q_emb: np.ndarray, top_k: int) -> list[tuple[str, f
         raise DataError("query entries must lie in [-1, 1]")
     if top_k <= 0:
         return []
-    c32 = index.scan()
-    n = len(c32)
-    rows = _rescore_rows(c32, q_emb, top_k) if top_k < n else None
-    if rows is None:
-        rows, scores = range(n), index.matrix @ q_emb
-    else:
-        scores = index.matrix[rows] @ q_emb
-        rows = rows.tolist()
-    m = len(scores)
-    if top_k < m:
-        kth = np.partition(scores, m - top_k)[m - top_k]
-        keep = np.flatnonzero(scores >= kth).tolist()
-    else:
-        keep = range(m)
+    matrix = index.matrix
+    rows = _rescore_rows(index.scan(), q_emb, top_k)
+    scores = ((matrix[rows] if len(rows) < len(matrix) else matrix) @ q_emb).tolist()
     ids = index.ids
-    ranked = sorted(keep, key=lambda j: (-scores[j], ids[rows[j]]))[:top_k]
-    return [(ids[rows[j]], float(scores[j])) for j in ranked]
+    ranked = sorted(zip(scores, rows.tolist()), key=lambda p: (-p[0], ids[p[1]]))[:top_k]
+    return [(ids[row], score) for score, row in ranked]
 
 
-def _rescore_rows(c32: np.ndarray, q: np.ndarray, top_k: int) -> np.ndarray | None:
-    """The rows to score in float64: whole 4-row blocks holding every row of
-    the exact top K; None when that is every row.
+def _rescore_rows(c32: np.ndarray, q: np.ndarray, top_k: int) -> np.ndarray:
+    """The rows to score in float64, in ascending order: whole 4-row blocks
+    holding every row of the exact top K, or `arange(n)` when that is every
+    row.
 
     Let `M` be the index matrix, `c32` its float32 copy, `f_i` the float64
     score `(M @ q)[i]`, `f_k` the k-th largest, and `a_i` the float32 score
@@ -129,7 +121,7 @@ def _rescore_rows(c32: np.ndarray, q: np.ndarray, top_k: int) -> np.ndarray | No
     with `f_i >= f_k` has `a_i >= f_k - delta >= kth - 2*delta`. So the
     candidates `a >= kth - 2*delta` hold every row of the exact top K and
     every row tied with the k-th. Among them the k-th largest float64
-    score is again `f_k`, and the selection in `search` keeps the same rows.
+    score is again `f_k`, so sorting them in `search` ranks the same top K.
 
     The candidates' blocks `[4b, 4b+4)` are scored in row order, and a
     candidate in the `n % 4` tail brings `[max(head-4, 0), n)`, with
@@ -143,6 +135,8 @@ def _rescore_rows(c32: np.ndarray, q: np.ndarray, top_k: int) -> np.ndarray | No
     near the split get the last bit of a different kernel.
     """
     n, d = c32.shape
+    if top_k >= n:
+        return np.arange(n)
     a = c32 @ q.astype(np.float32)
     kth = np.partition(a, n - top_k)[n - top_k]
     delta = (d + 2) * 2.0**-22 * math.sqrt(d) * math.sqrt(q @ q) + d * 2.0**-120 + 2 * d * 2.0**-1074
@@ -154,8 +148,6 @@ def _rescore_rows(c32: np.ndarray, q: np.ndarray, top_k: int) -> np.ndarray | No
         hit[-2:] = False  # the tail is scored with the block before it
     blocks = np.flatnonzero(hit)
     tail_rows = np.arange(max(n - n % 4 - 4, 0) if tail else n, n)
-    if 4 * len(blocks) + len(tail_rows) == n:
-        return None
     return np.concatenate([(4 * blocks[:, None] + np.arange(4)).ravel(), tail_rows])
 
 

@@ -4,8 +4,10 @@ cover the declared `rare` console script and `main()`."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import importlib
+import io
 import json
 import os
 import shutil
@@ -15,8 +17,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rare.cli import dispatch, main
+from rare.cli import UsageError, _apply_config_pairs, build_parser, dispatch, main
 from rare.embedder import load, new_params, save
 from rare.manifest import digest_file, manifest_path
 
@@ -268,7 +272,7 @@ class TestExitCodes:
             capsys.readouterr()
             assert dispatch([*train, f"--{flag}", value]) == 1, (flag, value)
             err = capsys.readouterr().err
-            assert err.splitlines()[0] == f"rare train: argument --{flag}: invalid {type_name} value: '{value}'", err
+            assert err.splitlines()[0] == f"error: rare train: argument --{flag}: invalid {type_name} value: '{value}'", err
             assert "Traceback" not in err
 
             assert dispatch([*train, "--config", f"{flag}={value}"]) == 1, (flag, value)
@@ -276,6 +280,26 @@ class TestExitCodes:
             assert len(err.strip().splitlines()) == 1, err
             assert f"--config {flag}: invalid" in err
         assert not out.exists()
+
+    def test_train_seed_outside_int64_is_usage_error(self, tmp_path, capsys):
+        # numpy's generator takes no negative seed and the model header stores
+        # an int64, so both ends are rejected before training writes --out.
+        synth_dir = tmp_path / "data"
+        assert dispatch(["synth", "--out", str(synth_dir), *SMALL_SYNTH]) == 0
+        out = tmp_path / "m.rare"
+        train = ["train", "--data", str(synth_dir / "train.jsonl"), "--pool", str(synth_dir / "pool.jsonl"),
+                 "--k", "2", "--epochs", "1", "--out", str(out), *SMALL_EMBEDDER]
+        for value in ("-1", str(2**63)):
+            capsys.readouterr()
+            assert dispatch([*train, "--seed", value]) == 1, value
+            err = capsys.readouterr().err
+            assert err.splitlines()[0] == f"error: rare train: argument --seed: invalid model_seed value: '{value}'"
+            assert dispatch([*train, "--config", f"seed={value}"]) == 1, value
+            err = capsys.readouterr().err
+            assert err.strip().splitlines() == [f"error: --config seed: invalid model_seed value {value!r}"], err
+            assert not out.exists()
+        assert dispatch([*train, "--seed", str(2**63 - 1)]) == 0
+        assert load(out).hash_seed == 2**63 - 1
 
 
 class TestPipelineArtifacts:
@@ -409,6 +433,27 @@ class TestEvalBuckets:
         assert populated
         assert all(float(r[3]) == 0.0 for r in populated)
 
+    def test_bin_width_outside_domain_is_usage_error(self, pipeline, tmp_path, capsys):
+        # A width below 1e-3 asks for more than 1,000 bins; at 1e-300 the bin
+        # count does not fit a list.
+        out = tmp_path / "r.json"
+        buckets = tmp_path / "buckets.csv"
+        argv = [
+            "eval", "--run", str(pipeline / "run.trec"), "--qrels", str(pipeline / "data" / "qrels.tsv"),
+            "--out", str(out), "--buckets-out", str(buckets), "--baseline-run", str(pipeline / "run.trec"),
+            "--queries", str(pipeline / "data" / "queries.jsonl"), "--pool", str(pipeline / "data" / "pool.jsonl"),
+            "--task", "synth", "--model", str(pipeline / "model.rare"),
+        ]
+        for value in ("1e-300", "0.0009", "0", "-0.1", "1.5", "nan", "inf"):
+            for form in (["--bin-width", value], ["--config", f"bin-width={value}"]):
+                capsys.readouterr()
+                assert dispatch([*argv, *form]) == 1, form
+                err = capsys.readouterr().err
+                assert err.strip().splitlines() == [f"error: bin width must be in [0.001, 1], got {float(value)}"]
+                assert not out.exists() and not buckets.exists()
+        assert dispatch([*argv, "--bin-width", "0.001"]) == 0
+        assert len(buckets.read_text(encoding="utf-8").splitlines()) == 1 + 1000
+
 
 class TestAblateCommand:
     def test_grid_csv(self, pipeline, tmp_path):
@@ -453,7 +498,7 @@ class TestAblateCommand:
             assert code == 1
             err = capsys.readouterr().err
             assert err.strip().splitlines() == [
-                "--data names dataset 'synth' more than once; give each a distinct NAME=dir"
+                "error: --data names dataset 'synth' more than once; give each a distinct NAME=dir"
             ]
             assert not out.exists()
 
@@ -524,12 +569,12 @@ class TestCountFlags:
             capsys.readouterr()
             assert dispatch([*argv, f"--{flag}", value]) == 1, (command, flag, value)
             err = capsys.readouterr().err
-            assert err.splitlines()[0] == f"rare {command}: argument --{flag}: invalid {type_name} value: '{value}'"
+            assert err.splitlines()[0] == f"error: rare {command}: argument --{flag}: invalid {type_name} value: '{value}'"
             assert "Traceback" not in err
 
             assert dispatch([*argv, "--config", f"{flag}={value}"]) == 1, (command, flag, value)
             err = capsys.readouterr().err
-            assert err.strip().splitlines() == [f"--config {flag}: invalid {type_name} value {value!r}"], err
+            assert err.strip().splitlines() == [f"error: --config {flag}: invalid {type_name} value {value!r}"], err
         ablate = [*commands["ablate"][:-2], "--out", str(out)]
         # --cell is required, so the --config form overrides a valid one.
         for form in (["--cell", "inst+ic:-1:retrieved"],
@@ -538,7 +583,7 @@ class TestCountFlags:
             assert dispatch([*ablate, *form]) == 1, form
             err = capsys.readouterr().err
             assert err.strip().splitlines() == [
-                "k must be a non-negative integer in --cell 'inst+ic:-1:retrieved'"
+                "error: k must be a non-negative integer in --cell 'inst+ic:-1:retrieved'"
             ], err
         assert not out.exists()
 
@@ -658,7 +703,7 @@ class TestManifests:
         capsys.readouterr()
         assert dispatch([*train, "--pool", str(pool)]) == 1
         err = capsys.readouterr().err
-        assert err.strip().splitlines() == ["train set has multiple tasks; use --pool TASK=PATH for each"]
+        assert err.strip().splitlines() == ["error: train set has multiple tasks; use --pool TASK=PATH for each"]
         assert files_under(tmp_path) == {train_path}
 
         assert dispatch([*train, "--pool", f"synth={pool}", "--pool", f"other={pool}"]) == 0
@@ -680,6 +725,99 @@ class TestManifests:
         assert dispatch([*eval_argv, *companions, "--baseline-run", str(tmp_path / "missing.trec")]) == 2
         assert "baseline run not found" in capsys.readouterr().err
         assert files_under(tmp_path) == set()
+
+
+def numeric_flags() -> list[tuple[str, str]]:
+    """(command, flag) for every option of every subcommand whose type turns "1" into a number."""
+    return [
+        (name, action.option_strings[0])
+        for name, command in build_parser().commands.items()
+        for action in command._actions
+        if action.option_strings and action.type is not None and isinstance(action.type("1"), (int, float))
+    ]
+
+
+# Flags that size a workload or an allocation: a positive value is only parsed.
+SIZE_FLAGS = {
+    ("synth", "--clusters"), ("synth", "--docs"), ("synth", "--queries"), ("synth", "--vocab-per-cluster"),
+    ("synth", "--shared-vocab"), ("train", "--epochs"), ("train", "--batch"), ("train", "--hash-dim"),
+    ("train", "--dim"), ("bench", "--reps"),
+}
+
+RAW_NUMBERS = st.one_of(
+    st.integers(min_value=-(2**64), max_value=2**64).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+
+
+def parsed_value(argv: list[str], dest: str):
+    """The value `dest` gets from argv's flags and --config pairs, or None when they do not parse."""
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+        _apply_config_pairs(args, parser.commands[argv[0]])
+    except UsageError:
+        return None
+    return getattr(args, dest)
+
+
+@pytest.fixture(scope="module")
+def command_argv(pipeline, tmp_path_factory):
+    """A smoke-size invocation of each command with numeric options, on the pipeline's files."""
+    data_dir = pipeline / "data"
+    out = tmp_path_factory.mktemp("flags")
+    model = str(pipeline / "model.rare")
+    queries, pool = str(data_dir / "queries.jsonl"), str(data_dir / "pool.jsonl")
+    return {
+        "synth": ["synth", "--out", str(out / "synth"), *SMALL_SYNTH],
+        "train": ["train", "--data", str(data_dir / "train.jsonl"), "--pool", pool, "--k", "2",
+                  "--epochs", "1", "--batch", "16", "--out", str(out / "m.rare"), *SMALL_EMBEDDER],
+        "search": ["search", "--index", str(pipeline / "index.rfi"), "--model", model, "--queries", queries,
+                   "--pool", pool, "--task", "synth", "--k", "2", "--out", str(out / "run.trec")],
+        "eval": ["eval", "--run", str(pipeline / "run.trec"), "--qrels", str(data_dir / "qrels.tsv"),
+                 "--out", str(out / "r.json"), "--buckets-out", str(out / "b.csv"),
+                 "--baseline-run", str(pipeline / "run.trec"), "--queries", queries, "--pool", pool,
+                 "--task", "synth", "--model", model],
+        "ablate": ["ablate", "--data", f"synth={data_dir}", "--model", model, "--cell", "inst+ic:2:retrieved",
+                   "--out", str(out / "a.csv")],
+        "bench": ["bench", "--data", str(data_dir), "--model", model, "--k", "2", "--reps", "1",
+                  "--out", str(out / "l.csv")],
+    }
+
+
+class TestNumericFlags:
+    """Every numeric option, walked from the parser, ends any value in exit
+    0-3 without a traceback, in the flag and the --config form."""
+
+    def test_walk_covers_every_command(self, command_argv):
+        flags = numeric_flags()
+        assert {command for command, _ in flags} == set(command_argv)
+        assert SIZE_FLAGS <= set(flags)
+
+    @pytest.mark.parametrize(("command", "flag"), numeric_flags())
+    @settings(max_examples=4, deadline=None, database=None, derandomize=True)
+    @given(raw=RAW_NUMBERS)
+    @example(raw="-1")
+    @example(raw="0")
+    @example(raw=str(2**63))
+    @example(raw=str(-(2**63)))
+    @example(raw="nan")
+    @example(raw="inf")
+    @example(raw="-inf")
+    @example(raw="1e308")
+    @example(raw="1e-300")
+    @example(raw="5e-324")
+    def test_any_value_ends_in_an_exit_code(self, command_argv, command, flag, raw):
+        for form in (f"{flag}={raw}", f"--config={flag[2:]}={raw}"):
+            argv = [*command_argv[command], form]
+            value = parsed_value(argv, flag[2:].replace("-", "_"))
+            if (command, flag) in SIZE_FLAGS and value is not None and value > 0:
+                continue  # never start a workload this size
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = dispatch(argv)
+            assert code in (0, 1, 2, 3), (argv, code)
+            assert "Traceback" not in err.getvalue()
 
 
 class TestTrainImports:
