@@ -61,7 +61,7 @@ class UsageError(ConfigError):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: A003 - argparse API
-        raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _require_file(path: str | Path, what: str, inputs: dict[str, Path], key: str) -> Path:
@@ -505,8 +505,9 @@ def build_parser() -> _Parser:
 def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        if not argv:
-            raise UsageError(parser.format_usage())
+        for position, arg in enumerate(argv, start=1):
+            if any("\ud800" <= c <= "\udfff" for c in arg):  # how a byte that is not UTF-8 arrives
+                raise UsageError(f"argument {position} is not valid UTF-8: {arg!r}")
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise UsageError(parser.format_usage())

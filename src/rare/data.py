@@ -1,6 +1,7 @@
 """Loading and writing BeIR-style retrieval data.
 
-File formats, all UTF-8:
+Every loader, and `retrieve.load_run`, reads UTF-8 text through `_lines`, which
+names the line of any byte that is not UTF-8. File formats:
 
 * ``corpus.jsonl``: one JSON object per line with ``_id``, ``title``, ``text``.
 * ``queries.jsonl``: one JSON object per line with ``_id``, ``text``.
@@ -102,20 +103,35 @@ class QRels:
         return self.judgments.get(query_id, {})
 
 
+def _lines(p: Path):
+    """Yield (line_no, line) for each non-blank line of a UTF-8 file, as text mode reads it."""
+    with p.open("r", encoding="utf-8") as fh:
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield line_no, line
+        except UnicodeDecodeError:
+            raw = p.read_bytes()  # the decoder reads ahead: count the newlines before the bad byte
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                head = raw[: exc.start]
+                line_no = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+                raise MalformedLine(str(p), line_no, "not valid UTF-8") from None
+            raise
+
+
 def _read_jsonl(path: str | Path):
     """Yield (line_no, parsed object) for each non-blank line of a JSONL file."""
     p = Path(path)
-    with p.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLine(str(p), line_no, f"invalid JSON: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise MalformedLine(str(p), line_no, "expected a JSON object")
-            yield line_no, obj
+    for line_no, line in _lines(p):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedLine(str(p), line_no, f"invalid JSON: {exc.msg}") from None
+        if not isinstance(obj, dict):
+            raise MalformedLine(str(p), line_no, "expected a JSON object")
+        yield line_no, obj
 
 
 def _write_jsonl(path: str | Path, objs) -> None:
@@ -174,29 +190,25 @@ def load_qrels(path: str | Path) -> QRels:
     """
     p = Path(path)
     judgments: dict[str, dict[str, int]] = {}
-    with p.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise MalformedRow(str(p), line_no, f"expected 3 tab-separated fields, got {len(fields)}")
-            qid, doc_id, raw_grade = (f.strip() for f in fields)
-            try:
-                grade = int(raw_grade)
-            except ValueError:
-                if line_no == 1:
-                    continue  # header row
-                raise MalformedRow(str(p), line_no, f"grade {raw_grade!r} is not an integer") from None
-            if grade < 0:
-                raise NegativeGrade(f"{p}:{line_no}: grade {grade} for query {qid!r}")
-            if not qid or not doc_id:
-                raise MalformedRow(str(p), line_no, "empty query or document id")
-            per_query = judgments.setdefault(qid, {})
-            if doc_id in per_query:
-                log.warning("%s:%d: duplicate judgment for (%s, %s), keeping the last", p, line_no, qid, doc_id)
-            per_query[doc_id] = grade
+    for line_no, line in _lines(p):
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise MalformedRow(str(p), line_no, f"expected 3 tab-separated fields, got {len(fields)}")
+        qid, doc_id, raw_grade = fields[0].strip(), fields[1].strip(), fields[2]
+        try:
+            grade = int(raw_grade)  # int() ignores surrounding whitespace, the newline too
+        except ValueError:
+            if line_no == 1:
+                continue  # header row
+            raise MalformedRow(str(p), line_no, f"grade {raw_grade.strip()!r} is not an integer") from None
+        if grade < 0:
+            raise NegativeGrade(f"{p}:{line_no}: grade {grade} for query {qid!r}")
+        if not qid or not doc_id:
+            raise MalformedRow(str(p), line_no, "empty query or document id")
+        per_query = judgments.setdefault(qid, {})
+        if doc_id in per_query:
+            log.warning("%s:%d: duplicate judgment for (%s, %s), keeping the last", p, line_no, qid, doc_id)
+        per_query[doc_id] = grade
     return QRels(judgments=judgments)
 
 
@@ -211,8 +223,7 @@ def load_train(path: str | Path) -> list[TrainExample]:
                 query=_require_str(obj, "query", str(path), line_no),
                 positive=_require_str(obj, "positive", str(path), line_no),
                 negative=_require_str(obj, "negative", str(path), line_no, allow_empty=True)
-                if "negative" in obj
-                else "",
+                if "negative" in obj else "",
             )
         )
     return out
@@ -224,9 +235,7 @@ def load_example_pool(path: str | Path, task_id: str) -> ExamplePool:
     for line_no, obj in _read_jsonl(path):
         query = _require_str(obj, "query", str(path), line_no)
         positive = _require_str(obj, "positive", str(path), line_no)
-        negative: str | None = None
-        if "negative" in obj and obj["negative"] is not None:
-            negative = _require_str(obj, "negative", str(path), line_no)
+        negative = None if obj.get("negative") is None else _require_str(obj, "negative", str(path), line_no)
         examples.append(ICExample(query=query, positive=positive, negative=negative))
     if not examples:
         raise EmptyPool(f"{path}: example pool is empty")

@@ -142,8 +142,9 @@ def featurize(params: EmbedderParams, text: str) -> dict[int, float]:
     tokens = tokenize(text)
     if params.max_tokens is not None:
         tokens = tokens[: params.max_tokens]
-    grams = list(chain.from_iterable(
-        map(" ".join, zip(*(tokens[j:] for j in range(order)))) for order in params.ngram_orders
+    grams = list(chain.from_iterable(  # an order past the text costs one empty slice, not `order`
+        map(" ".join, zip(*(tokens[j:] for j in range(min(order, len(tokens) + 1)))))
+        for order in params.ngram_orders
     ))
     if not grams:
         return {}

@@ -29,23 +29,15 @@ class DataError(RareError):
 
 
 class MalformedLine(DataError):
-    """A JSONL line failed to parse or is missing required fields."""
+    """A line of a text input is not UTF-8, does not parse, or lacks a field."""
 
     def __init__(self, path: str, line_no: int, reason: str):
-        self.path = path
         self.line_no = line_no
-        self.reason = reason
         super().__init__(f"{path}:{line_no}: {reason}")
 
 
-class MalformedRow(DataError):
-    """A TSV row has the wrong shape or an unparsable field."""
-
-    def __init__(self, path: str, line_no: int, reason: str):
-        self.path = path
-        self.line_no = line_no
-        self.reason = reason
-        super().__init__(f"{path}:{line_no}: {reason}")
+class MalformedRow(MalformedLine):
+    """A TSV or run-file row has the wrong shape or an unparsable field."""
 
 
 class DuplicateId(DataError):

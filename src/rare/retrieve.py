@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .binfile import Reader
-from .data import Document, ExamplePool, Query
+from .data import Document, ExamplePool, Query, _lines
 from .embedder import EmbedderParams, embed
 from .errors import DataError, DimMismatch, EmptyCorpus, MalformedRow, SpecInvalid
 from .prompt import PromptFormat, render_inst, render_inst_ic
@@ -225,18 +225,15 @@ def write_run(run: dict[str, list[tuple[str, float]]], path: str | Path, tag: st
 def load_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     run: dict[str, list[tuple[str, float]]] = {}
     p = Path(path)
-    with p.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 6:
-                raise MalformedRow(str(p), line_no, f"expected 6 fields, got {len(fields)}")
-            qid, _, doc_id, _, score, _ = fields
-            try:
-                run.setdefault(qid, []).append((doc_id, float(score)))
-            except ValueError:
-                raise MalformedRow(str(p), line_no, f"score {score!r} is not a number") from None
+    for line_no, line in _lines(p):
+        fields = line.split()
+        if len(fields) != 6:
+            raise MalformedRow(str(p), line_no, f"expected 6 fields, got {len(fields)}")
+        qid, _, doc_id, _, score, _ = fields
+        try:
+            run.setdefault(qid, []).append((doc_id, float(score)))
+        except ValueError:
+            raise MalformedRow(str(p), line_no, f"score {score!r} is not a number") from None
     return run
 
 

@@ -255,8 +255,7 @@ class TestExitCodes:
         # With real training data these values used to reach new_params and
         # end in a ValueError traceback, or (--max-tokens -1) train and then
         # fail to save, or (--max-tokens 0) cut every text to nothing; now the
-        # flag's type rejects them. The flag form prints argparse's one-line
-        # error, then the usage.
+        # flag's type rejects them, with one line in either form.
         synth_dir = tmp_path / "data"
         assert dispatch(["synth", "--out", str(synth_dir), *SMALL_SYNTH]) == 0
         out = tmp_path / "m.rare"
@@ -272,8 +271,7 @@ class TestExitCodes:
             capsys.readouterr()
             assert dispatch([*train, f"--{flag}", value]) == 1, (flag, value)
             err = capsys.readouterr().err
-            assert err.splitlines()[0] == f"error: rare train: argument --{flag}: invalid {type_name} value: '{value}'", err
-            assert "Traceback" not in err
+            assert err.splitlines() == [f"error: rare train: argument --{flag}: invalid {type_name} value: '{value}'"], err
 
             assert dispatch([*train, "--config", f"{flag}={value}"]) == 1, (flag, value)
             err = capsys.readouterr().err
@@ -293,7 +291,7 @@ class TestExitCodes:
             capsys.readouterr()
             assert dispatch([*train, "--seed", value]) == 1, value
             err = capsys.readouterr().err
-            assert err.splitlines()[0] == f"error: rare train: argument --seed: invalid model_seed value: '{value}'"
+            assert err.splitlines() == [f"error: rare train: argument --seed: invalid model_seed value: '{value}'"]
             assert dispatch([*train, "--config", f"seed={value}"]) == 1, value
             err = capsys.readouterr().err
             assert err.strip().splitlines() == [f"error: --config seed: invalid model_seed value {value!r}"], err
@@ -724,6 +722,51 @@ class TestManifests:
         assert "--buckets-out needs --baseline-run" in capsys.readouterr().err
         assert dispatch([*eval_argv, *companions, "--baseline-run", str(tmp_path / "missing.trec")]) == 2
         assert "baseline run not found" in capsys.readouterr().err
+        assert files_under(tmp_path) == set()
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8, in an input file or on the command line,
+    ends in one line and an exit code; no file is written."""
+
+    @pytest.mark.parametrize(("command", "flag", "extra"), [
+        ("index", "--corpus", b'{"_id": "bad", "title": "", "text": "caf\xff"}\n'),
+        ("eval", "--qrels", b"q1\td\xff\t1\n"),
+        ("eval", "--run", b"q1 Q0 d1 1 0.5 \xff\n"),
+    ], ids=["corpus", "qrels", "run"])
+    def test_input_file_is_exit_two(self, pipeline, tmp_path, capsys, command, flag, extra):
+        inputs = {
+            "index": {"--corpus": pipeline / "data" / "corpus.jsonl", "--model": pipeline / "model.rare"},
+            "eval": {"--run": pipeline / "run.trec", "--qrels": pipeline / "data" / "qrels.tsv"},
+        }[command]
+        lines = inputs[flag].read_bytes().splitlines(keepends=True)
+        bad = inputs[flag] = tmp_path / inputs[flag].name
+        bad.write_bytes(b"".join(lines) + extra)
+        argv = [command, *(arg for item in inputs.items() for arg in map(str, item)), "--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}:{len(lines) + 1}: not valid UTF-8"]
+        assert files_under(tmp_path) == {bad}
+
+    def test_argument_is_usage_error(self, pipeline, tmp_path, capsys):
+        data_dir = pipeline / "data"
+        run = tmp_path / "run.trec"
+        search = ["search", "--index", str(pipeline / "index.rfi"), "--model", str(pipeline / "model.rare"),
+                  "--queries", str(data_dir / "queries.jsonl"), "--pool", str(data_dir / "pool.jsonl"),
+                  "--task", "synth", "--k", "2", "--out", str(run)]
+        byte = os.fsdecode(b"\xff")  # how the interpreter passes a byte that is not UTF-8
+        for extra in (["--tag", byte], ["--instruction", f"find {byte}"], ["--config", f"tag={byte}"]):
+            capsys.readouterr()
+            assert dispatch([*search, *extra]) == 1, extra
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: argument {len(search) + 2} is not valid UTF-8: {extra[1]!r}"], err
+        assert files_under(tmp_path) == set()
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-m", "rare.cli", *search, "--tag", b"\xff"], env=env,
+                                capture_output=True, text=True, timeout=SUBPROCESS_TIMEOUT_S)
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [f"error: argument {len(search) + 2} is not valid UTF-8: '\\udcff'"]
         assert files_under(tmp_path) == set()
 
 

@@ -1,5 +1,6 @@
 """Data loading and writing: JSONL/TSV parsing, error reporting with line
-numbers and round trips."""
+numbers, round trips, and the one line reader every loader and `load_run`
+parse from."""
 
 from __future__ import annotations
 
@@ -7,16 +8,20 @@ import json
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rare import data
 from rare.data import Document, ExamplePool, ICExample, QRels, Query, TrainExample
 from rare.errors import (
+    DataError,
     DuplicateId,
     EmptyPool,
     MalformedLine,
     MalformedRow,
     NegativeGrade,
 )
+from rare.retrieve import load_run
 
 
 def write_lines(path, lines):
@@ -222,3 +227,112 @@ class TestRoundTrips:
 class TestQRels:
     def test_grades_for_missing_query(self):
         assert QRels(judgments={}).grades_for("q9") == {}
+
+
+# Each loader and `load_run`, with a valid line i of its file format.
+LOADERS = {
+    "corpus": (data.load_corpus, lambda i: json.dumps({"_id": f"d{i}", "title": "", "text": f"text {i}"})),
+    "queries": (data.load_queries, lambda i: json.dumps({"_id": f"q{i}", "text": f"query {i}"})),
+    "qrels": (data.load_qrels, lambda i: f"q{i}\td{i}\t1"),
+    "train": (data.load_train, lambda i: json.dumps({"task_id": "t", "instruction": "", "query": f"q{i}",
+                                                      "positive": f"p{i}"})),
+    "pool": (lambda p: data.load_example_pool(p, "t"), lambda i: json.dumps({"query": f"q{i}", "positive": "p"})),
+    "run": (load_run, lambda i: f"q{i} Q0 d{i} 1 0.5 tag"),
+}
+
+NEWLINES = ["\n", "\r\n", "\r"]
+
+
+@pytest.fixture(scope="module")
+def tmp_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("lines")
+
+
+class TestLines:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(text=st.lists(st.sampled_from(["a", "b c", " ", "\t", "\n", "\r\n", "\r", "\x85", "\u2028", "\x0c", "é"]),
+                         max_size=30).map("".join))
+    def test_equals_text_mode_iteration(self, tmp_dir, text):
+        # `\x85` and `\u2028` end a line for str.splitlines, not for a text-mode file.
+        p = tmp_dir / "lines.txt"
+        p.write_bytes(text.encode("utf-8"))
+        with p.open("r", encoding="utf-8") as fh:
+            expected = [(n, line) for n, line in enumerate(fh, start=1) if line.strip()]
+        assert list(data._lines(p)) == expected
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        p = tmp_path / "lines.txt"
+        p.write_bytes(b"a\r\n\r\n \rb\n\nc")
+        assert list(data._lines(p)) == [(1, "a\n"), (4, "b\n"), (6, "c")]
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 is a MalformedLine naming its file and line,
+    even past the decoder's read-ahead."""
+
+    @pytest.mark.parametrize("kind", LOADERS)
+    def test_names_the_line_past_64_kib(self, tmp_path, kind):
+        load, line = LOADERS[kind]
+        p = tmp_path / kind
+        parts = [line(i).encode() + NEWLINES[i % 3].encode() for i in range(8000)]
+        parts[10] = b"\r\n"  # a blank line still counts
+        n = 6001
+        good = line(n - 1).encode()
+        parts[n - 1] = good[:-1] + b"\xff" + good[-1:] + b"\n"
+        p.write_bytes(b"".join(parts))
+        assert len(b"".join(parts[: n - 1])) > 65536
+        with pytest.raises(MalformedLine) as err:
+            load(p)
+        assert err.value.line_no == n
+        assert str(err.value) == f"{p}:{n}: not valid UTF-8"
+
+    @pytest.mark.parametrize("kind", LOADERS)
+    def test_truncated_sequence_at_end(self, tmp_path, kind):
+        load, line = LOADERS[kind]
+        p = tmp_path / kind
+        p.write_bytes(f"{line(0)}\r{line(1)}\r\n".encode() + b"\xe2\x82")
+        with pytest.raises(MalformedLine, match=r":3: not valid UTF-8$"):
+            load(p)
+
+
+# Malformed input for the property tests: lines are cut short, fields get the
+# wrong JSON type, ids repeat, grades are not integers or are negative, and a
+# file may start with a BOM, be empty, or hold bytes that are not UTF-8.
+JSON_VALUES = st.one_of(st.sampled_from(["", "a", "b", " "]), st.text(max_size=4), st.integers(-2, 2), st.none(),
+                        st.booleans(), st.floats(allow_nan=True), st.lists(st.integers(), max_size=2))
+JSON_KEYS = ["_id", "title", "text", "task_id", "instruction", "query", "positive", "negative"]
+JSON_LINES = st.tuples(st.dictionaries(st.sampled_from(JSON_KEYS), JSON_VALUES), st.integers(0, 80)).map(
+    lambda obj_cut: json.dumps(obj_cut[0])[: obj_cut[1]]
+) | st.sampled_from(["[]", "1", "null", "{", '"text"', " "])
+FIELDS = st.sampled_from(["q1", "d1", "q2", "", " ", "0", "1", "2", "-1", "1.5", "x", " 3 ", "nan", "1_0", "Q0"])
+ROWS = {
+    "qrels": st.lists(FIELDS, min_size=1, max_size=4).map("\t".join),
+    "run": st.lists(FIELDS, min_size=4, max_size=7).map(" ".join),
+}
+BAD_BYTES = st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\x80"])
+
+
+@st.composite
+def malformed_files(draw, kind):
+    lines = draw(st.lists(ROWS.get(kind, JSON_LINES), max_size=8))
+    newlines = draw(st.lists(st.sampled_from(NEWLINES), min_size=len(lines), max_size=len(lines)))
+    raw = "".join(map(str.__add__, lines, newlines)).encode()
+    if draw(st.booleans()):
+        raw = b"\xef\xbb\xbf" + raw
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(BAD_BYTES) + raw[at:]
+    return raw
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(case=st.data())
+def test_malformed_input_loads_or_is_a_data_error(tmp_dir, kind, case):
+    load, _ = LOADERS[kind]
+    p = tmp_dir / kind
+    p.write_bytes(case.draw(malformed_files(kind)))
+    try:
+        load(p)
+    except DataError:
+        pass

@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import random
 import string
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,6 +119,21 @@ def test_named_cases():
                 got = featurize(params, text)
                 assert list(got.items()) == list(oracle_featurize(params, text).items()), (ngram_orders, text)
     assert featurize(new_params(hash_dim=97, embed_dim=2, ngram_orders=(2, 3)), "word") == {}
+
+
+def test_order_longer_than_the_text_allocates_nothing_per_unit():
+    # A model header may name any u32 order. Featurizing once took memory and
+    # time in proportion to the order, so a flipped header byte hung `search`.
+    small = new_params(hash_dim=97, embed_dim=2, ngram_orders=(1,))
+    big = new_params(hash_dim=97, embed_dim=2, ngram_orders=(1, 10**6))
+    featurize(big, "a b c")
+    tracemalloc.start()
+    try:
+        assert list(featurize(big, "a b c").items()) == list(featurize(small, "a b c").items())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
 
 
 # Texts over a 40-word vocabulary: grams repeat within and across texts.
