@@ -1,7 +1,9 @@
 """Loading and writing BeIR-style retrieval data.
 
 Every loader, and `retrieve.load_run`, reads UTF-8 text through `_lines`, which
-names the line of any byte that is not UTF-8. File formats:
+names the line of any byte that is not UTF-8. A JSONL string field whose JSON
+escapes decode to a lone surrogate is not UTF-8 either, and is a
+`MalformedLine` too. File formats:
 
 * ``corpus.jsonl``: one JSON object per line with ``_id``, ``title``, ``text``.
 * ``queries.jsonl``: one JSON object per line with ``_id``, ``text``.
@@ -148,6 +150,11 @@ def _require_str(obj: dict, key: str, path: str, line_no: int, allow_empty: bool
     value = obj[key]
     if not isinstance(value, str):
         raise MalformedLine(path, line_no, f"field {key!r} must be a string")
+    if not value.isascii():  # isascii is O(1); a JSON \u escape can decode to a lone surrogate
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedLine(path, line_no, f"field {key!r} is not valid UTF-8 (a lone surrogate)") from None
     if not allow_empty and not value:
         raise MalformedLine(path, line_no, f"field {key!r} must be non-empty")
     return value

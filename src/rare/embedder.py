@@ -155,12 +155,17 @@ def featurize(params: EmbedderParams, text: str) -> dict[int, float]:
     return {bucket: count / total for bucket, count in counts.items()}
 
 
-def project(params: EmbedderParams, feats: dict[int, float]) -> np.ndarray:
-    """Unnormalized projection W @ x of a sparse feature vector."""
-    if not feats:
-        return np.zeros(params.embed_dim)
-    cols = np.fromiter(feats.keys(), dtype=np.int64, count=len(feats))
-    vals = np.fromiter(feats.values(), dtype=np.float64, count=len(feats))
+def feature_arrays(feats: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    """`featurize`'s buckets and values as the int64 and float64 arrays `project` takes, in order."""
+    return (np.fromiter(feats.keys(), dtype=np.int64, count=len(feats)),
+            np.fromiter(feats.values(), dtype=np.float64, count=len(feats)))
+
+
+def project(params: EmbedderParams, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Unnormalized projection W @ x, where x[cols] = vals (zero for no cols).
+
+    The order of `cols` decides the bits: callers keep `featurize`'s order.
+    """
     u = params.projection[:, cols] @ vals
     if not np.all(np.isfinite(u)):
         raise NonFiniteParams("projection produced non-finite values")
@@ -187,7 +192,7 @@ def unit(u: np.ndarray) -> tuple[np.ndarray, float]:
 
 def embed(params: EmbedderParams, text: str) -> np.ndarray:
     """Unit-norm embedding of `text`, or the zero vector for gram-free text."""
-    return unit(project(params, featurize(params, text)))[0]
+    return unit(project(params, *feature_arrays(featurize(params, text))))[0]
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

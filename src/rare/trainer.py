@@ -34,7 +34,7 @@ import numpy as np
 
 from . import bm25
 from .data import ExamplePool, ICExample, TrainExample
-from .embedder import EmbedderParams, featurize, project, unit
+from .embedder import EmbedderParams, feature_arrays, featurize, project, unit
 from .errors import (
     EmptyPool,
     MissingNegative,
@@ -100,6 +100,8 @@ class BatchLoss:
 class Features:
     """Each text's features, kept through the epoch after the last one that used it.
 
+    A text's features are the (cols, vals) arrays `project` takes, in
+    `featurize`'s order: two arrays rather than a dict of boxed numbers.
     Features do not depend on W. `now` holds this epoch's texts and `last` the
     previous epoch's; `next_epoch` drops whatever the epoch now ending did not
     use. Memory stays within two epochs' distinct texts, also when rendered
@@ -108,15 +110,16 @@ class Features:
 
     def __init__(self, params: EmbedderParams) -> None:
         self.params = params
-        self.now: dict[str, dict[int, float]] = {}
-        self.last: dict[str, dict[int, float]] = {}
+        self.now: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.last: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def of(self, text: str) -> dict[int, float]:
+    def of(self, text: str) -> tuple[np.ndarray, np.ndarray]:
+        """`text`'s (cols, vals); a gram-free text's are two empty arrays."""
         feats = self.now.get(text)
-        if feats is None:  # a gram-free text's features are {}
+        if feats is None:
             feats = self.last.pop(text, None)
             if feats is None:
-                feats = featurize(self.params, text)
+                feats = feature_arrays(featurize(self.params, text))
             self.now[text] = feats
         return feats
 
@@ -132,8 +135,9 @@ def batch_grads(
 ) -> BatchLoss:
     """Mean loss over the batch and its exact gradient w.r.t. the projection.
 
-    `features` carries texts' features across calls; without it every text
-    of the batch is featurized afresh.
+    `features` carries texts' (cols, vals) arrays across calls; without it
+    every text of the batch is featurized afresh. The gradient block is built
+    from those arrays: one `np.outer(vals, g)` per text with a gradient.
     """
     if config.temperature <= 0.0:
         raise NonPositiveTemperature(f"temperature must be positive, got {config.temperature}")
@@ -149,7 +153,7 @@ def batch_grads(
     emb = np.zeros((len(texts), params.embed_dim))
     for r, text in enumerate(texts):
         feats.append(features.of(text))
-        emb[r], norm = unit(project(params, feats[r]))
+        emb[r], norm = unit(project(params, *feats[r]))
         norms.append(norm)
     distinct = list(dict.fromkeys(batch))
     slot = {ex: s for s, ex in enumerate(distinct)}
@@ -198,14 +202,14 @@ def batch_grads(
 
     n = len(batch)
     touched = np.zeros(params.hash_dim, dtype=bool)
-    touched[np.fromiter((c for r in g_by_row for c in feats[r]), dtype=np.int64)] = True
+    if g_by_row:  # empty when every query of the batch embeds to zero
+        touched[np.concatenate([feats[r][0] for r in g_by_row])] = True
     cols = np.flatnonzero(touched)
     # Each touched column sums its per-text terms from 0.0 in g_by_row order,
     # as a dense gradient would; a text's own columns are distinct.
     block = np.zeros((len(cols), params.embed_dim))
     for r, g in g_by_row.items():
-        text_cols = np.fromiter(feats[r].keys(), dtype=np.int64, count=len(feats[r]))
-        vals = np.fromiter(feats[r].values(), dtype=np.float64, count=len(feats[r]))
+        text_cols, vals = feats[r]
         block[np.searchsorted(cols, text_cols)] += np.outer(vals, g / n)
     value = total_loss / n
     if not np.isfinite(value) or not np.all(np.isfinite(block)):
@@ -278,11 +282,13 @@ def train(
 ) -> tuple[EmbedderParams, list[dict]]:
     """Plain SGD over shuffled batches; returns params and per-epoch mean losses.
 
-    In-context examples are re-selected every epoch, and each example flips
-    its own seeded coin per epoch: with probability `ic_mixture` the query is
-    rendered with examples, otherwise in the plain instruction format.
-    Documents are always embedded bare. A text's features are computed
-    again only after a whole epoch that did not use it.
+    Each example flips its own seeded coin per epoch: with probability
+    `ic_mixture` the query is rendered with examples, otherwise in the plain
+    instruction format. Random selection draws a query's examples afresh at
+    every render; retrieved selection draws no random number, so a query's
+    BM25 examples are chosen once per call and reused. Documents are always
+    embedded bare. A text's features are computed again only after a whole
+    epoch that did not use it.
     """
     _validate(train_set, pools, config)
     uses_examples = config.format.uses_examples(config.k) and config.ic_mixture > 0.0
@@ -292,6 +298,7 @@ def train(
     select_rng = random.Random(f"{config.seed}:select")
 
     features = Features(params)
+    retrieved: dict[tuple[str, str], list[ICExample]] = {}  # (task_id, query) -> its BM25 examples
     history: list[dict] = []
     n = len(train_set)
     for epoch in range(config.epochs):
@@ -304,10 +311,14 @@ def train(
             for idx in chunk:
                 ex = train_set[idx]
                 if uses_examples and coin_rng.random() < config.ic_mixture:
-                    pool = pools[ex.task_id]
-                    examples = select_examples(
-                        pool, pool.bm25_index(), ex.query, config.k, config.selection, select_rng,
-                    )
+                    examples = retrieved.get((ex.task_id, ex.query))
+                    if examples is None:
+                        pool = pools[ex.task_id]
+                        examples = select_examples(
+                            pool, pool.bm25_index(), ex.query, config.k, config.selection, select_rng,
+                        )
+                        if config.selection is SelectionPolicy.RETRIEVED:
+                            retrieved[ex.task_id, ex.query] = examples
                     aug = render_inst_ic(ex.instruction, examples, ex.query, config.format)
                 else:
                     aug = render_inst(ex.instruction, ex.query, config.format.bracket_queries)

@@ -726,8 +726,9 @@ class TestManifests:
 
 
 class TestNotUtf8:
-    """A byte that is not UTF-8, in an input file or on the command line,
-    ends in one line and an exit code; no file is written."""
+    """A byte that is not UTF-8, in an input file or on the command line, or a
+    lone surrogate in a JSONL field, ends in one line and an exit code; no
+    file is written."""
 
     @pytest.mark.parametrize(("command", "flag", "extra"), [
         ("index", "--corpus", b'{"_id": "bad", "title": "", "text": "caf\xff"}\n'),
@@ -746,6 +747,30 @@ class TestNotUtf8:
         capsys.readouterr()
         assert dispatch(argv) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {bad}:{len(lines) + 1}: not valid UTF-8"]
+        assert files_under(tmp_path) == {bad}
+
+    @pytest.mark.parametrize(("command", "flag", "key", "line"), [
+        ("index", "--corpus", "title", r'{"_id": "bad", "title": "a \ud800 b", "text": "x"}'),
+        ("index", "--corpus", "_id", r'{"_id": "\udcff", "title": "", "text": "x"}'),
+        ("train", "--data", "query", r'{"task_id": "t", "instruction": "", "query": "q \ud800", "positive": "p"}'),
+        ("train", "--pool", "positive", r'{"query": "q", "positive": "\uDFFF"}'),
+    ], ids=["corpus-title", "corpus-id", "train-query", "pool-positive"])
+    def test_lone_surrogate_is_exit_two(self, pipeline, tmp_path, capsys, command, flag, key, line):
+        # A JSON escape can decode to a lone surrogate, which no UTF-8 output can hold.
+        data_dir = pipeline / "data"
+        inputs = {
+            "index": {"--corpus": data_dir / "corpus.jsonl", "--model": pipeline / "model.rare"},
+            "train": {"--data": data_dir / "train.jsonl", "--pool": data_dir / "pool.jsonl"},
+        }[command]
+        lines = inputs[flag].read_text(encoding="utf-8").splitlines(keepends=True)
+        bad = inputs[flag] = tmp_path / inputs[flag].name
+        bad.write_text("".join(lines) + line + "\n", encoding="utf-8")
+        argv = [command, *(arg for item in inputs.items() for arg in map(str, item)), "--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad}:{len(lines) + 1}: field {key!r} is not valid UTF-8 (a lone surrogate)"
+        ]
         assert files_under(tmp_path) == {bad}
 
     def test_argument_is_usage_error(self, pipeline, tmp_path, capsys):

@@ -295,11 +295,41 @@ class TestNotUtf8:
             load(p)
 
 
+class TestLoneSurrogate:
+    """A JSON escape that decodes to a lone surrogate is not UTF-8: a
+    MalformedLine naming the file, line and field. A surrogate pair loads."""
+
+    JSONL = ["corpus", "queries", "train", "pool"]
+
+    @pytest.mark.parametrize("kind", JSONL)
+    @pytest.mark.parametrize("escape", ["\\ud800", "a \\udcff b", "\\uDBFF"])
+    def test_names_the_field(self, tmp_path, kind, escape):
+        load, line = LOADERS[kind]
+        good = json.loads(line(1))
+        key = next(iter(good))
+        good[key] = "@"
+        p = tmp_path / kind
+        p.write_text(f"{line(0)}\n{json.dumps(good).replace('@', escape)}\n", encoding="utf-8")
+        with pytest.raises(MalformedLine) as err:
+            load(p)
+        assert str(err.value) == f"{p}:2: field {key!r} is not valid UTF-8 (a lone surrogate)"
+
+    @pytest.mark.parametrize("kind", JSONL)
+    def test_surrogate_pair_loads(self, tmp_path, kind):
+        load, line = LOADERS[kind]
+        p = tmp_path / kind
+        p.write_text(line(0).replace('"q0"', '"q\\ud83d\\ude00"').replace('"d0"', '"d\\ud83d\\ude00"') + "\n",
+                     encoding="utf-8")
+        assert "\U0001f600" in json.dumps(load(p), default=vars, ensure_ascii=False)
+
+
 # Malformed input for the property tests: lines are cut short, fields get the
-# wrong JSON type, ids repeat, grades are not integers or are negative, and a
-# file may start with a BOM, be empty, or hold bytes that are not UTF-8.
-JSON_VALUES = st.one_of(st.sampled_from(["", "a", "b", " "]), st.text(max_size=4), st.integers(-2, 2), st.none(),
-                        st.booleans(), st.floats(allow_nan=True), st.lists(st.integers(), max_size=2))
+# wrong JSON type or escape a lone surrogate, ids repeat, grades are not
+# integers or are negative, and a file may start with a BOM, be empty, or
+# hold bytes that are not UTF-8.
+SURROGATES = ["\ud800", "a \udcff b", "\ud83d\ude00"]  # json.dumps escapes each; the last is a valid pair
+JSON_VALUES = st.one_of(st.sampled_from(["", "a", "b", " ", *SURROGATES]), st.text(max_size=4), st.integers(-2, 2),
+                        st.none(), st.booleans(), st.floats(allow_nan=True), st.lists(st.integers(), max_size=2))
 JSON_KEYS = ["_id", "title", "text", "task_id", "instruction", "query", "positive", "negative"]
 JSON_LINES = st.tuples(st.dictionaries(st.sampled_from(JSON_KEYS), JSON_VALUES), st.integers(0, 80)).map(
     lambda obj_cut: json.dumps(obj_cut[0])[: obj_cut[1]]
@@ -333,6 +363,7 @@ def test_malformed_input_loads_or_is_a_data_error(tmp_dir, kind, case):
     p = tmp_dir / kind
     p.write_bytes(case.draw(malformed_files(kind)))
     try:
-        load(p)
+        loaded = load(p)
     except DataError:
-        pass
+        return
+    json.dumps(loaded, default=vars, ensure_ascii=False).encode("utf-8")  # every string loaded is UTF-8

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rare import embedder
-from rare.embedder import EmbedderParams, cosine, embed, featurize, load, new_params, project, save
+from rare.embedder import EmbedderParams, cosine, embed, feature_arrays, featurize, load, new_params, project, save
 from rare.errors import BadMagic, DimMismatch, NonFiniteParams, SerializationError, Truncated, VersionMismatch
 
 from conftest import WORDS, random_text
@@ -109,7 +109,7 @@ class TestProjectAndEmbed:
             x = np.zeros(params.hash_dim)
             for bucket, value in feats.items():
                 x[bucket] += value
-            np.testing.assert_allclose(project(params, feats), params.projection @ x, atol=1e-12)
+            np.testing.assert_allclose(project(params, *feature_arrays(feats)), params.projection @ x, atol=1e-12)
 
     def test_embed_unit_norm(self, rng):
         params = small_params()
@@ -145,14 +145,14 @@ class TestProjectAndEmbed:
         params.projection[0, :] = np.inf
         feats = featurize(params, "alpha beta")
         with pytest.raises(NonFiniteParams):
-            project(params, feats)
+            project(params, *feature_arrays(feats))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_norm_overflow_rejected(self):
         # Finite entries near 1e198 overflow the norm; u / inf would embed to zero.
         params = small_params()
         params.projection *= 1e200
-        u = project(params, featurize(params, "alpha beta"))
+        u = project(params, *feature_arrays(featurize(params, "alpha beta")))
         assert np.all(np.isfinite(u))
         with pytest.raises(NonFiniteParams):
             embed(params, "alpha beta")
@@ -160,7 +160,7 @@ class TestProjectAndEmbed:
     def test_unit_keeps_the_division_bits(self, rng):
         params = small_params()
         for _ in range(30):
-            u = project(params, featurize(params, random_text(rng, max_tokens=10)))
+            u = project(params, *feature_arrays(featurize(params, random_text(rng, max_tokens=10))))
             e, norm = embedder.unit(u)
             assert norm == float(np.linalg.norm(u))
             assert e.tobytes() == (u / norm).tobytes()
@@ -358,8 +358,8 @@ class TestColumnMajorLayout:
                                 ngram_orders=orders, projection=column_major, hash_seed=3, max_tokens=max_tokens)
         row_major = dataclasses.replace(params, projection=row_major_w)
         assert params.projection.flags.f_contiguous and row_major.projection.flags.c_contiguous
-        feats = featurize(params, text)
-        assert project(params, feats).tobytes() == project(row_major, feats).tobytes()
+        cols, vals = feature_arrays(featurize(params, text))
+        assert project(params, cols, vals).tobytes() == project(row_major, cols, vals).tobytes()
         assert embed(params, text).tobytes() == embed(row_major, text).tobytes()
 
     def test_new_params_and_load_are_column_major(self, tmp_path):

@@ -494,6 +494,51 @@ class TestTrain:
         differing = [i for i in by_epoch[0] if by_epoch[1].get(i) != by_epoch[0][i]]
         assert differing
 
+    def test_retrieved_selection_runs_bm25_once_per_task_and_query(self, monkeypatch):
+        # Retrieved examples do not depend on the epoch, so each distinct
+        # (task_id, query) reaches BM25 once per `train` call; a query text
+        # shared by two tasks is looked up in each task's pool.
+        train_set, pools = make_train_task()
+        pools["u"] = ExamplePool(task_id="u", examples=pools["t"].examples[::-1])
+        train_set += [dataclasses.replace(ex, task_id="u") for ex in train_set[:6]]
+        calls: list[tuple[int, str]] = []
+        top_k = bm25.top_k_neighbors
+
+        def counted(index, query, k, exclude=None):
+            calls.append((id(index), query))
+            return top_k(index, query, k, exclude=exclude)
+
+        monkeypatch.setattr(bm25, "top_k_neighbors", counted)
+        texts: dict[int, set[str]] = {}
+        config = self.config(ic_mixture=1.0, epochs=3)
+        for _ in range(2):
+            calls.clear()
+            train(train_set, pools, small_params(), config,
+                  render_hook=lambda epoch, idx, aug: texts.setdefault(idx, set()).add(aug.text))
+            assert sorted(calls) == sorted({(id(pools[ex.task_id].bm25_index()), ex.query) for ex in train_set})
+        assert all(len(rendered) == 1 for rendered in texts.values())
+
+    def test_random_selection_draws_at_every_render(self, monkeypatch):
+        train_set, pools = make_train_task()
+        drawn: list[str] = []
+        select = trainer_module.select_examples
+
+        def counted(pool, index, query, *args):
+            drawn.append(query)
+            return select(pool, index, query, *args)
+
+        monkeypatch.setattr(trainer_module, "select_examples", counted)
+        rendered: list[str] = []
+
+        def hook(epoch, idx, aug):
+            if aug.n_examples:
+                rendered.append(train_set[idx].query)
+
+        config = self.config(ic_mixture=0.5, epochs=3, selection=SelectionPolicy.RANDOM)
+        train(train_set, pools, small_params(), config, render_hook=hook)
+        assert len(drawn) > len(set(drawn))
+        assert drawn == rendered
+
     def test_empty_train_set(self):
         _, pools = make_train_task()
         with pytest.raises(SpecInvalid):
@@ -558,6 +603,21 @@ class TestFeatureCache:
             fresh.descend(params.projection, 0.5)
             if step % 4 == 3:
                 features.next_epoch()
+
+    @pytest.mark.parametrize("orders", [(1,), (1, 2), (1, 2, 3)])
+    @pytest.mark.parametrize(("text", "max_tokens"), [
+        ("", None),
+        ("... !!", None),
+        ("apple banana apple banana apple cherry", None),
+        ("apple banana cherry stone river maple", 3),
+    ], ids=["empty", "gram-free", "repeated-grams", "max-tokens-cut"])
+    def test_arrays_hold_featurize_in_order(self, orders, text, max_tokens):
+        params = new_params(hash_dim=256, embed_dim=12, ngram_orders=orders, max_tokens=max_tokens)
+        feats = featurize(params, text)
+        cols, vals = Features(params).of(text)
+        assert cols.dtype == np.int64 and vals.dtype == np.float64
+        assert cols.tolist() == list(feats)
+        assert [v.hex() for v in vals.tolist()] == [v.hex() for v in feats.values()]
 
     def test_text_unused_for_an_epoch_is_featurized_again(self, monkeypatch):
         calls = count_featurize(monkeypatch)
@@ -625,3 +685,20 @@ class TestFeatureCache:
         assert len(set(calls)) == 1024
         log = [json.loads(line) for line in (tmp_path / "m.rare.log.jsonl").read_text().splitlines()]
         assert log[-1]["mean_loss"] == 6.217442360679975
+
+    def test_default_train_selects_once_per_query(self, tmp_path, monkeypatch):
+        # The default `rare train` on synth seed 7 renders 1,418 queries with
+        # retrieved examples over 5 epochs, from 400 distinct training queries.
+        data = tmp_path / "data"
+        assert dispatch(["synth", "--out", str(data), "--seed", "7"]) == 0
+        calls: list[str] = []
+        top_k = bm25.top_k_neighbors
+
+        def counted(index, query, k, exclude=None):
+            calls.append(query)
+            return top_k(index, query, k, exclude=exclude)
+
+        monkeypatch.setattr(bm25, "top_k_neighbors", counted)
+        assert dispatch(["train", "--data", str(data / "train.jsonl"), "--pool", str(data / "pool.jsonl"),
+                         "--out", str(tmp_path / "m.rare")]) == 0
+        assert len(calls) == len(set(calls)) == 400
