@@ -2,23 +2,26 @@
 
 Each training example contributes an InfoNCE-style loss: the query embedding
 should be closer to its positive document than to a hard negative and to the
-positives of the other examples in the batch. With candidate similarities
-s_c (positive first) and temperature tau,
+positives of the other examples in the batch. The batch is computed as
+matrices over its distinct texts, with unit embeddings E (one row per text),
+the rows E_q of the examples' queries, and temperature tau:
 
-    L = -s_pos / tau + logsumexp(s / tau)
+    mult[i, r] = how many of example i's candidates are text r
+    S = E_q E^T,  z = S / tau,  m_i = max of z[i] over the candidates
+    L_i = log sum_r mult[i, r] exp(z[i, r] - m_i) - (z[i, pos_i] - m_i)
+    C = (softmax(z) o mult - onehot(pos)) / tau,  softmax over mult > 0
 
-computed with max subtraction. The gradient with respect to the projection W
-is exact and flows through projection and L2 normalization on both the query
-and the candidate side:
+The gradient with respect to the projection W is exact and flows through
+projection and L2 normalization on both the query and the candidate side:
 
-    dL/du_q = (v - (e_q . v) e_q) / ||u_q||,  v = sum_c coef_c e_c
-    dL/du_c = coef_c (e_q - s_c e_c) / ||u_c||
-    coef_c  = (softmax(s / tau)_c - [c == pos]) / tau
+    dL/du_q = sum of (C E - e_q (e_q . C E)) / ||u_q|| over the query's rows
+    dL/du   = (C^T E_q - colsum(C o S) e) / ||u||
 
 and dL/dW accumulates g xT for each text with features x. Texts that embed
 to the zero vector have constant similarity 0 by convention and contribute
-no gradient. The gradient is zero outside the columns of the batch's
-features, so it is kept, and W updated, on those columns only.
+no gradient: their rows and columns of C are 0. The gradient is zero outside
+the columns of the batch's features, so it is kept, and W updated, on those
+columns only.
 """
 
 from __future__ import annotations
@@ -149,24 +152,15 @@ def batch_grads(
     row = {text: r for r, text in enumerate(texts)}
     if features is None:
         features = Features(params)
-    feats, norms = [], []
+    feats = [features.of(text) for text in texts]
     emb = np.zeros((len(texts), params.embed_dim))
-    for r, text in enumerate(texts):
-        feats.append(features.of(text))
-        emb[r], norm = unit(project(params, *feats[r]))
-        norms.append(norm)
+    norms = np.zeros(len(texts))
+    for r, (text_cols, vals) in enumerate(feats):
+        emb[r], norms[r] = unit(project(params, text_cols, vals))
     distinct = list(dict.fromkeys(batch))
     slot = {ex: s for s, ex in enumerate(distinct)}
-
-    tau = config.temperature
-    total_loss = 0.0
-    # Per-row gradients in first-touch order: the block below sums each
-    # column of W in this order, and that order decides the bits.
-    g_by_row: dict[int, np.ndarray] = {}
-
-    def add_grad(r: int, g: np.ndarray) -> None:
-        g_by_row[r] = g_by_row[r] + g if r in g_by_row else g
-
+    n = len(batch)
+    mult = np.zeros((n, len(texts)))  # mult[i, r]: how many of example i's candidates are text r
     for i, ex in enumerate(batch):
         if config.dedupe_in_batch:
             others = distinct[: slot[ex]] + distinct[slot[ex] + 1 :]
@@ -179,39 +173,41 @@ def batch_grads(
             cands.append(row[other.positive])
             if config.include_batch_hard_negatives and other.negative:
                 cands.append(row[other.negative])
+        np.add.at(mult[i], cands, 1.0)
 
-        q = row[ex.query]
-        e_q = emb[q]
-        e_cands = emb[cands]
-        sims = e_cands @ e_q
-        z = sims / tau
-        m = float(np.max(z))
-        exp_z = np.exp(z - m)
-        denom = float(np.sum(exp_z))
-        total_loss += -(z[0] - m) + np.log(denom)
-        coef = exp_z / denom
-        coef[0] -= 1.0
-        coef /= tau
+    tau = config.temperature
+    q_rows = np.array([row[ex.query] for ex in batch])
+    pos = (np.arange(n), np.array([row[ex.positive] for ex in batch]))
+    e_q = emb[q_rows]
+    sims = e_q @ emb.T
+    # Non-candidates are masked before the exponential: one far above m overflows.
+    z = np.where(mult > 0.0, sims / tau, -np.inf)
+    m = z.max(axis=1, keepdims=True)
+    weights = mult * np.exp(z - m)
+    denom = weights.sum(axis=1, keepdims=True)
+    losses = np.log(denom[:, 0]) - (z[pos] - m[:, 0])
+    coef = weights / denom
+    coef[pos] -= 1.0
+    coef /= tau
+    live = norms > 0.0  # zero embeddings have constant similarity 0: no gradient
+    coef *= np.outer(live[q_rows], live)
+    safe = np.where(live, norms, 1.0)[:, None]
+    v = coef @ emb
+    grad = (coef.T @ e_q - (coef * sims).sum(axis=0)[:, None] * emb) / safe
+    np.add.at(grad, q_rows, (v - e_q * np.einsum("ij,ij->i", e_q, v)[:, None]) / safe[q_rows])
 
-        if norms[q] > 0.0:
-            v = coef @ e_cands
-            add_grad(q, (v - e_q * float(e_q @ v)) / norms[q])
-            for c, r in enumerate(cands):
-                if norms[r] > 0.0:
-                    add_grad(r, coef[c] * (e_q - sims[c] * emb[r]) / norms[r])
-
-    n = len(batch)
+    grad_rows = np.flatnonzero(grad.any(axis=1))
     touched = np.zeros(params.hash_dim, dtype=bool)
-    if g_by_row:  # empty when every query of the batch embeds to zero
-        touched[np.concatenate([feats[r][0] for r in g_by_row])] = True
+    if grad_rows.size:  # none when every query of the batch embeds to zero
+        touched[np.concatenate([feats[r][0] for r in grad_rows])] = True
     cols = np.flatnonzero(touched)
-    # Each touched column sums its per-text terms from 0.0 in g_by_row order,
-    # as a dense gradient would; a text's own columns are distinct.
+    # Each touched column sums its per-text terms from 0.0 in text order, as
+    # a dense gradient would; a text's own columns are distinct.
     block = np.zeros((len(cols), params.embed_dim))
-    for r, g in g_by_row.items():
+    for r in grad_rows:
         text_cols, vals = feats[r]
-        block[np.searchsorted(cols, text_cols)] += np.outer(vals, g / n)
-    value = total_loss / n
+        block[np.searchsorted(cols, text_cols)] += np.outer(vals, grad[r] / n)
+    value = float(losses.sum()) / n
     if not np.isfinite(value) or not np.all(np.isfinite(block)):
         raise NonFiniteLoss(f"batch produced non-finite loss or gradient (loss={value})")
     return BatchLoss(value=value, cols=cols, block=block, shape=params.projection.shape)

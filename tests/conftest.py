@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from rare.embedder import EmbedderParams, featurize
+from rare.embedder import EmbedderParams, feature_arrays, featurize, project, unit
 
 WORDS = [
     "apple", "banana", "cherry", "quartz", "river", "stone", "maple", "cloud",
@@ -58,6 +58,51 @@ def oracle_candidates(batch, i, config) -> list[str]:
         if config.include_batch_hard_negatives and other.negative:
             cands.append(other.negative)
     return cands
+
+
+def oracle_batch_loss(batch, params: EmbedderParams, config) -> tuple[float, np.ndarray]:
+    """Mean batch loss and its dense gradient w.r.t. the projection, one
+    example at a time: each query's softmax over its `oracle_candidates`, and
+    each text's gradient added up in a dict before it meets its features."""
+    tau = config.temperature
+    embedded: dict[str, tuple[np.ndarray, float]] = {}
+    g_by_text: dict[str, np.ndarray] = {}
+
+    def emb(text: str) -> tuple[np.ndarray, float]:
+        if text not in embedded:
+            embedded[text] = unit(project(params, *feature_arrays(featurize(params, text))))
+        return embedded[text]
+
+    def add_grad(text: str, g: np.ndarray) -> None:
+        g_by_text[text] = g_by_text[text] + g if text in g_by_text else g
+
+    total_loss = 0.0
+    for i, ex in enumerate(batch):
+        cands = oracle_candidates(batch, i, config)
+        e_q, norm_q = emb(ex.query)
+        e_cands = np.array([emb(c)[0] for c in cands])
+        sims = e_cands @ e_q
+        z = sims / tau
+        m = float(np.max(z))
+        exp_z = np.exp(z - m)
+        denom = float(np.sum(exp_z))
+        total_loss += -(z[0] - m) + np.log(denom)
+        coef = exp_z / denom
+        coef[0] -= 1.0
+        coef /= tau
+        if norm_q > 0.0:
+            v = coef @ e_cands
+            add_grad(ex.query, (v - e_q * float(e_q @ v)) / norm_q)
+            for c, text in enumerate(cands):
+                e_c, norm_c = emb(text)
+                if norm_c > 0.0:
+                    add_grad(text, coef[c] * (e_q - sims[c] * e_c) / norm_c)
+
+    n = len(batch)
+    grads = np.zeros(params.projection.shape)
+    for text, g in g_by_text.items():
+        grads += np.outer(g / n, dense_features(params, text))
+    return total_loss / n, grads
 
 
 def fd_grads(batch, params: EmbedderParams, config, h: float = 1e-5) -> np.ndarray:

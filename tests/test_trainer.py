@@ -4,9 +4,11 @@ selection policies, and the training loop."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from rare.trainer import (
     train,
 )
 
-from conftest import WORDS, fd_grads, oracle_candidates, random_text
+from conftest import WORDS, fd_grads, oracle_batch_loss, oracle_candidates, random_text
 
 
 def loss_from_similarities(sims: np.ndarray, temperature: float, positive_index: int = 0) -> float:
@@ -345,6 +347,80 @@ class TestBatchGrads:
         assert gram_free.cols.size == 0 and gram_free.block.shape == (0, sparse.embed_dim)
         shared = featurize(sparse, "apple banana").keys() & featurize(sparse, "apple cherry").keys()
         assert shared
+
+
+class TestBatchMatrices:
+    """`batch_grads` computes the whole batch as matrices; `oracle_batch_loss`
+    is the same loss one example at a time."""
+
+    @pytest.mark.parametrize(("use_hard_negative", "include_batch_hard_negatives", "dedupe_in_batch"),
+                             list(itertools.product((False, True), repeat=3)))
+    def test_matches_the_per_example_oracle(self, use_hard_negative, include_batch_hard_negatives, dedupe_in_batch):
+        # Repeated examples, texts in several roles (t[1] is a query and a
+        # positive, t[2] a positive and a negative), an empty query, a
+        # gram-free text and missing negatives. A repeated pair has a true
+        # gradient of 0, so the bounds are relative to max(1, ...).
+        rng = random.Random(f"{use_hard_negative}:{include_batch_hard_negatives}:{dedupe_in_batch}")
+        for trial in range(20):
+            params = small_params(seed=trial, hash_dim=rng.choice((16, 128, 256)), embed_dim=rng.randint(2, 12))
+            t = [random_text(rng, 6) for _ in range(4)]
+            examples = [
+                RenderedExample(query=t[0], positive=t[1], negative=t[2]),
+                RenderedExample(query=t[1], positive=t[2], negative=rng.choice([None, "", *t])),
+                RenderedExample(query="", positive=rng.choice(t), negative=None),
+                RenderedExample(query=t[3], positive="!!", negative=rng.choice(["!!", t[0]])),
+            ]
+            batch = examples + [rng.choice(examples) for _ in range(rng.randint(1, 6))]
+            rng.shuffle(batch)
+            config = TrainConfig(
+                temperature=rng.uniform(0.01, 0.5),
+                use_hard_negative=use_hard_negative,
+                include_batch_hard_negatives=include_batch_hard_negatives,
+                dedupe_in_batch=dedupe_in_batch,
+            )
+            result = batch_grads(batch, params, config)
+            value, grads = oracle_batch_loss(batch, params, config)
+            assert abs(result.value - value) <= 1e-12 * max(1.0, abs(value))
+            assert np.abs(result.grads - grads).max() <= 1e-12 * max(1.0, float(np.abs(grads).max()))
+
+    def test_small_temperature_ignores_a_closer_non_candidate(self):
+        # A's negative is its own query (similarity 1) but no candidate, and
+        # A's candidates lie more than 0.71 below it: at temperature 1e-3 the
+        # exponential of that gap overflows, and 0 * inf would be NaN.
+        params = small_params()
+        a = RenderedExample(query="apple banana", positive="cherry river", negative="apple banana")
+        b = RenderedExample(query="lunar meadow", positive="stone maple", negative="harbor island")
+        config = TrainConfig(temperature=1e-3, use_hard_negative=False)
+        e_q = embed(params, a.query)
+        assert max(float(e_q @ embed(params, c)) for c in oracle_candidates([a, b], 0, config)) < 1.0 - 0.71
+        result = batch_grads([a, b], params, config)
+        value, grads = oracle_batch_loss([a, b], params, config)
+        assert math.isfinite(result.value)
+        assert abs(result.value - value) <= 1e-12 * max(1.0, abs(value))
+        assert np.abs(result.grads - grads).max() <= 1e-12 * max(1.0, float(np.abs(grads).max()))
+
+    def test_train_at_temperature_0_001_on_synth(self, tmp_path):
+        data = tmp_path / "data"
+        assert dispatch(["synth", "--out", str(data), "--seed", "7"]) == 0
+        assert dispatch(["train", "--data", str(data / "train.jsonl"), "--pool", str(data / "pool.jsonl"),
+                         "--out", str(tmp_path / "m.rare"), "--temp", "0.001"]) == 0
+        log = [json.loads(line) for line in (tmp_path / "m.rare.log.jsonl").read_text().splitlines()]
+        assert log[-1]["mean_loss"] == pytest.approx(126.55758947997116, abs=1e-10)  # the per-example loop's
+
+    def test_library_callers_see_no_warning(self):
+        # Outside `cli.dispatch` no np.errstate hides a floating-point warning.
+        params = small_params(seed=4)
+        batch = [RenderedExample(query="", positive="!!", negative="apple banana"),
+                 RenderedExample(query="cherry stone", positive="river maple", negative="!!")]
+        train_set = [TrainExample(task_id="t", instruction="find", query=f"q{i}", positive="!!", negative=f"doc {i}")
+                     for i in range(3)]
+        zero = dataclasses.replace(params, projection=np.zeros_like(params.projection))  # every query embeds to zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for config in (TrainConfig(temperature=0.1), TrainConfig(temperature=1e-3, use_hard_negative=False)):
+                batch_grads(batch, params, config)
+            train(train_set, {}, zero, TrainConfig(k=0, batch_size=2, epochs=2))
+        assert not zero.projection.any()
 
 
 def make_pool(n, prefix="pq"):
@@ -684,7 +760,7 @@ class TestFeatureCache:
         assert len(calls) == 1371
         assert len(set(calls)) == 1024
         log = [json.loads(line) for line in (tmp_path / "m.rare.log.jsonl").read_text().splitlines()]
-        assert log[-1]["mean_loss"] == 6.217442360679975
+        assert log[-1]["mean_loss"] == pytest.approx(6.217442360679975, abs=1e-12)
 
     def test_default_train_selects_once_per_query(self, tmp_path, monkeypatch):
         # The default `rare train` on synth seed 7 renders 1,418 queries with
