@@ -88,9 +88,10 @@ def _add_format_flags(parser: argparse.ArgumentParser, default: str = "inst+ic")
 
 
 def positive_int(raw: str) -> int:
-    """An argparse type; its ValueError becomes a usage error naming the flag."""
+    """An argparse type for counts and sizes: 1 <= value < 2**64, as the model
+    header stores them. Its ValueError becomes a usage error naming the flag."""
     value = int(raw)
-    if value < 1:
+    if not 1 <= value < 2**64:
         raise ValueError(raw)
     return value
 
@@ -113,9 +114,9 @@ def model_seed(raw: str) -> int:
 
 
 def ngram_orders(raw: str) -> tuple[int, ...]:
-    """Comma-separated positive n-gram orders, at least one."""
+    """Comma-separated n-gram orders, at least one, each a u32 in the model header: 1 <= order < 2**32."""
     orders = tuple(positive_int(n) for n in raw.split(",") if n.strip())
-    if not orders:
+    if not orders or max(orders) >= 2**32:
         raise ValueError(raw)
     return orders
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .binfile import Reader
 from .bm25 import tokenize
-from .errors import DimMismatch, NonFiniteParams, SerializationError
+from .errors import DimMismatch, NonFiniteParams, SerializationError, SpecInvalid
 
 MAGIC = b"RARE1"
 VERSION = 2
@@ -63,7 +63,10 @@ def new_params(
     rng = np.random.default_rng(seed)
     # Drawn 8 rows at a time into the column-major W: the same numbers as one
     # (embed_dim, hash_dim) draw, without a 32 MiB C-order copy at the defaults.
-    projection = np.empty((embed_dim, hash_dim), order="F")
+    try:
+        projection = np.empty((embed_dim, hash_dim), order="F")
+    except ValueError:  # numpy refuses, before allocating, a size it cannot address
+        raise SpecInvalid(f"a {embed_dim} x {hash_dim} projection is too large to allocate") from None
     for start in range(0, embed_dim, 8):
         rows = min(8, embed_dim - start)
         projection[start : start + rows] = rng.uniform(-bound, bound, size=(rows, hash_dim))

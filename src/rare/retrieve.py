@@ -74,9 +74,7 @@ def search(index: FlatIndex, q_emb: np.ndarray, top_k: int) -> list[tuple[str, f
     computes them only for the rows `_rescore_rows` picks from a float32
     scan, and sorts only those rows. They include every row scoring at
     least the k-th best, so a tie at the boundary cannot drop the row with
-    the smaller id. When every row is picked (a zero query, or `top_k` at
-    least n), they are scored with the full product instead of a gathered
-    copy.
+    the smaller id.
     """
     if q_emb.shape != (index.dim,):
         raise DimMismatch(f"query dim {q_emb.shape} does not match index dim ({index.dim},)")
@@ -86,7 +84,7 @@ def search(index: FlatIndex, q_emb: np.ndarray, top_k: int) -> list[tuple[str, f
         return []
     matrix = index.matrix
     rows = _rescore_rows(index.scan(), q_emb, top_k)
-    scores = ((matrix[rows] if len(rows) < len(matrix) else matrix) @ q_emb).tolist()
+    scores = (matrix[rows] @ q_emb).tolist()
     ids = index.ids
     ranked = sorted(zip(scores, rows.tolist()), key=lambda p: (-p[0], ids[p[1]]))[:top_k]
     return [(ids[row], score) for score, row in ranked]

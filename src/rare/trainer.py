@@ -7,9 +7,15 @@ matrices over its distinct texts, with unit embeddings E (one row per text),
 the rows E_q of the examples' queries, and temperature tau:
 
     mult[i, r] = how many of example i's candidates are text r
+               = offer[r] + (use - offer_neg) [r = neg_i]
     S = E_q E^T,  z = S / tau,  m_i = max of z[i] over the candidates
     L_i = log sum_r mult[i, r] exp(z[i, r] - m_i) - (z[i, pos_i] - m_i)
     C = (softmax(z) o mult - onehot(pos)) / tau,  softmax over mult > 0
+
+The batch offers each example's positive, and its negative if offer_neg
+(include_batch_hard_negatives), once per distinct example under dedupe.
+Example i's own offer goes out and its positive, and negative if use
+(use_hard_negative), come back: row i differs only at its own negative.
 
 The gradient with respect to the projection W is exact and flows through
 projection and L2 normalization on both the query and the candidate side:
@@ -146,9 +152,11 @@ def batch_grads(
         raise NonPositiveTemperature(f"temperature must be positive, got {config.temperature}")
     if not batch:
         raise SpecInvalid("batch_grads needs a non-empty batch")
+    use, offer_neg = config.use_hard_negative, config.include_batch_hard_negatives
     # Every query and positive gets a row, even when empty; a negative only
-    # when non-empty (`or ex.positive` repeats a text that already has one).
-    texts = list(dict.fromkeys(t for ex in batch for t in (ex.query, ex.positive, ex.negative or ex.positive)))
+    # when non-empty and some candidate can be it.
+    negs = [ex.negative if (use or offer_neg) and ex.negative else None for ex in batch]
+    texts = list(dict.fromkeys(t for e, neg in zip(batch, negs) for t in (e.query, e.positive, neg) if t is not None))
     row = {text: r for r, text in enumerate(texts)}
     if features is None:
         features = Features(params)
@@ -157,23 +165,12 @@ def batch_grads(
     norms = np.zeros(len(texts))
     for r, (text_cols, vals) in enumerate(feats):
         emb[r], norms[r] = unit(project(params, text_cols, vals))
-    distinct = list(dict.fromkeys(batch))
-    slot = {ex: s for s, ex in enumerate(distinct)}
     n = len(batch)
-    mult = np.zeros((n, len(texts)))  # mult[i, r]: how many of example i's candidates are text r
-    for i, ex in enumerate(batch):
-        if config.dedupe_in_batch:
-            others = distinct[: slot[ex]] + distinct[slot[ex] + 1 :]
-        else:
-            others = batch[:i] + batch[i + 1 :]
-        cands = [row[ex.positive]]
-        if config.use_hard_negative and ex.negative:
-            cands.append(row[ex.negative])
-        for other in others:
-            cands.append(row[other.positive])
-            if config.include_batch_hard_negatives and other.negative:
-                cands.append(row[other.negative])
-        np.add.at(mult[i], cands, 1.0)
+    offered = list(dict.fromkeys(batch)) if config.dedupe_in_batch else batch
+    offer = [row[ex.positive] for ex in offered] + [row[ex.negative] for ex in offered if offer_neg and ex.negative]
+    mult = np.tile(np.bincount(offer, minlength=len(texts)).astype(float), (n, 1))  # the offer, per row
+    own = [i for i, neg in enumerate(negs) if neg is not None]
+    mult[own, [row[negs[i]] for i in own]] += use - offer_neg  # the own-negative term (module docstring)
 
     tau = config.temperature
     q_rows = np.array([row[ex.query] for ex in batch])

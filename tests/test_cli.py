@@ -299,6 +299,48 @@ class TestExitCodes:
         assert dispatch([*train, "--seed", str(2**63 - 1)]) == 0
         assert load(out).hash_seed == 2**63 - 1
 
+    @pytest.fixture
+    def small_train(self, tmp_path):
+        """A smoke-size train invocation whose --out is the only file in its directory."""
+        synth_dir = tmp_path / "data"
+        assert dispatch(["synth", "--out", str(synth_dir), *SMALL_SYNTH]) == 0
+        (tmp_path / "out").mkdir()
+        out = tmp_path / "out" / "m.rare"
+        return out, ["train", "--data", str(synth_dir / "train.jsonl"), "--pool", str(synth_dir / "pool.jsonl"),
+                     "--k", "2", "--epochs", "1", "--out", str(out), *SMALL_EMBEDDER]
+
+    def assert_flag_refused(self, argv, out, flag, type_name, value, capsys):
+        capsys.readouterr()
+        assert dispatch([*argv, f"--{flag}", value]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: rare train: argument --{flag}: invalid {type_name} value: '{value}'"]
+        assert dispatch([*argv, "--config", f"{flag}={value}"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: --config {flag}: invalid {type_name} value {value!r}"]
+        assert files_under(out.parent) == set()
+
+    def test_max_tokens_outside_u64_is_usage_error(self, small_train, capsys):
+        out, train = small_train
+        self.assert_flag_refused(train, out, "max-tokens", "positive_int", str(2**64), capsys)
+        assert dispatch([*train, "--max-tokens", str(2**64 - 1)]) == 0
+        assert load(out).max_tokens == 2**64 - 1
+
+    def test_ngram_order_outside_u32_is_usage_error(self, small_train, capsys):
+        out, train = small_train
+        self.assert_flag_refused(train, out, "ngrams", "ngram_orders", f"1,{2**32}", capsys)
+        assert dispatch([*train, "--ngrams", f"1,{2**32 - 1}"]) == 0
+        assert load(out).ngram_orders == (1, 2**32 - 1)
+
+    @pytest.mark.parametrize("flag", ["--hash-dim", "--dim"])
+    def test_projection_too_large_to_address_is_usage_error(self, small_train, flag, capsys):
+        # numpy refuses a 2**62-column float64 array before allocating any of it.
+        out, train = small_train
+        capsys.readouterr()
+        assert dispatch([*train, flag, str(2**62)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "too large" in err[0], err
+        assert files_under(out.parent) == set()
+
 
 class TestPipelineArtifacts:
     def test_synth_wrote_dataset_files(self, pipeline):
@@ -868,6 +910,7 @@ class TestNumericFlags:
     @example(raw="-1")
     @example(raw="0")
     @example(raw=str(2**63))
+    @example(raw=str(2**64))
     @example(raw=str(-(2**63)))
     @example(raw="nan")
     @example(raw="inf")
@@ -881,11 +924,22 @@ class TestNumericFlags:
             value = parsed_value(argv, flag[2:].replace("-", "_"))
             if (command, flag) in SIZE_FLAGS and value is not None and value > 0:
                 continue  # never start a workload this size
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = dispatch(argv)
-            assert code in (0, 1, 2, 3), (argv, code)
-            assert "Traceback" not in err.getvalue()
+            assert_exit_code(argv)
+
+    # --ngrams parses to a tuple, so the walk above does not reach it.
+    @pytest.mark.parametrize("raw", ["0", "-1", "1,0", "1,-2", f"1,{2**32}", f"1,{2**64}", "1,,2", ",", "", "1.5", "nan"])
+    def test_any_ngram_orders_end_in_an_exit_code(self, command_argv, raw):
+        for form in (f"--ngrams={raw}", f"--config=ngrams={raw}"):
+            assert_exit_code([*command_argv["train"], form])
+
+
+def assert_exit_code(argv: list[str]) -> None:
+    """`dispatch(argv)` ends in exit 0-3 without a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestTrainImports:

@@ -315,6 +315,23 @@ class TestTwoPassSearch:
         with pytest.raises(DataError, match=r"query entries must lie in \[-1, 1\]"):
             search(index, np.array([0.6, bad]), 1)
 
+    @pytest.mark.parametrize("n", [1, 3, 4, 9, 64, 257])
+    def test_every_row_picked_scores_like_the_full_product(self, n):
+        """A zero query or `top_k >= n` picks every row; each score keeps the
+        bits of `matrix @ q`, the sign of a zero included."""
+        nprng = np.random.default_rng(n)
+        matrix = nprng.uniform(-1, 1, (n, 64))
+        matrix[0] = -np.abs(matrix[0])  # every product with a zero query is -0.0
+        ids = [f"d{i:03d}" for i in nprng.permutation(n)]
+        index = FlatIndex(ids=ids, matrix=matrix, dim=64)
+        q = nprng.uniform(-1, 1, 64) / 8
+        for q, top_k in ((q, n), (q, n + 3), (np.zeros(64), 1), (np.zeros(64), n), (np.zeros(64), n + 3)):
+            full = matrix @ q
+            want = sorted(range(n), key=lambda row: (-full[row], ids[row]))[:top_k]
+            got = search(index, q, top_k)
+            assert [doc for doc, _ in got] == [ids[row] for row in want]
+            assert [score.hex() for _, score in got] == [float(full[row]).hex() for row in want]
+
     @pytest.mark.parametrize("dim", [*range(1, 18), 32, 63, 64, 65])
     def test_gathered_blocks_score_like_the_full_product(self, dim):
         """The rescoring relies on OpenBLAS's gemv on one thread: a gathered

@@ -383,6 +383,36 @@ class TestBatchMatrices:
             assert abs(result.value - value) <= 1e-12 * max(1.0, abs(value))
             assert np.abs(result.grads - grads).max() <= 1e-12 * max(1.0, float(np.abs(grads).max()))
 
+    @pytest.mark.parametrize(("use_hard_negative", "include_batch_hard_negatives", "dedupe_in_batch"),
+                             list(itertools.product((False, True), repeat=3)))
+    def test_repeats_and_crossed_roles_match_the_oracle(self, use_hard_negative, include_batch_hard_negatives,
+                                                        dedupe_in_batch):
+        # One example three times, and one whose negative is another's positive.
+        params = small_params(seed=5)
+        a = RenderedExample(query="apple banana", positive="cherry stone", negative="river maple")
+        b = RenderedExample(query="lunar meadow", positive="river maple", negative="harbor island")
+        c = RenderedExample(query="frost galaxy", positive="cloud ember", negative="cherry stone")
+        config = TrainConfig(use_hard_negative=use_hard_negative,
+                             include_batch_hard_negatives=include_batch_hard_negatives,
+                             dedupe_in_batch=dedupe_in_batch)
+        for batch in ([a, b, a, a], [a, b, c]):
+            result = batch_grads(batch, params, config)
+            value, grads = oracle_batch_loss(batch, params, config)
+            assert abs(result.value - value) <= 1e-12 * max(1.0, abs(value))
+            assert np.abs(result.grads - grads).max() <= 1e-12 * max(1.0, float(np.abs(grads).max()))
+
+    @pytest.mark.parametrize(("use_hard_negative", "include_batch_hard_negatives", "texts"),
+                             [(False, False, 8), (True, False, 12), (False, True, 12), (True, True, 12)])
+    def test_negatives_are_featurized_only_when_a_candidate(self, monkeypatch, use_hard_negative,
+                                                            include_batch_hard_negatives, texts):
+        calls = count_featurize(monkeypatch)
+        batch = [RenderedExample(query=f"q{i} apple", positive=f"p{i} river", negative=f"n{i} stone")
+                 for i in range(4)]
+        config = TrainConfig(use_hard_negative=use_hard_negative,
+                             include_batch_hard_negatives=include_batch_hard_negatives)
+        batch_grads(batch, small_params(), config)
+        assert len(calls) == texts
+
     def test_small_temperature_ignores_a_closer_non_candidate(self):
         # A's negative is its own query (similarity 1) but no candidate, and
         # A's candidates lie more than 0.71 below it: at temperature 1e-3 the
