@@ -5,10 +5,10 @@ One executable, `rare`, with subcommands covering the whole loop:
     rare synth   --clusters 8 --ambiguity 0.8 --seed 7 --out data/synth/
     rare train   --data train.jsonl --pool pool.jsonl --out model.rare
     rare index   --corpus corpus.jsonl --model model.rare --out index.rfi
-    rare search  --index index.rfi --model model.rare --queries queries.jsonl \
+    rare search  --index index.rfi --model model.rare --queries queries.jsonl \\
                  --pool pool.jsonl --format inst+ic --k 5 --out run.trec
     rare eval    --run run.trec --qrels qrels.tsv --out report.json
-    rare ablate  --data data/synth --model model.rare --cell inst:0:retrieved \
+    rare ablate  --data data/synth --model model.rare --cell inst:0:retrieved \\
                  --cell inst+ic:5:retrieved --out ablation.csv
     rare bench   --data data/synth --model model.rare --setting both --out latency.csv
 

@@ -5,8 +5,9 @@ configured orders, and each n-gram is hashed into one of `hash_dim` buckets
 with a seeded, process-independent hash. Bucket counts normalized by the
 total n-gram count form a sparse feature vector x; the embedding is the
 L2-normalized projection W @ x. Texts producing no n-grams embed to the zero
-vector, and cosine against a zero vector is defined as 0. Buckets are
-looked up in one gram table, a dict that hashes a gram only on a miss.
+vector, and cosine against a zero vector is defined as 0. Each distinct
+gram of a text, or of a chunk of texts in `embed_many`, is hashed once, and
+its buckets are counted with numpy.
 
 W is held column-major (Fortran order), so the columns of a text's buckets
 are contiguous 8 * embed_dim-byte reads. The RARE1 file (version 2) stores
@@ -18,9 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from collections import Counter, namedtuple
+from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, filterfalse, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -94,12 +96,15 @@ CacheInfo = namedtuple("CacheInfo", "hits misses")
 
 
 class _GramTable(dict):
-    """Gram string -> bucket for one (hash_seed, hash_dim); a miss hashes the gram.
+    """Gram string -> bucket for one (hash_seed, hash_dim), and the process's gram counts.
 
-    A hit is a C-level dict lookup. The table empties when it holds `cap`
-    grams (a train sees ~13k distinct grams; an L index ~630k at ~270 B
-    each) and whenever it is asked for another (hash_seed, hash_dim). The
-    lookup and hash counts run over the table's lifetime.
+    `featurize` memoizes buckets here: a gram the table lacks is hashed once
+    and added. The table empties after a text leaves it holding more than
+    `cap` grams (a train sees ~13k distinct grams; an L index ~630k at ~270 B
+    each, so `embed_many` keeps a memo per chunk instead) and whenever it is
+    asked for another (hash_seed, hash_dim). `lookups` and `hashes` count
+    every gram lookup and every gram hash in the process, `embed_many`'s
+    too, over the table's lifetime.
     """
 
     def __init__(self, cap: int = 1 << 16):
@@ -120,20 +125,67 @@ class _GramTable(dict):
             self.keyed = hashlib.blake2b(digest_size=8, key=(hash_seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
         return self
 
-    def __missing__(self, gram: str) -> int:
-        if len(self) >= self.cap:
-            self.clear()
-        h = self.keyed.copy()
-        h.update(gram.encode("utf-8"))
-        bucket = self[gram] = int.from_bytes(h.digest(), "little") % self.dim
-        self.hashes += 1
-        return bucket
-
     def cache_info(self) -> CacheInfo:
         return CacheInfo(self.lookups - self.hashes, self.hashes)
 
 
 _bucket = _GramTable()
+
+# `embed_many` hashes and counts the grams of this many texts' worth at a
+# time: a chunk ends with the text that brings it to this many grams.
+_CHUNK_GRAMS = 1 << 14
+
+
+def _grams(params: EmbedderParams, text: str) -> list[str]:
+    """The text's n-grams, one order after another, each in text order."""
+    tokens = tokenize(text)
+    if params.max_tokens is not None:
+        tokens = tokens[: params.max_tokens]
+    return list(chain.from_iterable(  # an order past the text costs one empty slice, not `order`
+        map(" ".join, zip(*(tokens[j:] for j in range(min(order, len(tokens) + 1)))))
+        for order in params.ngram_orders
+    ))
+
+
+def _features(
+    params: EmbedderParams, grams: list[str], lens: list[int], memo: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Each text's buckets in the order its grams first reach them, and each
+    bucket's count over the text's gram count.
+
+    `grams` holds the texts' grams back to back, `lens[i]` text i's number.
+    Each distinct gram that `memo` lacks is hashed once and added to it, and
+    `_bucket` counts every lookup and hash. Returns `(cols, vals, ends)`:
+    text i's features are `cols[ends[i-1]:ends[i]]` and the same of `vals`.
+    """
+    table = _bucket.serve(params.hash_seed, params.hash_dim)
+    fresh = set(filterfalse(memo.__contains__, grams))
+    table.lookups += len(grams)
+    table.hashes += len(fresh)
+    copy, digests = table.keyed.copy, []
+    add = digests.append
+    for gram in map(str.encode, fresh):
+        h = copy()
+        h.update(gram)
+        add(h.digest())
+    memo.update(zip(fresh, (np.frombuffer(b"".join(digests), dtype="<u8") % params.hash_dim).tolist()))
+    n = len(grams)
+    buckets = np.fromiter(map(memo.__getitem__, grams), dtype=np.int64, count=n)
+    text = np.repeat(np.arange(len(lens)), lens)
+    # A stable sort keeps each (text, bucket) run in gram order, so a run's
+    # head is the first occurrence; its count goes at that gram's position.
+    perm = buckets.argsort(kind="stable")
+    sorted_buckets, sorted_text = buckets[perm], text[perm]
+    head = np.ones(n + 1, dtype=bool)  # run heads, and n to close the last run
+    np.not_equal(sorted_buckets[1:], sorted_buckets[:-1], out=head[1:n])
+    head[1:n] |= sorted_text[1:] != sorted_text[:-1]
+    head = head.nonzero()[0]
+    counts = np.zeros(n, dtype=np.int64)
+    counts[perm[head[:-1]]] = head[1:] - head[:-1]
+    first = counts.nonzero()[0]  # text by text, in first-occurrence order
+    text = text[first]
+    ends = np.bincount(text, minlength=len(lens)).cumsum().tolist()
+    return buckets[first], counts[first] / np.asarray(lens)[text], ends
 
 
 def featurize(params: EmbedderParams, text: str) -> dict[int, float]:
@@ -142,20 +194,11 @@ def featurize(params: EmbedderParams, text: str) -> dict[int, float]:
     Buckets keep the order their first gram reaches them, orders in turn;
     `project` sums in that order, and that order decides the bits.
     """
-    tokens = tokenize(text)
-    if params.max_tokens is not None:
-        tokens = tokens[: params.max_tokens]
-    grams = list(chain.from_iterable(  # an order past the text costs one empty slice, not `order`
-        map(" ".join, zip(*(tokens[j:] for j in range(min(order, len(tokens) + 1)))))
-        for order in params.ngram_orders
-    ))
-    if not grams:
-        return {}
-    total = len(grams)
-    table = _bucket.serve(params.hash_seed, params.hash_dim)
-    table.lookups += total
-    counts = Counter(map(table.__getitem__, grams))
-    return {bucket: count / total for bucket, count in counts.items()}
+    grams = _grams(params, text)
+    cols, vals, _ = _features(params, grams, [len(grams)], _bucket)
+    if len(_bucket) > _bucket.cap:
+        _bucket.clear()
+    return dict(zip(cols.tolist(), vals.tolist()))
 
 
 def feature_arrays(feats: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
@@ -196,6 +239,29 @@ def unit(u: np.ndarray) -> tuple[np.ndarray, float]:
 def embed(params: EmbedderParams, text: str) -> np.ndarray:
     """Unit-norm embedding of `text`, or the zero vector for gram-free text."""
     return unit(project(params, *feature_arrays(featurize(params, text))))[0]
+
+
+def embed_many(params: EmbedderParams, texts: Sequence[str]) -> np.ndarray:
+    """`embed` of every text, one row each, with `embed`'s bits.
+
+    The texts go in chunks of about `_CHUNK_GRAMS` grams: each distinct gram
+    of a chunk is hashed once, and the chunk's buckets are counted in one
+    pass. Each row is still its own `project` gemv, because a gemm over the
+    chunk would not give a gemv's bits.
+    """
+    out = np.empty((len(texts), params.embed_dim))
+    row, grams, lens = 0, [], []
+    for done, text in enumerate(texts, 1):
+        text_grams = _grams(params, text)
+        grams += text_grams
+        lens.append(len(text_grams))
+        if len(grams) >= _CHUNK_GRAMS or done == len(texts):
+            cols, vals, ends = _features(params, grams, lens, {})
+            for start, end in pairwise([0, *ends]):
+                out[row] = unit(project(params, cols[start:end], vals[start:end]))[0]
+                row += 1
+            grams, lens = [], []
+    return out
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import bm25
 from .data import Document, ExamplePool, QRels, Query
-from .embedder import EmbedderParams, cosine, embed
+from .embedder import EmbedderParams, cosine, embed_many
 from .errors import SpecInvalid
 from .prompt import PromptFormat
 from .retrieve import FlatIndex, StageTimes, build_flat_index, run_inference
@@ -187,15 +187,16 @@ def score_at_top1(
     counts = [0] * n_bins
     sums = [0.0] * n_bins
     pool_index = pool.bm25_index()
-    for query in queries:
-        if query.id not in report_a.per_query or query.id not in report_b.per_query:
-            continue
+    scored = [q for q in queries if q.id in report_a.per_query and q.id in report_b.per_query]
+    tops = {}  # position in `scored` -> the query's top-1 pool query
+    for i, query in enumerate(scored):
         neighbors = bm25.top_k_neighbors(pool_index, query.text, 1)
         if neighbors:
-            top = pool.examples[neighbors[0][0]]
-            sim = cosine(embed(params, query.text), embed(params, top.query))
-        else:
-            sim = 0.0
+            tops[i] = pool.examples[neighbors[0][0]].query
+    query_embs = embed_many(params, [q.text for q in scored])
+    top_embs = dict(zip(tops, embed_many(params, list(tops.values()))))
+    for i, query in enumerate(scored):
+        sim = cosine(query_embs[i], top_embs[i]) if i in tops else 0.0
         sim = min(max(sim, 0.0), 1.0)
         bucket = min(int(sim / bin_width), n_bins - 1)
         counts[bucket] += 1

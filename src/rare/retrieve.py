@@ -15,6 +15,7 @@ import math
 import random
 import struct
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .binfile import Reader
 from .data import Document, ExamplePool, Query, _lines
-from .embedder import EmbedderParams, embed
+from .embedder import EmbedderParams, embed, embed_many
 from .errors import DataError, DimMismatch, EmptyCorpus, MalformedRow, SpecInvalid
 from .prompt import PromptFormat, render_inst, render_inst_ic
 from .trainer import SelectionPolicy, select_examples
@@ -56,25 +57,37 @@ def document_text(doc: Document) -> str:
     return doc.title + " " + doc.text
 
 
+class _DocumentTexts(Sequence):
+    """Each document's `document_text`, made when it is read, so that an
+    index build never holds them all (7.3 MiB at 32k documents)."""
+
+    def __init__(self, docs: list[Document]) -> None:
+        self.docs = docs
+
+    def __len__(self) -> int:
+        return len(self.docs)
+
+    def __getitem__(self, row: int) -> str:
+        return document_text(self.docs[row])
+
+
 def build_flat_index(corpus: dict[str, Document], params: EmbedderParams) -> FlatIndex:
     """Embed every document, rows in corpus iteration order."""
     if not corpus:
         raise EmptyCorpus("cannot index an empty corpus")
     docs = list(corpus.values())
-    matrix = np.empty((len(docs), params.embed_dim))
-    for row, doc in enumerate(docs):
-        matrix[row] = embed(params, document_text(doc))
+    matrix = embed_many(params, _DocumentTexts(docs))
     return FlatIndex(ids=[d.id for d in docs], matrix=matrix, dim=params.embed_dim)
 
 
 def search(index: FlatIndex, q_emb: np.ndarray, top_k: int) -> list[tuple[str, float]]:
     """Exact top-K by dot product; ties and the all-zero case order by doc id.
 
-    Returns the float64 scores `index.matrix @ q_emb` would give, but
-    computes them only for the rows `_rescore_rows` picks from a float32
-    scan, and sorts only those rows. They include every row scoring at
-    least the k-th best, so a tie at the boundary cannot drop the row with
-    the smaller id.
+    Returns the float64 scores `index.matrix @ q_emb` would give on one
+    BLAS thread, but computes them only for the rows `_rescore_rows` picks
+    from a float32 scan, and sorts only those rows. They include every row
+    scoring at least the k-th best, so a tie at the boundary cannot drop the
+    row with the smaller id.
     """
     if q_emb.shape != (index.dim,):
         raise DimMismatch(f"query dim {q_emb.shape} does not match index dim ({index.dim},)")
@@ -82,9 +95,8 @@ def search(index: FlatIndex, q_emb: np.ndarray, top_k: int) -> list[tuple[str, f
         raise DataError("query entries must lie in [-1, 1]")
     if top_k <= 0:
         return []
-    matrix = index.matrix
     rows = _rescore_rows(index.scan(), q_emb, top_k)
-    scores = (matrix[rows] @ q_emb).tolist()
+    scores = _product(index.matrix[rows], q_emb).tolist()
     ids = index.ids
     ranked = sorted(zip(scores, rows.tolist()), key=lambda p: (-p[0], ids[p[1]]))[:top_k]
     return [(ids[row], score) for score, row in ranked]
@@ -127,10 +139,7 @@ def _rescore_rows(c32: np.ndarray, q: np.ndarray, top_k: int) -> np.ndarray:
     of four from the first row and the `n % 4` rows after them apart, and a
     product of fewer than four rows can take yet another path. So a row
     gathered this way is computed as in `matrix @ q`, to the bit
-    (tests/test_retrieve.py pins this). That holds while the full product
-    runs on one BLAS thread: a threaded gemv splits the rows at
-    ceil(n / threads), and when that is not a multiple of 4, a few rows
-    near the split get the last bit of a different kernel.
+    (tests/test_retrieve.py pins this), with `_product`'s chunks.
     """
     n, d = c32.shape
     if top_k >= n:
@@ -147,6 +156,26 @@ def _rescore_rows(c32: np.ndarray, q: np.ndarray, top_k: int) -> np.ndarray:
     blocks = np.flatnonzero(hit)
     tail_rows = np.arange(max(n - n % 4 - 4, 0) if tail else n, n)
     return np.concatenate([(4 * blocks[:, None] + np.arange(4)).ravel(), tail_rows])
+
+
+# OpenBLAS runs a gemv of this many entries on one thread: 4,096 x 64
+# here, where 8,193 x 64 is threaded.
+_ONE_THREAD_ENTRIES = 1 << 18
+
+
+def _product(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """`rows @ q` with the bits of a one-thread gemv, on any BLAS thread count.
+
+    A threaded gemv splits the rows at ceil(n / threads), and when that is
+    not a multiple of 4, a few rows near the split get the last bit of
+    another kernel. So the product runs in chunks of whole 4-row groups
+    small enough for one thread, and the `n % 4` tail stays in the last
+    chunk: each row is then computed as in a one-thread `rows @ q`.
+    """
+    n, d = rows.shape
+    step = 4 * max(1, _ONE_THREAD_ENTRIES // (4 * max(d, 1)))
+    starts = list(range(0, max(n - n % 4, 1), step))
+    return np.concatenate([rows[start:end] @ q for start, end in zip(starts, [*starts[1:], n])])
 
 
 @dataclass

@@ -67,6 +67,14 @@ def pipeline(tmp_path_factory):
     return root
 
 
+def test_help_prints_each_continued_usage_line():
+    # In a docstring, backslash-newline is a line continuation unless escaped.
+    lines = [line.strip() for line in build_parser().format_help().splitlines()]
+    assert any(line.startswith("--pool pool.jsonl") for line in lines)
+    assert any(line.startswith("--cell inst+ic:5:retrieved") for line in lines)
+    assert any(line.endswith("--queries queries.jsonl \\") for line in lines)
+
+
 class TestExitCodes:
     def test_no_args_is_usage_error(self, capsys):
         assert dispatch([]) == 1

@@ -1,6 +1,7 @@
 """`bm25.tokenize` and `embedder.featurize` against their per-character and
 per-gram loop implementations, and the bucket hash against a keyed blake2b
-made afresh per gram, kept here as oracles.
+made afresh per gram, kept here as oracles. `embedder.embed_many` against
+the stacked per-text `embed`.
 
 `project` sums a text's columns in the key order of its features, and that
 order decides the bits of every embedding, so the comparison is on
@@ -14,7 +15,9 @@ import hashlib
 import random
 import string
 import tracemalloc
+from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -175,3 +178,48 @@ def test_cache_info_counts_lookups_and_hashes(monkeypatch):
     assert info.hits + info.misses == len(grams)
     assert info.misses == len(set(grams))
     assert info.hits > 0
+
+
+def stacked_embed(params, batch):
+    return np.array([embedder.embed(params, text) for text in batch]).reshape(len(batch), params.embed_dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(texts, max_size=12),
+    orders,
+    st.none() | st.integers(min_value=1, max_value=6),
+    st.sampled_from([7, 97, 1 << 16]),
+    st.integers(min_value=1, max_value=40),
+)
+def test_embed_many_equals_stacked_embed(batch, ngram_orders, max_tokens, hash_dim, chunk):
+    # Chunks of a few grams: texts straddle chunk boundaries, and one text can exceed a chunk.
+    params = new_params(hash_dim=hash_dim, embed_dim=8, ngram_orders=ngram_orders, max_tokens=max_tokens, seed=5)
+    with mock.patch.object(embedder, "_CHUNK_GRAMS", chunk):
+        got = embedder.embed_many(params, batch)
+    assert got.tobytes() == stacked_embed(params, batch).tobytes()
+
+
+def test_embed_many_with_a_text_larger_than_a_chunk():
+    params = new_params(hash_dim=1 << 16, embed_dim=8, ngram_orders=(1, 2, 3))
+    rng = random.Random(9)
+    big = " ".join(rng.choice(_VOCAB) for _ in range(embedder._CHUNK_GRAMS // 2))
+    batch = [*CORPUS[:20], big, *CORPUS[20:], "", "...", big[:200], big]
+    assert len(oracle_grams(params, big)) > embedder._CHUNK_GRAMS
+    assert embedder.embed_many(params, batch).tobytes() == stacked_embed(params, batch).tobytes()
+
+
+def test_cache_info_counts_embed_many_lookups_and_hashes(monkeypatch):
+    monkeypatch.setattr(embedder, "_bucket", embedder._GramTable())
+    params = new_params(hash_dim=1 << 16, embed_dim=2, ngram_orders=(1, 2))
+    per_text = [oracle_grams(params, text) for text in CORPUS]
+    grams = [g for text_grams in per_text for g in text_grams]
+    embedder.embed_many(params, CORPUS)  # one chunk: each distinct gram is hashed once
+    info = embedder._bucket.cache_info()
+    assert info.hits + info.misses == len(grams)
+    assert info.misses == len(set(grams))
+    monkeypatch.setattr(embedder, "_CHUNK_GRAMS", 1)  # a chunk per text: its distinct grams
+    embedder.embed_many(params, CORPUS)
+    again = embedder._bucket.cache_info()
+    assert again.hits + again.misses == 2 * len(grams)
+    assert again.misses - info.misses == sum(len(set(text_grams)) for text_grams in per_text)

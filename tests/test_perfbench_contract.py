@@ -6,18 +6,27 @@
 is slow and outside testpaths, so this checks both in fresh interpreters: a
 rename under src, a change to the BM25 index the oracle cannot use, or a
 training path that stops calling the wrapped names (which zeroes the
-per-layer metrics without an error), fails here first.
+per-layer metrics without an error), fails here first. So does an index
+build that stops projecting one document at a time or counting its gram
+lookups, and a search that stops embedding and searching one query at a
+time, which `layers.paper_view` needs to rebuild the paper's NN / Query /
+Search table.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from rare.bm25 import tokenize
 from rare.cli import dispatch
+from rare.data import load_corpus, load_queries
+from rare.embedder import load
+from rare.retrieve import document_text
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -93,3 +102,49 @@ def test_traced_train_reports_its_layers(tmp_path):
     assert traced["bucket_hits"] + traced["bucket_misses"] > 0
     assert traced["bucket_hits"] > 0
     assert traced["bucket_misses"] > 0
+
+
+def traced(argv: list[str], spans_file: Path) -> dict:
+    result = run_child([str(ROOT / "perfbench" / "tracer.py"), str(spans_file), "--", *argv])
+    assert result.returncode == 0, result.stderr
+    return json.loads(spans_file.read_text())
+
+
+def smoke_model(tmp_path: Path) -> tuple[Path, Path]:
+    data, model = tmp_path / "data", tmp_path / "model.rare"
+    assert dispatch(["synth", "--out", str(data), *SMOKE_SYNTH]) == 0
+    assert dispatch(["train", "--data", str(data / "train.jsonl"), "--pool", str(data / "pool.jsonl"),
+                     "--epochs", "0", "--hash-dim", "2048", "--dim", "16", "--out", str(model)]) == 0
+    return data, model
+
+
+def test_traced_index_projects_each_document_and_counts_each_gram(tmp_path):
+    data, model = smoke_model(tmp_path)
+    index = ["index", "--corpus", str(data / "corpus.jsonl"), "--model", str(model), "--out", str(tmp_path / "i.rfi")]
+    trace = traced(index, tmp_path / "spans.json")
+    spans = trace["spans"]
+    build = [i for i, span in enumerate(spans) if span[0] == "retrieve.build_flat_index"]
+    assert len(build) == 1
+    projects = [span for span in spans if span[0] == "embedder.project" and span[3] == build[0]]
+    corpus = load_corpus(data / "corpus.jsonl")
+    assert len(projects) == len(corpus)
+    # Each gram of each document is looked up once; bucket_hit_rate rests on this.
+    orders = load(model).ngram_orders
+    grams = sum(max(len(tokenize(document_text(doc))) - n + 1, 0) for doc in corpus.values() for n in orders)
+    assert trace["bucket_hits"] + trace["bucket_misses"] == grams
+
+
+def test_traced_search_gives_the_paper_view_one_row_per_query(tmp_path):
+    data, model = smoke_model(tmp_path)
+    index = tmp_path / "i.rfi"
+    assert dispatch(["index", "--corpus", str(data / "corpus.jsonl"), "--model", str(model), "--out", str(index)]) == 0
+    search = ["search", "--index", str(index), "--model", str(model), "--queries", str(data / "queries.jsonl"),
+              "--pool", str(data / "pool.jsonl"), "--task", "synth", "--format", "inst+ic", "--k", "5",
+              "--out", str(tmp_path / "run.trec")]
+    trace = traced(search, tmp_path / "spans.json")
+    spec = importlib.util.spec_from_file_location("perfbench_layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    view = layers.paper_view([trace])
+    assert len(view["nn"]) == len(load_queries(data / "queries.jsonl"))
+    assert all(nn > 0 for nn in view["nn"])

@@ -3,8 +3,13 @@ and index file formats."""
 
 from __future__ import annotations
 
+import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -384,6 +389,38 @@ class TestTwoPassSearch:
         assert got[0][0] == "d7"
         # The float32 copy is half the matrix; a full-size float64 temporary would double that.
         assert 0.5 * matrix.nbytes <= peak <= 0.6 * matrix.nbytes
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# n = 1 (mod 4) rows, past the size at which OpenBLAS splits a gemv over
+# threads. Every call scores every row with the full product: `top_k >= n`,
+# a zero query, and a query so small that the float32 scan sees only zeros.
+THREADS_CHILD = """
+import json
+import numpy as np
+from rare.retrieve import FlatIndex, search
+n, dim = 16385, 64
+rng = np.random.default_rng(11)
+matrix = rng.uniform(-1, 1, (n, dim))
+matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+index = FlatIndex(ids=[f"d{i}" for i in range(n)], matrix=matrix, dim=dim)
+q = matrix[3].copy()
+calls = [(q, n), (q, n + 5), (np.zeros(dim), n), (np.zeros(dim), 10), (q * 2.0**-600, 10)]
+print(json.dumps([[score.hex() for _, score in search(index, v, k)] for v, k in calls]))
+"""
+
+
+def test_scores_do_not_depend_on_the_blas_thread_count():
+    scores = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", THREADS_CHILD], env=env, capture_output=True, text=True,
+                                timeout=120)
+        assert result.returncode == 0, result.stderr
+        scores.append(json.loads(result.stdout))
+    assert scores[0] == scores[1]
 
 
 def disambiguation_fixture():
