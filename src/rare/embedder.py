@@ -5,9 +5,9 @@ configured orders, and each n-gram is hashed into one of `hash_dim` buckets
 with a seeded, process-independent hash. Bucket counts normalized by the
 total n-gram count form a sparse feature vector x; the embedding is the
 L2-normalized projection W @ x. Texts producing no n-grams embed to the zero
-vector, and cosine against a zero vector is defined as 0. Each distinct
-gram of a text, or of a chunk of texts in `embed_many`, is hashed once, and
-its buckets are counted with numpy.
+vector, and cosine against a zero vector is defined as 0. `embed_many` is
+the one path from text to embedding; `featurize` runs its gram-counting core
+over one text for the trainer.
 
 W is held column-major (Fortran order), so the columns of a text's buckets
 are contiguous 8 * embed_dim-byte reads. The RARE1 file (version 2) stores
@@ -18,6 +18,7 @@ matrix Wᵀ.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from collections import namedtuple
 from collections.abc import Sequence
@@ -67,7 +68,7 @@ def new_params(
     # (embed_dim, hash_dim) draw, without a 32 MiB C-order copy at the defaults.
     try:
         projection = np.empty((embed_dim, hash_dim), order="F")
-    except ValueError:  # numpy refuses, before allocating, a size it cannot address
+    except (ValueError, MemoryError):  # a size numpy cannot address, or the machine cannot map
         raise SpecInvalid(f"a {embed_dim} x {hash_dim} projection is too large to allocate") from None
     for start in range(0, embed_dim, 8):
         rows = min(8, embed_dim - start)
@@ -96,15 +97,14 @@ CacheInfo = namedtuple("CacheInfo", "hits misses")
 
 
 class _GramTable(dict):
-    """Gram string -> bucket for one (hash_seed, hash_dim), and the process's gram counts.
+    """The trainer's gram -> bucket memo for one (hash_seed, hash_dim), and the process's gram counts.
 
-    `featurize` memoizes buckets here: a gram the table lacks is hashed once
-    and added. The table empties after a text leaves it holding more than
-    `cap` grams (a train sees ~13k distinct grams; an L index ~630k at ~270 B
-    each, so `embed_many` keeps a memo per chunk instead) and whenever it is
-    asked for another (hash_seed, hash_dim). `lookups` and `hashes` count
-    every gram lookup and every gram hash in the process, `embed_many`'s
-    too, over the table's lifetime.
+    `featurize` hashes a gram the table lacks once and adds it. The table
+    empties after a text leaves it above `cap` grams, which bounds a long
+    training (a train sees ~13k distinct grams), and whenever it is asked for
+    another (hash_seed, hash_dim). `embed_many` keeps a memo per chunk instead
+    (an L index has ~630k distinct grams), so serving leaves the table empty.
+    `lookups` and `hashes` count every gram lookup and hash in the process.
     """
 
     def __init__(self, cap: int = 1 << 16):
@@ -226,8 +226,8 @@ def unit(u: np.ndarray) -> tuple[np.ndarray, float]:
     nonzero norm below 2**-511: its squares are subnormal, and `u / norm` could
     hold entries above 1, outside the range `retrieve.search` takes.
     """
-    norm = float(np.linalg.norm(u))
-    if not np.isfinite(norm):
+    norm = math.sqrt(u @ u)  # what np.linalg.norm evaluates for 1-D float64: its bits
+    if not math.isfinite(norm):
         raise NonFiniteParams("embedding norm overflowed")
     if norm < 2.0**-511:
         if u.any():
@@ -237,16 +237,17 @@ def unit(u: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def embed(params: EmbedderParams, text: str) -> np.ndarray:
-    """Unit-norm embedding of `text`, or the zero vector for gram-free text."""
-    return unit(project(params, *feature_arrays(featurize(params, text))))[0]
+    """`embed_many` of the one text: its unit-norm embedding, or zero if gram-free."""
+    return embed_many(params, (text,))[0]
 
 
 def embed_many(params: EmbedderParams, texts: Sequence[str]) -> np.ndarray:
-    """`embed` of every text, one row each, with `embed`'s bits.
+    """Each text's unit-norm embedding (zero for gram-free text), one row each.
 
     The texts go in chunks of about `_CHUNK_GRAMS` grams: each distinct gram
-    of a chunk is hashed once, and the chunk's buckets are counted in one
-    pass. Each row is still its own `project` gemv, because a gemm over the
+    of a chunk is hashed once into a memo that lives for the chunk, and the
+    chunk's buckets are counted in one pass. Each row is its own `project`
+    gemv, so a text's row has the same bits in any batch; a gemm over the
     chunk would not give a gemv's bits.
     """
     out = np.empty((len(texts), params.embed_dim))

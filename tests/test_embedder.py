@@ -194,6 +194,37 @@ class TestProjectAndEmbed:
         e, norm = embedder.unit(np.ldexp(u, 300))
         assert np.abs(e).max() <= 1.0 and norm > 0.0
 
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 64),
+           exp=st.one_of(st.integers(-1074, 1023), st.integers(-540, -480), st.integers(480, 540)))
+    def test_unit_norm_has_the_bits_of_linalg_norm(self, seed, dim, exp):
+        """`unit`'s norm is `np.linalg.norm`'s float, bit for bit, on huge,
+        tiny, subnormal-holding and zero-holding vectors; where it raises, that
+        norm is out of range."""
+        nprng = np.random.default_rng(seed)
+        u = np.ldexp(nprng.uniform(-1, 1, dim), exp - nprng.integers(0, 61, dim))
+        u[nprng.random(dim) < 0.25] = 0.0
+        with np.errstate(over="ignore", under="ignore"):
+            expected = float(np.linalg.norm(u))
+            try:
+                norm = embedder.unit(u)[1]
+            except NonFiniteParams:
+                assert not math.isfinite(expected) or expected < 2.0**-511
+                return
+        assert type(norm) is float and norm.hex() == expected.hex()
+
+    @pytest.mark.parametrize("u", [
+        [1e150, -3e149, 7e149],  # huge: squares near 1e300
+        [1e-150, 0.0, -2e-151],  # tiny, with a zero
+        [0.5, 5e-324, -2.2e-308, 0.0],  # subnormal entries beside a normal one
+        [0.0, 0.0, 0.0],
+        [0.0, -0.0, 3.0],
+    ])
+    def test_unit_norm_named_cases(self, u):
+        u = np.array(u)
+        with np.errstate(under="ignore"):
+            assert embedder.unit(u)[1].hex() == float(np.linalg.norm(u)).hex()
+
 
 class TestCosine:
     def test_hand_case(self):

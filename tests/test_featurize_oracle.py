@@ -1,7 +1,8 @@
 """`bm25.tokenize` and `embedder.featurize` against their per-character and
 per-gram loop implementations, and the bucket hash against a keyed blake2b
-made afresh per gram, kept here as oracles. `embedder.embed_many` against
-the stacked per-text `embed`.
+made afresh per gram, kept here as oracles. `embedder.embed_many` (and so
+`embed`, its one-text case) against rows built from the oracle features,
+which share no hashing or counting code with `embedder._features`.
 
 `project` sums a text's columns in the key order of its features, and that
 order decides the bits of every embedding, so the comparison is on
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from rare import embedder
 from rare.bm25 import tokenize
-from rare.embedder import featurize, new_params
+from rare.embedder import feature_arrays, featurize, new_params, project, unit
 
 
 def oracle_bucket(hash_seed: int, hash_dim: int, gram: str) -> int:
@@ -180,8 +181,9 @@ def test_cache_info_counts_lookups_and_hashes(monkeypatch):
     assert info.hits > 0
 
 
-def stacked_embed(params, batch):
-    return np.array([embedder.embed(params, text) for text in batch]).reshape(len(batch), params.embed_dim)
+def oracle_embed_rows(params, batch):
+    rows = [unit(project(params, *feature_arrays(oracle_featurize(params, text))))[0] for text in batch]
+    return np.array(rows).reshape(len(batch), params.embed_dim)
 
 
 @settings(max_examples=300, deadline=None)
@@ -195,9 +197,11 @@ def stacked_embed(params, batch):
 def test_embed_many_equals_stacked_embed(batch, ngram_orders, max_tokens, hash_dim, chunk):
     # Chunks of a few grams: texts straddle chunk boundaries, and one text can exceed a chunk.
     params = new_params(hash_dim=hash_dim, embed_dim=8, ngram_orders=ngram_orders, max_tokens=max_tokens, seed=5)
+    expected = oracle_embed_rows(params, batch)
     with mock.patch.object(embedder, "_CHUNK_GRAMS", chunk):
-        got = embedder.embed_many(params, batch)
-    assert got.tobytes() == stacked_embed(params, batch).tobytes()
+        assert embedder.embed_many(params, batch).tobytes() == expected.tobytes()
+        for text, row in zip(batch, expected):
+            assert embedder.embed(params, text).tobytes() == row.tobytes()
 
 
 def test_embed_many_with_a_text_larger_than_a_chunk():
@@ -206,7 +210,7 @@ def test_embed_many_with_a_text_larger_than_a_chunk():
     big = " ".join(rng.choice(_VOCAB) for _ in range(embedder._CHUNK_GRAMS // 2))
     batch = [*CORPUS[:20], big, *CORPUS[20:], "", "...", big[:200], big]
     assert len(oracle_grams(params, big)) > embedder._CHUNK_GRAMS
-    assert embedder.embed_many(params, batch).tobytes() == stacked_embed(params, batch).tobytes()
+    assert embedder.embed_many(params, batch).tobytes() == oracle_embed_rows(params, batch).tobytes()
 
 
 def test_cache_info_counts_embed_many_lookups_and_hashes(monkeypatch):

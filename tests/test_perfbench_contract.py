@@ -8,9 +8,9 @@ rename under src, a change to the BM25 index the oracle cannot use, or a
 training path that stops calling the wrapped names (which zeroes the
 per-layer metrics without an error), fails here first. So does an index
 build that stops projecting one document at a time or counting its gram
-lookups, and a search that stops embedding and searching one query at a
-time, which `layers.paper_view` needs to rebuild the paper's NN / Query /
-Search table.
+lookups, and a search that stops embedding (with one projection) and
+searching one query at a time, which `layers.paper_view` needs to rebuild
+the paper's NN / Query / Search table.
 """
 
 from __future__ import annotations
@@ -146,5 +146,14 @@ def test_traced_search_gives_the_paper_view_one_row_per_query(tmp_path):
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
     view = layers.paper_view([trace])
-    assert len(view["nn"]) == len(load_queries(data / "queries.jsonl"))
+    n_queries = len(load_queries(data / "queries.jsonl"))
+    assert len(view["nn"]) == n_queries
     assert all(nn > 0 for nn in view["nn"])
+    # Each query embed holds exactly one project span, which
+    # embedder.zero_embeddings counts, and featurizes nothing.
+    spans = trace["spans"]
+    embeds = [i for i, span in enumerate(spans) if span[0] == "embedder.embed"]
+    assert len(embeds) == n_queries
+    for i in embeds:
+        children = [span[0] for span in spans if span[3] == i]
+        assert children == ["embedder.project"], children

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rare import bm25
+from rare import bm25, embedder, retrieve
 from rare.bench import profile
 from rare.binfile import Reader
 from rare.data import Document, ExamplePool, ICExample, Query, TrainExample
@@ -488,6 +488,27 @@ class TestRunInference:
             PromptFormat(kind=FormatKind.INST_IC), k=1, top_k=4,
         )
         assert ic["q1"][0][0].startswith("fruit")
+
+    def test_serving_leaves_the_gram_table_empty(self, monkeypatch, rng):
+        # Queries are embedded with a memo per call, so the process-wide table
+        # (the trainer's memo) does not grow, but it still counts every lookup.
+        table = embedder._GramTable()
+        monkeypatch.setattr(embedder, "_bucket", table)
+        params = small_params()
+        corpus, pool = disambiguation_fixture()
+        index = build_flat_index(corpus, params)
+        before = table.cache_info()
+        texts = []
+        real_embed = retrieve.embed
+        monkeypatch.setattr(retrieve, "embed", lambda p, text: texts.append(text) or real_embed(p, text))
+        queries = [Query(id=f"q{i}", text=random_text(rng, 6)) for i in range(8)]
+        run_inference(queries, "find it", pool, index, params, PromptFormat(kind=FormatKind.INST_IC), k=2, top_k=4)
+        assert len(texts) == len(queries)
+        assert len(table) == 0
+        info = table.cache_info()
+        grams = sum(max(len(bm25.tokenize(text)) - n + 1, 0) for text in texts for n in params.ngram_orders)
+        assert info.hits + info.misses - before.hits - before.misses == grams
+        assert info.hits > before.hits  # repeats within one rendered query
 
     def test_missing_pool_rejected(self):
         params = small_params()
