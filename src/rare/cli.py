@@ -19,6 +19,9 @@ index, run, report, buckets CSV, ablation and latency CSVs) gets a sibling
 named `*seed`, and the sha256 of each file read, keyed `train`, `pool` or
 `pool:TASK`, `corpus`, `model`, `index`, `queries`, `run`, `qrels`,
 `baseline_run`, or `NAME:corpus|queries|qrels|pool` per dataset directory.
+Each digest is taken once, when the command takes the file and before it reads
+it; `eval`'s fingerprint and `search`'s check that the index names its model
+use the same digests.
 Flag values can also be supplied as `--config key=value` pairs, which override
 parsed flags by destination name. No environment variables are consulted.
 """
@@ -64,12 +67,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _require_file(path: str | Path, what: str, inputs: dict[str, Path], key: str) -> Path:
-    """The existing file at `path`, recorded in `inputs` under `key` for the manifest."""
+def _require_file(path: str | Path, what: str, inputs: dict[str, str], key: str) -> Path:
+    """The existing file at `path`, whose sha256 is recorded in `inputs` under
+    `key` before the command reads it or writes anything."""
     p = Path(path)
     if not p.is_file():
         raise DataError(f"{what} not found: {p}")
-    inputs[key] = p
+    inputs[key] = digest_file(p)
     return p
 
 
@@ -163,7 +167,7 @@ def _report_zero_queries(zero: int, total: int) -> None:
         print(f"{zero} of {total} query embeddings are all zeros; ranked by document id", file=sys.stderr)
 
 
-def _cmd_synth(args: argparse.Namespace, inputs: dict[str, Path]) -> list[str | Path]:
+def _cmd_synth(args: argparse.Namespace, inputs: dict[str, str]) -> list[str | Path]:
     spec = synth.SynthSpec(
         n_clusters=args.clusters,
         vocab_per_cluster=args.vocab_per_cluster,
@@ -189,7 +193,7 @@ def _cmd_synth(args: argparse.Namespace, inputs: dict[str, Path]) -> list[str | 
 
 
 def _parse_pools(
-    pool_args: list[str], train_set: list[data.TrainExample], inputs: dict[str, Path]
+    pool_args: list[str], train_set: list[data.TrainExample], inputs: dict[str, str]
 ) -> dict[str, data.ExamplePool]:
     """Load each `--pool PATH` or `--pool TASK=PATH`."""
     task_ids = sorted({ex.task_id for ex in train_set})
@@ -206,7 +210,7 @@ def _parse_pools(
     return pools
 
 
-def _cmd_train(args: argparse.Namespace, inputs: dict[str, Path]) -> list[str | Path]:
+def _cmd_train(args: argparse.Namespace, inputs: dict[str, str]) -> list[str | Path]:
     train_set = data.load_train(_require_file(args.data, "training data", inputs, "train"))
     pools = _parse_pools(args.pool or [], train_set, inputs)
     params = embedder.new_params(
@@ -239,18 +243,21 @@ def _cmd_train(args: argparse.Namespace, inputs: dict[str, Path]) -> list[str | 
     return [out, log_path]
 
 
-def _cmd_index(args: argparse.Namespace, inputs: dict[str, Path]) -> list[str | Path]:
+def _cmd_index(args: argparse.Namespace, inputs: dict[str, str]) -> list[str | Path]:
     corpus = data.load_corpus(_require_file(args.corpus, "corpus", inputs, "corpus"))
     params = embedder.load(_require_file(args.model, "model", inputs, "model"))
     index = build_flat_index(corpus, params)
-    save_index(index, args.out)
+    save_index(index, args.out, inputs["model"])
     print(f"indexed {len(index)} documents into {args.out}")
     return [args.out]
 
 
-def _cmd_search(args: argparse.Namespace, inputs: dict[str, Path]) -> list[str | Path]:
+def _cmd_search(args: argparse.Namespace, inputs: dict[str, str]) -> list[str | Path]:
     index = load_flat_index(_require_file(args.index, "index", inputs, "index"))
     params = embedder.load(_require_file(args.model, "model", inputs, "model"))
+    if index.model != inputs["model"]:
+        raise DataError(f"{args.index} was built with model {index.model[:8]}, not {inputs['model'][:8]} "
+                        f"({args.model}); rebuild it with `rare index`")
     queries = data.load_queries(_require_file(args.queries, "queries", inputs, "queries"))
     fmt = _format_from_args(args)
     pool = None
@@ -270,20 +277,15 @@ def _cmd_search(args: argparse.Namespace, inputs: dict[str, Path]) -> list[str |
     return [args.out]
 
 
-def _cmd_eval(args: argparse.Namespace, inputs: dict[str, Path]) -> list[str | Path]:
+def _cmd_eval(args: argparse.Namespace, inputs: dict[str, str]) -> list[str | Path]:
     if args.buckets_out:
         for flag in ("baseline_run", "queries", "pool", "model"):
             if not getattr(args, flag):
                 raise UsageError(f"--buckets-out needs --{flag.replace('_', '-')}")
-    run_path = _require_file(args.run, "run file", inputs, "run")
-    qrels_path = _require_file(args.qrels, "qrels file", inputs, "qrels")
-    run = load_run(run_path)
-    qrels = data.load_qrels(qrels_path)
+    run = load_run(_require_file(args.run, "run file", inputs, "run"))
+    qrels = data.load_qrels(_require_file(args.qrels, "qrels file", inputs, "qrels"))
     fingerprint = hashlib.sha256(
-        json.dumps(
-            {"k": args.k, "run": digest_file(run_path), "qrels": digest_file(qrels_path)},
-            sort_keys=True,
-        ).encode()
+        json.dumps({"k": args.k, "run": inputs["run"], "qrels": inputs["qrels"]}, sort_keys=True).encode()
     ).hexdigest()
     report = evaluate(run, qrels, args.k, dataset=args.dataset, fingerprint=fingerprint)
     payload = {
@@ -323,7 +325,7 @@ def _dataset_entry(entry: str) -> tuple[str, Path]:
     return (name if sep else root.name), root
 
 
-def _load_bundle(entry: str, instruction: str, inputs: dict[str, Path]) -> DatasetBundle:
+def _load_bundle(entry: str, instruction: str, inputs: dict[str, str]) -> DatasetBundle:
     name, root = _dataset_entry(entry)
     if not root.is_dir():
         raise DataError(f"dataset directory not found: {root}")
@@ -359,7 +361,7 @@ def _parse_cell(raw: str) -> AblationCell:
     )
 
 
-def _cmd_ablate(args: argparse.Namespace, inputs: dict[str, Path]) -> list[str | Path]:
+def _cmd_ablate(args: argparse.Namespace, inputs: dict[str, str]) -> list[str | Path]:
     names = [_dataset_entry(entry)[0] for entry in args.data]
     for name in names:
         if names.count(name) > 1:
@@ -375,7 +377,7 @@ def _cmd_ablate(args: argparse.Namespace, inputs: dict[str, Path]) -> list[str |
     return [args.out]
 
 
-def _cmd_bench(args: argparse.Namespace, inputs: dict[str, Path]) -> list[str | Path]:
+def _cmd_bench(args: argparse.Namespace, inputs: dict[str, str]) -> list[str | Path]:
     params = embedder.load(_require_file(args.model, "model", inputs, "model"))
     bundle = _load_bundle(f"{args.dataset}={args.data}" if args.dataset else args.data, args.instruction, inputs)
     index = build_flat_index(bundle.corpus, params)
@@ -513,7 +515,7 @@ def dispatch(argv: list[str]) -> int:
         if not getattr(args, "command", None):
             raise UsageError(parser.format_usage())
         _apply_config_pairs(args, parser.commands[args.command])
-        inputs: dict[str, Path] = {}
+        inputs: dict[str, str] = {}
         # Overflow and NaN on the way to a numeric failure are each caught by an
         # explicit check, which prints the one line below; numpy need not warn.
         with np.errstate(over="ignore", invalid="ignore"):

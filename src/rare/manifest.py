@@ -2,8 +2,10 @@
 
 The manifest captures the exact command line, resolved configuration, seeds,
 and SHA-256 digests of every input file, so a result can be traced back to
-what produced it. Two runs over byte-identical inputs with the same command
-produce identical manifests except for the timestamp.
+what produced it. The command takes each digest with `digest_file` when it
+takes the file, before reading it; `build_manifest` only copies them. Two runs
+over byte-identical inputs with the same command produce identical manifests
+except for the timestamp.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ def build_manifest(
     command: list[str],
     config: dict,
     seeds: dict,
-    inputs: dict[str, str | Path],
+    inputs: dict[str, str],
 ) -> RunManifest:
-    digests = {name: digest_file(p) for name, p in sorted(inputs.items())}
-    return RunManifest(command=list(command), config=config, seeds=seeds, input_digests=digests)
+    """The manifest of one command; `inputs` maps each input's key to its sha256 hex digest."""
+    return RunManifest(command=list(command), config=config, seeds=seeds, input_digests=dict(sorted(inputs.items())))
 
 
 def manifest_path(artifact: str | Path) -> Path:

@@ -6,7 +6,8 @@ vectors `embed` makes; search rejects anything else. Search is exact in two
 passes: a float32 scan of every row picks the candidates that can reach the
 top K, and only their 4-row blocks are scored again in float64. The result
 is the float64 top K with the float64 scores: scores descending, ties broken
-by ascending document id.
+by ascending document id. An index file names the model it was built with
+by the sha256 of the model file.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ import numpy as np
 from .binfile import Reader
 from .data import Document, ExamplePool, Query, _lines
 from .embedder import EmbedderParams, embed, embed_many
-from .errors import DataError, DimMismatch, EmptyCorpus, MalformedRow, SpecInvalid
+from .errors import DataError, DimMismatch, EmptyCorpus, MalformedRow, SpecInvalid, VersionMismatch
 from .prompt import PromptFormat, render_inst, render_inst_ic
 from .trainer import SelectionPolicy, select_examples
 
 MAGIC = b"RFI1"
-VERSION = 1
+VERSION = 2
 
 
 @dataclass
@@ -37,6 +38,7 @@ class FlatIndex:
     ids: list[str]
     matrix: np.ndarray  # (n, dim) C-order float64, every entry in [-1, 1]; fixed once searched
     dim: int
+    model: str | None = None  # sha256 hex digest of the model file; None for an index built in memory
     _scan: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -95,8 +97,11 @@ def search(index: FlatIndex, q_emb: np.ndarray, top_k: int) -> list[tuple[str, f
         raise DataError("query entries must lie in [-1, 1]")
     if top_k <= 0:
         return []
-    rows = _rescore_rows(index.scan(), q_emb, top_k)
-    scores = _product(index.matrix[rows], q_emb).tolist()
+    # Every factor is finite and in [-1, 1], so no score overflows or is NaN,
+    # and underflow stays within `_rescore_rows`' delta: a flag is spurious.
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        rows = _rescore_rows(index.scan(), q_emb, top_k)
+        scores = _product(index.matrix[rows], q_emb).tolist()
     ids = index.ids
     ranked = sorted(zip(scores, rows.tolist()), key=lambda p: (-p[0], ids[p[1]]))[:top_k]
     return [(ids[row], score) for score, row in ranked]
@@ -264,12 +269,13 @@ def load_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     return run
 
 
-def save_index(index: FlatIndex, path: str | Path) -> None:
-    """Serialize: magic RFI1, u32 version, u64 n, u64 dim, ids, row-major float64."""
+def save_index(index: FlatIndex, path: str | Path, model: str) -> None:
+    """Serialize: magic RFI1, u32 version, u64 n, u64 dim, the 32-byte sha256
+    `model` of the model file the index was built with, ids, row-major float64."""
     with Path(path).open("wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<QQ", len(index.ids), index.dim))
+        fh.write(struct.pack("<QQ32s", len(index.ids), index.dim, bytes.fromhex(model)))
         for doc_id in index.ids:
             raw = doc_id.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
@@ -278,9 +284,13 @@ def save_index(index: FlatIndex, path: str | Path) -> None:
 
 
 def load_flat_index(path: str | Path) -> FlatIndex:
-    with Reader(path, MAGIC, VERSION, "index") as rd:
-        n, dim = rd.unpack("<QQ")
+    try:
+        reader = Reader(path, MAGIC, VERSION, "index")
+    except VersionMismatch as exc:
+        raise VersionMismatch(f"{exc}; rebuild it with `rare index`") from None
+    with reader as rd:
+        n, dim, model = rd.unpack("<QQ32s")
         ids = rd.texts(n, trailer=8 * n * dim)
         matrix = rd.matrix(n, dim)
         rd.end()
-    return FlatIndex(ids=ids, matrix=matrix, dim=int(dim))
+    return FlatIndex(ids=ids, matrix=matrix, dim=int(dim), model=model.hex())

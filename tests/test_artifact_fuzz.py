@@ -1,7 +1,8 @@
 """Corrupt binary artifacts through the real `search` command: a truncated,
 extended or header-flipped `RARE1` model or `RFI1` index ends in a usage,
 data or numeric exit code, never in an uncaught exception, and a corrupt
-float inside the index matrix ends in the code its value calls for."""
+float inside the index matrix ends in the code its value calls for. An index
+whose stored model digest no longer names the model is a data error."""
 
 from __future__ import annotations
 
@@ -78,6 +79,16 @@ def test_corrupt_artifact_exit_code(artifacts, target, mutation):
     if kind in ("truncate", "append"):
         assert code == 2
 
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(at=st.integers(0, 31), mask=st.integers(1, 255))
+def test_corrupt_model_digest_is_exit_two(artifacts, at, mask):
+    blob = bytearray((artifacts / "index.rfi").read_bytes())
+    blob[24 + at] ^= mask  # RFI1 version 2: magic, u32 version, u64 n, u64 dim, then the model's sha256
+    corrupt = artifacts / "bad-digest.rfi"
+    corrupt.write_bytes(blob)
+    assert search(artifacts, artifacts / "model.rare", corrupt) == 2
 
 
 # One float of the index matrix gets a byte flipped, or its 11-bit exponent

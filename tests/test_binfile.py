@@ -53,7 +53,7 @@ def test_huge_declared_rows_are_truncated_not_allocated(tmp_path):
 
 def test_huge_declared_index_dim_is_truncated(tmp_path):
     path = tmp_path / "index.rfi"
-    save_index(FlatIndex(ids=["d1"], matrix=np.ones((1, 3)) / np.sqrt(3), dim=3), path)
+    save_index(FlatIndex(ids=["d1"], matrix=np.ones((1, 3)) / np.sqrt(3), dim=3), path, "00" * 32)
     blob = bytearray(path.read_bytes())
     struct.pack_into("<Q", blob, 16, 1 << 61)  # magic RFI1, u32 version, u64 n, then u64 dim
     path.write_bytes(bytes(blob))

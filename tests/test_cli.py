@@ -14,12 +14,15 @@ import shutil
 import struct
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rare.cli
+import rare.manifest
 from rare.cli import UsageError, _apply_config_pairs, build_parser, dispatch, main
 from rare.embedder import load, new_params, save
 from rare.manifest import digest_file, manifest_path
@@ -658,8 +661,11 @@ class TestZeroQueryEmbeddings:
         params.projection[:] = 0.0  # every query embeds to all zeros
         zero_model = tmp_path / "zero.rare"
         save(params, zero_model)
+        zero_index = tmp_path / "zero.rfi"  # an index names its model, so the zero model gets its own
+        assert dispatch(["index", "--corpus", str(data_dir / "corpus.jsonl"), "--model", str(zero_model),
+                         "--out", str(zero_index)]) == 0
         commands = {
-            "search": (["search", "--index", str(pipeline / "index.rfi"), "--queries", str(data_dir / "queries.jsonl"),
+            "search": (["search", "--queries", str(data_dir / "queries.jsonl"),
                         "--pool", str(data_dir / "pool.jsonl"), "--task", "synth", "--k", "2"], n_queries),
             "ablate": (["ablate", "--data", f"synth={data_dir}", "--cell", "inst:0:retrieved",
                         "--cell", "inst+ic:2:retrieved"], 2 * n_queries),
@@ -667,10 +673,12 @@ class TestZeroQueryEmbeddings:
         }
         for name, (argv, total) in commands.items():
             out = ["--out", str(tmp_path / f"{name}.out")]
+            index = ["--index", str(pipeline / "index.rfi")] if name == "search" else []
             capsys.readouterr()
-            assert dispatch([*argv, "--model", str(pipeline / "model.rare"), *out]) == 0, name
+            assert dispatch([*argv, *index, "--model", str(pipeline / "model.rare"), *out]) == 0, name
             assert "all zeros" not in capsys.readouterr().err
-            assert dispatch([*argv, "--model", str(zero_model), *out]) == 0, name
+            index = ["--index", str(zero_index)] if name == "search" else []
+            assert dispatch([*argv, *index, "--model", str(zero_model), *out]) == 0, name
             err = capsys.readouterr().err
             line = f"{total} of {total} query embeddings are all zeros; ranked by document id"
             assert err.splitlines() == [line], (name, err)
@@ -680,44 +688,49 @@ def files_under(root: Path) -> set[Path]:
     return {p for p in root.rglob("*") if p.is_file()}
 
 
+def manifest_steps(tmp_path: Path) -> list[tuple[list[str], list[Path], dict[str, Path], dict]]:
+    """Every command once, in pipeline order: argv, files written, files read
+    by manifest key, seeds."""
+    d = tmp_path / "data"
+    corpus, queries, qrels, pool = (d / n for n in ("corpus.jsonl", "queries.jsonl", "qrels.tsv", "pool.jsonl"))
+    model, index, run = tmp_path / "model.rare", tmp_path / "index.rfi", tmp_path / "run.trec"
+    report, buckets = tmp_path / "report.json", tmp_path / "buckets.csv"
+    ablation, latency = tmp_path / "ablation.csv", tmp_path / "latency.csv"
+    dataset = {"synth:corpus": corpus, "synth:queries": queries, "synth:qrels": qrels, "synth:pool": pool}
+    return [
+        (["synth", "--out", str(d), *SMALL_SYNTH],
+         [corpus, queries, qrels, d / "train.jsonl", pool], {}, {"seed": 3}),
+        (["train", "--data", str(d / "train.jsonl"), "--pool", f"synth={pool}", "--k", "2", "--epochs", "1",
+          "--batch", "16", "--seed", "5", "--out", str(model), *SMALL_EMBEDDER],
+         [model, tmp_path / "model.rare.log.jsonl"], {"train": d / "train.jsonl", "pool:synth": pool},
+         {"seed": 5, "shuffle_seed": 0}),
+        (["index", "--corpus", str(corpus), "--model", str(model), "--out", str(index)],
+         [index], {"corpus": corpus, "model": model}, {}),
+        (["search", "--index", str(index), "--model", str(model), "--queries", str(queries), "--pool", str(pool),
+          "--task", "synth", "--k", "2", "--shuffle-seed", "4", "--out", str(run)],
+         [run], {"index": index, "model": model, "queries": queries, "pool": pool},
+         {"seed": 0, "shuffle_seed": 4}),
+        (["eval", "--run", str(run), "--qrels", str(qrels), "--out", str(report), "--buckets-out", str(buckets),
+          "--baseline-run", str(run), "--queries", str(queries), "--pool", str(pool), "--task", "synth",
+          "--model", str(model)],
+         [report, buckets],
+         {"run": run, "qrels": qrels, "baseline_run": run, "queries": queries, "pool": pool, "model": model}, {}),
+        (["ablate", "--data", f"synth={d}", "--model", str(model), "--cell", "inst:0:retrieved",
+          "--cell", "inst+ic:2:retrieved", "--out", str(ablation)],
+         [ablation], {"model": model, **dataset}, {"seed": 0}),
+        (["bench", "--data", str(d), "--dataset", "synth", "--model", str(model), "--k", "2", "--reps", "1",
+          "--out", str(latency)],
+         [latency], {"model": model, **dataset}, {}),
+    ]
+
+
 class TestManifests:
     """`dispatch` writes one manifest beside every file a command wrote. Its
     `input_digests` name exactly the files the command read, and its seeds
     are the parsed options named `*seed`."""
 
     def test_every_command_records_what_it_read_and_wrote(self, tmp_path):
-        d = tmp_path / "data"
-        corpus, queries, qrels, pool = (d / n for n in ("corpus.jsonl", "queries.jsonl", "qrels.tsv", "pool.jsonl"))
-        model, index, run = tmp_path / "model.rare", tmp_path / "index.rfi", tmp_path / "run.trec"
-        report, buckets = tmp_path / "report.json", tmp_path / "buckets.csv"
-        ablation, latency = tmp_path / "ablation.csv", tmp_path / "latency.csv"
-        dataset = {"synth:corpus": corpus, "synth:queries": queries, "synth:qrels": qrels, "synth:pool": pool}
-        steps = [  # argv, files written, files read by manifest key, seeds
-            (["synth", "--out", str(d), *SMALL_SYNTH],
-             [corpus, queries, qrels, d / "train.jsonl", pool], {}, {"seed": 3}),
-            (["train", "--data", str(d / "train.jsonl"), "--pool", f"synth={pool}", "--k", "2", "--epochs", "1",
-              "--batch", "16", "--seed", "5", "--out", str(model), *SMALL_EMBEDDER],
-             [model, tmp_path / "model.rare.log.jsonl"], {"train": d / "train.jsonl", "pool:synth": pool},
-             {"seed": 5, "shuffle_seed": 0}),
-            (["index", "--corpus", str(corpus), "--model", str(model), "--out", str(index)],
-             [index], {"corpus": corpus, "model": model}, {}),
-            (["search", "--index", str(index), "--model", str(model), "--queries", str(queries), "--pool", str(pool),
-              "--task", "synth", "--k", "2", "--shuffle-seed", "4", "--out", str(run)],
-             [run], {"index": index, "model": model, "queries": queries, "pool": pool},
-             {"seed": 0, "shuffle_seed": 4}),
-            (["eval", "--run", str(run), "--qrels", str(qrels), "--out", str(report), "--buckets-out", str(buckets),
-              "--baseline-run", str(run), "--queries", str(queries), "--pool", str(pool), "--task", "synth",
-              "--model", str(model)],
-             [report, buckets],
-             {"run": run, "qrels": qrels, "baseline_run": run, "queries": queries, "pool": pool, "model": model}, {}),
-            (["ablate", "--data", f"synth={d}", "--model", str(model), "--cell", "inst:0:retrieved",
-              "--cell", "inst+ic:2:retrieved", "--out", str(ablation)],
-             [ablation], {"model": model, **dataset}, {"seed": 0}),
-            (["bench", "--data", str(d), "--dataset", "synth", "--model", str(model), "--k", "2", "--reps", "1",
-              "--out", str(latency)],
-             [latency], {"model": model, **dataset}, {}),
-        ]
-        for argv, wrote, read, seeds in steps:
+        for argv, wrote, read, seeds in manifest_steps(tmp_path):
             before = files_under(tmp_path)
             assert dispatch(argv) == 0, argv[0]
             new = files_under(tmp_path) - before
@@ -728,6 +741,36 @@ class TestManifests:
                 assert manifest["command"] == ["rare", *argv]
                 assert manifest["input_digests"] == digests, (argv[0], artifact.name)
                 assert manifest["seeds"] == seeds, (argv[0], artifact.name)
+
+    def test_every_command_hashes_each_input_once_before_writing(self, tmp_path, monkeypatch):
+        """A command hashes each file it reads once, when it takes the file:
+        before it writes anything, and never again for the manifest or for
+        `eval`'s fingerprint."""
+        calls = []
+
+        def counting_digest(path):
+            calls.append((Path(path), files_under(tmp_path) - before))
+            return digest_file(path)
+
+        monkeypatch.setattr(rare.cli, "digest_file", counting_digest)
+        monkeypatch.setattr(rare.manifest, "digest_file", counting_digest)
+        for argv, _, read, _ in manifest_steps(tmp_path):
+            before = files_under(tmp_path)
+            calls.clear()
+            assert dispatch(argv) == 0, argv[0]
+            assert Counter(path for path, _ in calls) == Counter(read.values()), argv[0]
+            assert [written for _, written in calls if written] == [], argv[0]
+
+    def test_eval_over_its_own_run_records_the_run_it_read(self, pipeline, tmp_path):
+        run = tmp_path / "run.trec"
+        shutil.copyfile(pipeline / "run.trec", run)
+        read = digest_file(run)
+        assert dispatch(["eval", "--run", str(run), "--qrels", str(pipeline / "data" / "qrels.tsv"),
+                         "--out", str(run)]) == 0
+        manifest = json.loads(manifest_path(run).read_text(encoding="utf-8"))
+        assert manifest["input_digests"]["run"] == read
+        # The fingerprint comes from the same digests, so the report is the pipeline's.
+        assert run.read_bytes() == (pipeline / "report.json").read_bytes()
 
     def test_search_without_examples_records_no_pool(self, pipeline, tmp_path):
         data_dir = pipeline / "data"
@@ -777,6 +820,48 @@ class TestManifests:
         assert dispatch([*eval_argv, *companions, "--baseline-run", str(tmp_path / "missing.trec")]) == 2
         assert "baseline run not found" in capsys.readouterr().err
         assert files_under(tmp_path) == set()
+
+
+class TestIndexNamesItsModel:
+    """An index file stores the sha256 of the model file it was built with,
+    and `search` refuses a model with another digest."""
+
+    def test_seed_7_index_with_a_seed_1_model_is_exit_two(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert dispatch(["synth", "--seed", "7", "--out", str(data)]) == 0
+        models = {seed: tmp_path / f"model-{seed}.rare" for seed in ("0", "1")}
+        for seed, model in models.items():
+            assert dispatch(["train", "--data", str(data / "train.jsonl"), "--pool", str(data / "pool.jsonl"),
+                             "--seed", seed, "--out", str(model)]) == 0
+        index = tmp_path / "index.rfi"
+        assert dispatch(["index", "--corpus", str(data / "corpus.jsonl"), "--model", str(models["0"]),
+                         "--out", str(index)]) == 0
+        run = tmp_path / "run.trec"
+        search = ["search", "--index", str(index), "--queries", str(data / "queries.jsonl"),
+                  "--pool", str(data / "pool.jsonl"), "--task", "synth", "--k", "5", "--out", str(run)]
+        before = files_under(tmp_path)
+        capsys.readouterr()
+        assert dispatch([*search, "--model", str(models["1"])]) == 2
+        built, given = digest_file(models["0"])[:8], digest_file(models["1"])[:8]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {index} was built with model {built}, not {given} ({models['1']}); rebuild it with `rare index`"
+        ]
+        assert files_under(tmp_path) == before
+        assert dispatch([*search, "--model", str(models["0"])]) == 0
+
+    def test_version_1_index_is_exit_two_with_a_rebuild_hint(self, pipeline, tmp_path, capsys):
+        blob = (pipeline / "index.rfi").read_bytes()
+        old = tmp_path / "old.rfi"  # version 1 held no model digest between (n, dim) and the ids
+        old.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:24] + blob[56:])
+        run = tmp_path / "run.trec"
+        capsys.readouterr()
+        assert dispatch(["search", "--index", str(old), "--model", str(pipeline / "model.rare"),
+                         "--queries", str(pipeline / "data" / "queries.jsonl"), "--format", "inst", "--k", "0",
+                         "--out", str(run)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {old}: unsupported index version 1; rebuild it with `rare index`"
+        ]
+        assert not run.exists()
 
 
 class TestNotUtf8:

@@ -6,7 +6,9 @@ import hashlib
 import json
 from pathlib import Path
 
-from rare import __version__
+import pytest
+
+from rare import __version__, manifest as manifest_module
 from rare.manifest import build_manifest, digest_file, manifest_path, write_manifest
 
 
@@ -30,12 +32,14 @@ class TestManifestPath:
 
 
 class TestBuildAndWrite:
+    """`build_manifest` takes each input's digest, as the command took it."""
+
     def make_inputs(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
         a.write_text("alpha", encoding="utf-8")
         b.write_text("beta", encoding="utf-8")
-        return {"corpus": a, "queries": b}
+        return {"queries": digest_file(b), "corpus": digest_file(a)}
 
     def test_fields(self, tmp_path):
         inputs = self.make_inputs(tmp_path)
@@ -44,8 +48,18 @@ class TestBuildAndWrite:
         assert manifest.config == {"lr": 0.003}
         assert manifest.seeds == {"seed": 7}
         assert manifest.artifact_version == __version__
-        assert set(manifest.input_digests) == {"corpus", "queries"}
-        assert manifest.input_digests["corpus"] == digest_file(inputs["corpus"])
+        assert list(manifest.input_digests) == ["corpus", "queries"]
+        assert manifest.input_digests["corpus"] == hashlib.sha256(b"alpha").hexdigest()
+
+    def test_copies_digests_without_hashing(self, tmp_path, monkeypatch):
+        inputs = self.make_inputs(tmp_path)
+
+        def no_hashing(path):
+            pytest.fail(f"build_manifest hashed {path}")
+
+        monkeypatch.setattr(manifest_module, "digest_file", no_hashing)
+        monkeypatch.setattr(manifest_module.hashlib, "sha256", no_hashing)
+        assert build_manifest(["c"], {}, {}, inputs).input_digests == inputs
 
     def test_stable_modulo_timestamp(self, tmp_path):
         inputs = self.make_inputs(tmp_path)
@@ -57,10 +71,11 @@ class TestBuildAndWrite:
         assert da == db
 
     def test_input_change_changes_digest(self, tmp_path):
-        inputs = self.make_inputs(tmp_path)
-        before = build_manifest(["c"], {}, {}, inputs).input_digests["corpus"]
-        Path(inputs["corpus"]).write_text("alpha2", encoding="utf-8")
-        after = build_manifest(["c"], {}, {}, inputs).input_digests["corpus"]
+        path = tmp_path / "a.txt"
+        path.write_text("alpha", encoding="utf-8")
+        before = build_manifest(["c"], {}, {}, {"corpus": digest_file(path)}).input_digests["corpus"]
+        path.write_text("alpha2", encoding="utf-8")
+        after = build_manifest(["c"], {}, {}, {"corpus": digest_file(path)}).input_digests["corpus"]
         assert before != after
 
     def test_write_next_to_artifact(self, tmp_path):
@@ -72,5 +87,5 @@ class TestBuildAndWrite:
         assert out == tmp_path / "index.rfi.manifest.json"
         loaded = json.loads(out.read_text(encoding="utf-8"))
         assert loaded["command"] == ["rare", "index"]
-        assert loaded["input_digests"]["queries"] == digest_file(inputs["queries"])
+        assert loaded["input_digests"]["queries"] == hashlib.sha256(b"beta").hexdigest()
         assert "created_at" in loaded

@@ -3,12 +3,14 @@ and index file formats."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +50,9 @@ from rare.retrieve import (
 from rare.trainer import TrainConfig, train
 
 from conftest import random_text
+
+
+MODEL = hashlib.sha256(b"model file").hexdigest()  # the model digest an index file names
 
 
 def small_params(seed=0):
@@ -305,6 +310,22 @@ class TestTwoPassSearch:
         q = np.array([1.0, -1.0])
         assert search(index, q, 2) == oracle_search(index, q, 2) == [("d0", 2.0), ("d2", 0.0)]
 
+    def test_scan_raises_no_floating_point_warning(self):
+        """Library callers run without `dispatch`'s errstate: the float32 scan
+        of in-range factors must not warn, whatever numpy's error mode."""
+        nprng = np.random.default_rng(11)
+        matrix = nprng.uniform(-1, 1, (257, 64))
+        matrix[::7] = np.sign(matrix[::7])  # whole rows of -1 and 1
+        matrix[3] = 0.0
+        matrix[5] = np.ldexp(matrix[5], -140)  # rows below the float32 normal range
+        index = FlatIndex(ids=[f"d{i}" for i in range(257)], matrix=matrix, dim=64)
+        queries = [matrix[0], matrix[7], np.zeros(64), np.ldexp(nprng.uniform(-1, 1, 64), -150),
+                   nprng.uniform(-1, 1, 64) / 8]
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            for q in queries:
+                assert search(index, q, 10) == oracle_search(index, q, 10)
+
     @pytest.mark.parametrize("bad", OUT_OF_RANGE)
     @pytest.mark.parametrize("top_k", [1, 8])
     def test_out_of_range_index_entry_raises_at_first_search(self, bad, top_k):
@@ -368,7 +389,7 @@ class TestTwoPassSearch:
 
         params = small_params()
         built = build_flat_index(make_corpus([random_text(rng, 6) for _ in range(9)]), params)
-        save_index(built, tmp_path / "index.rfi")
+        save_index(built, tmp_path / "index.rfi", MODEL)
         assert not has_copy(built)
         assert not has_copy(load_flat_index(tmp_path / "index.rfi"))
 
@@ -376,7 +397,7 @@ class TestTwoPassSearch:
         nprng = np.random.default_rng(5)
         matrix = nprng.standard_normal((n, dim))
         matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
-        save_index(FlatIndex(ids=[f"d{i}" for i in range(n)], matrix=matrix, dim=dim), tmp_path / "big.rfi")
+        save_index(FlatIndex(ids=[f"d{i}" for i in range(n)], matrix=matrix, dim=dim), tmp_path / "big.rfi", MODEL)
         index = load_flat_index(tmp_path / "big.rfi")
         q = matrix[7].copy()
         tracemalloc.start()
@@ -632,15 +653,25 @@ class TestIndexSerialization:
     def test_round_trip(self, rng, tmp_path):
         index = self.make_index(rng)
         path = tmp_path / "index.bin"
-        save_index(index, path)
+        save_index(index, path, MODEL)
         loaded = load_flat_index(path)
         assert loaded.ids == index.ids
         assert loaded.dim == index.dim
         assert loaded.matrix.tobytes() == index.matrix.tobytes()
+        assert loaded.model == MODEL
+
+    def test_index_built_in_memory_names_no_model(self):
+        assert build_flat_index(make_corpus(["alpha beta"]), small_params()).model is None
+
+    def test_version_1_asks_for_a_rebuild(self, tmp_path):
+        path = tmp_path / "index.bin"  # version 1: no model digest after n, dim
+        path.write_bytes(b"RFI1" + struct.pack("<IQQI", 1, 1, 2, 2) + b"d1" + struct.pack("<2d", 0.6, 0.8))
+        with pytest.raises(VersionMismatch, match=r"unsupported index version 1; rebuild it with `rare index`$"):
+            load_flat_index(path)
 
     def test_bad_magic(self, rng, tmp_path):
         path = tmp_path / "index.bin"
-        save_index(self.make_index(rng), path)
+        save_index(self.make_index(rng), path, MODEL)
         blob = bytearray(path.read_bytes())
         blob[0] = ord("Z")
         path.write_bytes(bytes(blob))
@@ -649,7 +680,7 @@ class TestIndexSerialization:
 
     def test_version_mismatch(self, rng, tmp_path):
         path = tmp_path / "index.bin"
-        save_index(self.make_index(rng), path)
+        save_index(self.make_index(rng), path, MODEL)
         blob = bytearray(path.read_bytes())
         blob[4] = 7
         path.write_bytes(bytes(blob))
@@ -659,7 +690,7 @@ class TestIndexSerialization:
     def test_every_strict_prefix_raises_truncated(self, rng, tmp_path):
         index = self.make_index(rng, n=3, dim=2)
         path = tmp_path / "index.bin"
-        save_index(index, path)
+        save_index(index, path, MODEL)
         blob = path.read_bytes()
         cut = tmp_path / "cut.bin"
         for n in range(len(blob)):
@@ -669,7 +700,7 @@ class TestIndexSerialization:
 
     def test_trailing_garbage_rejected(self, rng, tmp_path):
         path = tmp_path / "index.bin"
-        save_index(self.make_index(rng), path)
+        save_index(self.make_index(rng), path, MODEL)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(Truncated):
             load_flat_index(path)
@@ -678,7 +709,7 @@ class TestIndexSerialization:
         index = self.make_index(rng)
         index.matrix[-1, -1] = np.nan
         path = tmp_path / "index.bin"
-        save_index(index, path)
+        save_index(index, path, MODEL)
         with pytest.raises(NonFiniteParams):
             load_flat_index(path)
 
@@ -686,17 +717,17 @@ class TestIndexSerialization:
         index = self.make_index(rng, n=2, dim=2)
         index.ids = ["a", "b"]
         path = tmp_path / "index.bin"
-        save_index(index, path)
+        save_index(index, path, MODEL)
         blob = path.read_bytes()
-        # Layout: magic(4) version(4) n(8) dim(8), then u32 length + "a".
-        path.write_bytes(blob[:28] + b"\xff" + blob[29:])
+        # Layout: magic(4) version(4) n(8) dim(8) model(32), then u32 length + "a".
+        path.write_bytes(blob[:60] + b"\xff" + blob[61:])
         with pytest.raises(DataError, match="UTF-8"):
             load_flat_index(path)
 
     def test_id_block_is_read_with_one_call(self, rng, tmp_path, monkeypatch):
         index = self.make_index(rng, n=50, dim=3)
         path = tmp_path / "index.bin"
-        save_index(index, path)
+        save_index(index, path, MODEL)
         reads = []
         real_take = Reader.take
 
@@ -706,15 +737,15 @@ class TestIndexSerialization:
 
         monkeypatch.setattr(Reader, "take", counting_take)
         assert load_flat_index(path).ids == index.ids
-        assert len(reads) == 4  # magic, version, (n, dim), the id block
+        assert len(reads) == 4  # magic, version, (n, dim, model), the id block
 
     def test_id_length_past_the_block_is_truncated(self, rng, tmp_path):
         index = self.make_index(rng, n=2, dim=2)
         index.ids = ["a", "b"]
         path = tmp_path / "index.bin"
-        save_index(index, path)
+        save_index(index, path, MODEL)
         blob = bytearray(path.read_bytes())
-        struct.pack_into("<I", blob, 24, 7)  # the first id claims 7 bytes; the id block holds 10
+        struct.pack_into("<I", blob, 56, 7)  # the first id claims 7 bytes; the id block holds 10
         path.write_bytes(bytes(blob))
         with pytest.raises(Truncated):
             load_flat_index(path)
@@ -723,8 +754,8 @@ class TestIndexSerialization:
         index = self.make_index(rng, n=2, dim=2)
         index.ids = ["a", "b"]
         path = tmp_path / "index.bin"
-        save_index(index, path)
+        save_index(index, path, MODEL)
         blob = path.read_bytes()
-        path.write_bytes(blob[:33] + b"\xff" + blob[34:])  # the second id's byte
-        with pytest.raises(DataError, match="string at offset 33 is not valid UTF-8"):
+        path.write_bytes(blob[:65] + b"\xff" + blob[66:])  # the second id's byte
+        with pytest.raises(DataError, match="string at offset 65 is not valid UTF-8"):
             load_flat_index(path)
