@@ -19,18 +19,20 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
-from collections import namedtuple
-from collections.abc import Sequence
+from collections import deque, namedtuple
+from collections.abc import Iterator, Sequence
+from contextlib import closing
 from dataclasses import dataclass
-from itertools import chain, filterfalse, pairwise
+from itertools import chain, filterfalse, islice, pairwise
 from pathlib import Path
 
 import numpy as np
 
 from .binfile import Reader
 from .bm25 import tokenize
-from .errors import DimMismatch, NonFiniteParams, SerializationError, SpecInvalid
+from .errors import DimMismatch, NonFiniteParams, SerializationError, SpecInvalid, WorkerLost
 
 MAGIC = b"RARE1"
 VERSION = 2
@@ -104,7 +106,8 @@ class _GramTable(dict):
     training (a train sees ~13k distinct grams), and whenever it is asked for
     another (hash_seed, hash_dim). `embed_many` keeps a memo per chunk instead
     (an L index has ~630k distinct grams), so serving leaves the table empty.
-    `lookups` and `hashes` count every gram lookup and hash in the process.
+    `lookups` and `hashes` count every gram lookup and hash in the process,
+    its featurizing workers' included.
     """
 
     def __init__(self, cap: int = 1 << 16):
@@ -131,9 +134,13 @@ class _GramTable(dict):
 
 _bucket = _GramTable()
 
-# `embed_many` hashes and counts the grams of this many texts' worth at a
-# time: a chunk ends with the text that brings it to this many grams.
+# `embed_many` hands out texts in ranges of this many, and hashes and counts
+# the grams of a range this many at a time.
+_TASK_TEXTS = 1 << 10
 _CHUNK_GRAMS = 1 << 14
+
+# A chunk's `_features`: its texts' buckets, their values, and each text's end.
+_Chunk = tuple[np.ndarray, np.ndarray, list[int]]
 
 
 def _grams(params: EmbedderParams, text: str) -> list[str]:
@@ -213,7 +220,7 @@ def project(params: EmbedderParams, cols: np.ndarray, vals: np.ndarray) -> np.nd
     The order of `cols` decides the bits: callers keep `featurize`'s order.
     """
     u = params.projection[:, cols] @ vals
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise NonFiniteParams("projection produced non-finite values")
     return u
 
@@ -244,25 +251,96 @@ def embed(params: EmbedderParams, text: str) -> np.ndarray:
 def embed_many(params: EmbedderParams, texts: Sequence[str]) -> np.ndarray:
     """Each text's unit-norm embedding (zero for gram-free text), one row each.
 
-    The texts go in chunks of about `_CHUNK_GRAMS` grams: each distinct gram
-    of a chunk is hashed once into a memo that lives for the chunk, and the
-    chunk's buckets are counted in one pass. Each row is its own `project`
-    gemv, so a text's row has the same bits in any batch; a gemm over the
-    chunk would not give a gemv's bits.
+    The texts go in ranges of `_TASK_TEXTS`, and a range in chunks of about
+    `_CHUNK_GRAMS` grams: each distinct gram of a chunk is hashed once into a
+    memo that lives for the chunk, and the chunk's buckets are counted in one
+    pass. With more than one range and more than one usable CPU, forked
+    workers featurize the ranges (see `_range_features`); this process
+    projects every row in text order either way. Each row is its own
+    `project` gemv, so a text's row has the same bits in any batch and on any
+    number of CPUs; a gemm over the chunk would not give a gemv's bits.
     """
     out = np.empty((len(texts), params.embed_dim))
-    row, grams, lens = 0, [], []
-    for done, text in enumerate(texts, 1):
-        text_grams = _grams(params, text)
-        grams += text_grams
-        lens.append(len(text_grams))
-        if len(grams) >= _CHUNK_GRAMS or done == len(texts):
-            cols, vals, ends = _features(params, grams, lens, {})
+    row = 0
+    with closing(_range_features(params, texts)) as ranges:  # its workers end before an error leaves here
+        for cols, vals, ends in chain.from_iterable(ranges):
             for start, end in pairwise([0, *ends]):
                 out[row] = unit(project(params, cols[start:end], vals[start:end]))[0]
                 row += 1
-            grams, lens = [], []
     return out
+
+
+def _range_features(params: EmbedderParams, texts: Sequence[str]) -> Iterator[list[_Chunk]]:
+    """`_chunks` of each range of `_TASK_TEXTS` texts, in text order.
+
+    Stays in this process when there is one range, one usable CPU, or no
+    `fork` or `os.sched_getaffinity` (as off Linux). Otherwise `min(usable
+    CPUs, ranges)` workers forked from this process inherit `params` and
+    `texts`, so only range starts go to them and only chunks and counts come
+    back; their gram lookups and hashes are added to `_bucket`. No worker
+    outlives the call: the pool is shut down, pending ranges cancelled, once
+    the caller closes this generator.
+    """
+    starts = range(0, len(texts), _TASK_TEXTS)
+    workers = 1
+    if len(starts) > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        workers = min(len(os.sched_getaffinity(0)), len(starts))
+    if workers < 2:
+        yield from (_chunks(params, texts, start) for start in starts)
+        return
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    # The fork start flushes the std streams before each fork, so nothing
+    # buffered here is printed again by a worker as it ends.
+    pool = ProcessPoolExecutor(workers, get_context("fork"), initializer=_inherit, initargs=(params, texts))
+    try:
+        # At most two ranges per worker are out at a time, so finished ranges
+        # that this process has not projected yet cannot pile up in memory.
+        queued = iter(starts)
+        futures = deque(pool.submit(_worker_chunks, start) for start in islice(queued, 2 * workers))
+        while futures:
+            chunks, lookups, hashes = futures.popleft().result()
+            futures.extend(pool.submit(_worker_chunks, start) for start in islice(queued, 1))
+            _bucket.lookups += lookups
+            _bucket.hashes += hashes
+            yield chunks
+    except BrokenProcessPool:
+        raise WorkerLost("a featurizing worker process ended before returning its texts") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _chunks(params: EmbedderParams, texts: Sequence[str], start: int) -> list[_Chunk]:
+    """The `_features` of texts[start : start + _TASK_TEXTS], one per chunk of
+    about `_CHUNK_GRAMS` grams: a chunk ends with the text that brings it to
+    that many, or with the range."""
+    stop = min(start + _TASK_TEXTS, len(texts))
+    chunks, grams, lens = [], [], []
+    for row in range(start, stop):  # by row: `texts` may not slice
+        text_grams = _grams(params, texts[row])
+        grams += text_grams
+        lens.append(len(text_grams))
+        if len(grams) >= _CHUNK_GRAMS or row == stop - 1:
+            chunks.append(_features(params, grams, lens, {}))
+            grams, lens = [], []
+    return chunks
+
+
+_inherited: tuple[EmbedderParams, Sequence[str]] | None = None  # set in a featurizing worker only
+
+
+def _inherit(params: EmbedderParams, texts: Sequence[str]) -> None:
+    """A worker's initializer: keep what the fork handed over."""
+    global _inherited
+    _inherited = params, texts
+
+
+def _worker_chunks(start: int) -> tuple[list[_Chunk], int, int]:
+    """`_chunks` of one range in a worker, with the gram lookups and hashes it made."""
+    _bucket.lookups = _bucket.hashes = 0
+    chunks = _chunks(*_inherited, start)
+    return chunks, _bucket.lookups, _bucket.hashes
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: ConfigError family -> 1 (usage),
 DataError family -> 2 (bad or missing input), NumericError family -> 3
-(non-finite loss or parameters).
+(non-finite loss or parameters). DimMismatch and WorkerLost also exit 2.
 """
 
 from __future__ import annotations
@@ -106,3 +106,7 @@ class NonFiniteParams(NumericError):
 
 class NonFiniteLoss(NumericError):
     """A training loss or gradient came out NaN or infinite."""
+
+
+class WorkerLost(RareError):
+    """A worker process ended before it returned its share of the work."""

@@ -6,6 +6,7 @@ run sees the same inputs; failures reproduce without any extra machinery.
 
 from __future__ import annotations
 
+import os
 import random
 
 import numpy as np
@@ -29,6 +30,15 @@ def random_text(rng: random.Random, max_tokens: int = 10, min_tokens: int = 1) -
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)
+
+
+# `embed_many` forks workers only when more than one CPU is usable.
+TWO_CPUS = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs to fork workers")
+
+
+def no_pool(*_args, **_kwargs):
+    """A stand-in for `ProcessPoolExecutor` where no worker may be forked."""
+    raise AssertionError("one range of texts or one usable CPU: no worker may be forked")
 
 
 def dense_features(params: EmbedderParams, text: str) -> np.ndarray:

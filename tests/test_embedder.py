@@ -6,8 +6,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import multiprocessing
 import subprocess
 import sys
+from concurrent.futures.process import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,8 +19,10 @@ from hypothesis import strategies as st
 from rare import embedder
 from rare.embedder import EmbedderParams, cosine, embed, feature_arrays, featurize, load, new_params, project, save
 from rare.errors import BadMagic, DimMismatch, NonFiniteParams, SerializationError, Truncated, VersionMismatch
+from rare.retrieve import document_text
+from rare.synth import SynthSpec, generate
 
-from conftest import WORDS, random_text
+from conftest import TWO_CPUS, WORDS, no_pool, random_text
 
 
 def small_params(seed=0, orders=(1, 2), hash_dim=512, embed_dim=16, max_tokens=None):
@@ -415,3 +419,52 @@ class TestColumnMajorLayout:
         save(small_params(seed=6, max_tokens=9, hash_dim=3000, embed_dim=40), first)
         save(load(first), second)
         assert second.read_bytes() == first.read_bytes()
+
+
+
+class _CountedPool(ProcessPoolExecutor):
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).built += 1
+        super().__init__(*args, **kwargs)
+
+
+class TestEmbedManyOverRanges:
+    """`embed_many` featurizes ranges of `_TASK_TEXTS` texts in forked workers
+    when it has more than one range and CPU; the rows keep the serial bits."""
+
+    @staticmethod
+    def seed7_texts() -> list[str]:
+        texts = [document_text(doc) for doc in generate(SynthSpec()).corpus.values()]
+        return [*texts[:100], "... !!", *texts[100:]]  # a gram-free text inside a range
+
+    @TWO_CPUS
+    def test_workers_give_the_serial_bits_and_counts(self, monkeypatch):
+        params = small_params(seed=3, hash_dim=4096)
+        texts = self.seed7_texts()
+        monkeypatch.setattr(embedder, "_bucket", embedder._GramTable())
+        monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", no_pool)
+        serial = embedder.embed_many(params, texts)  # 321 texts: one range
+        lookups = embedder._bucket.lookups
+        monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", _CountedPool)
+        monkeypatch.setattr(_CountedPool, "built", 0)
+        monkeypatch.setattr(embedder, "_TASK_TEXTS", 50)  # 7 ranges
+        monkeypatch.setattr(embedder, "_bucket", embedder._GramTable())
+        forked = embedder.embed_many(params, texts)
+        assert _CountedPool.built == 1
+        assert [list(map(float.hex, row)) for row in forked.tolist()] == \
+            [list(map(float.hex, row)) for row in serial.tolist()]
+        assert not forked[100].any()
+        assert embedder._bucket.lookups == lookups
+        assert multiprocessing.active_children() == []
+
+    def test_one_range_or_one_cpu_stays_in_process(self, monkeypatch):
+        monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", no_pool)
+        params = small_params()
+        texts = self.seed7_texts()[:320]
+        rows = embedder.embed_many(params, texts)  # the pipeline-S corpus size
+        assert embed(params, texts[0]).tobytes() == rows[0].tobytes()
+        monkeypatch.setattr(embedder, "_TASK_TEXTS", 50)
+        monkeypatch.setattr(embedder.os, "sched_getaffinity", lambda _pid: {0})
+        assert embedder.embed_many(params, texts).tobytes() == rows.tobytes()

@@ -134,6 +134,28 @@ def test_traced_index_projects_each_document_and_counts_each_gram(tmp_path):
     assert trace["bucket_hits"] + trace["bucket_misses"] == grams
 
 
+def test_traced_index_over_workers_projects_each_document_and_counts_each_gram(tmp_path):
+    # 1,280 documents are two ranges of `_TASK_TEXTS`: with two usable CPUs
+    # they are featurized in forked workers, whose gram counts must reach the
+    # traced process, while every project span stays in it.
+    data, model = tmp_path / "data", tmp_path / "model.rare"
+    assert dispatch(["synth", "--out", str(data), "--clusters", "8", "--docs", "160", "--seed", "7"]) == 0
+    assert dispatch(["train", "--data", str(data / "train.jsonl"), "--pool", str(data / "pool.jsonl"),
+                     "--epochs", "0", "--hash-dim", "2048", "--dim", "16", "--out", str(model)]) == 0
+    index = ["index", "--corpus", str(data / "corpus.jsonl"), "--model", str(model), "--out", str(tmp_path / "i.rfi")]
+    trace = traced(index, tmp_path / "spans.json")
+    spans = trace["spans"]
+    build = [i for i, span in enumerate(spans) if span[0] == "retrieve.build_flat_index"]
+    assert len(build) == 1
+    projects = [span for span in spans if span[0] == "embedder.project" and span[3] == build[0]]
+    corpus = load_corpus(data / "corpus.jsonl")
+    assert len(corpus) == 1280
+    assert len(projects) == len(corpus)
+    orders = load(model).ngram_orders
+    grams = sum(max(len(tokenize(document_text(doc))) - n + 1, 0) for doc in corpus.values() for n in orders)
+    assert trace["bucket_hits"] + trace["bucket_misses"] == grams
+
+
 def test_traced_search_gives_the_paper_view_one_row_per_query(tmp_path):
     data, model = smoke_model(tmp_path)
     index = tmp_path / "i.rfi"

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import struct
 import subprocess
@@ -21,8 +22,9 @@ from hypothesis import strategies as st
 from rare import bm25, embedder, retrieve
 from rare.bench import profile
 from rare.binfile import Reader
-from rare.data import Document, ExamplePool, ICExample, Query, TrainExample
-from rare.embedder import embed, new_params
+from rare.cli import dispatch
+from rare.data import Document, ExamplePool, ICExample, Query, TrainExample, load_corpus
+from rare.embedder import embed, featurize, load, new_params, save
 from rare.errors import (
     BadMagic,
     DataError,
@@ -47,9 +49,10 @@ from rare.retrieve import (
     search,
     write_run,
 )
+from rare.synth import SynthSpec, generate
 from rare.trainer import TrainConfig, train
 
-from conftest import random_text
+from conftest import TWO_CPUS, no_pool, random_text
 
 
 MODEL = hashlib.sha256(b"model file").hexdigest()  # the model digest an index file names
@@ -759,3 +762,114 @@ class TestIndexSerialization:
         path.write_bytes(blob[:65] + b"\xff" + blob[66:])  # the second id's byte
         with pytest.raises(DataError, match="string at offset 65 is not valid UTF-8"):
             load_flat_index(path)
+
+
+def _die(_start):
+    os._exit(1)
+
+
+def _child_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
+# `rare index` after an unflushed line, with ranges small enough to fork workers.
+ONCE_CHILD = """
+import sys
+from rare import cli, embedder
+print("before")
+embedder._TASK_TEXTS = 64
+sys.argv = ["rare", *sys.argv[1:]]
+cli.main()
+"""
+
+
+class TestIndexOverWorkers:
+    """An index build of more than one range of texts featurizes them in
+    forked workers and projects every row here; no worker outlives it."""
+
+    @pytest.fixture
+    def seed7(self, tmp_path) -> tuple[Path, Path]:
+        data, model = tmp_path / "data", tmp_path / "m.rare"
+        assert dispatch(["synth", "--out", str(data), "--seed", "7"]) == 0
+        save(new_params(hash_dim=1 << 16, embed_dim=16, seed=1), model)
+        return data / "corpus.jsonl", model
+
+    def test_serving_and_the_pipeline_corpus_never_fork(self, monkeypatch):
+        monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", no_pool)
+        bench = generate(SynthSpec())
+        params = small_params()
+        index = build_flat_index(bench.corpus, params)
+        assert len(index) == 320
+        run = run_inference(bench.queries, "", bench.pool, index, params,
+                            PromptFormat(kind=FormatKind.INST_IC), k=5, top_k=10)
+        assert len(run) == len(bench.queries)
+
+    @TWO_CPUS
+    def test_a_dead_worker_is_exit_two_in_one_line(self, seed7, tmp_path, monkeypatch, capfd):
+        corpus, model = seed7
+        out = tmp_path / "i.rfi"
+        monkeypatch.setattr(embedder, "_TASK_TEXTS", 64)
+        monkeypatch.setattr(embedder, "_worker_chunks", _die)
+        capfd.readouterr()
+        code = dispatch(["index", "--corpus", str(corpus), "--model", str(model), "--out", str(out)])
+        err = capfd.readouterr().err
+        assert code == 2
+        assert err.splitlines() == ["error: a featurizing worker process ended before returning its texts"], err
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    @TWO_CPUS
+    def test_overflow_mid_build_is_exit_three_and_leaves_no_worker(self, seed7, tmp_path, monkeypatch, capfd):
+        corpus, model = seed7
+        params = load(model)
+        texts = [document_text(doc) for doc in load_corpus(corpus).values()]
+        # Columns only document 150 reaches: its row is the one that overflows,
+        # while later ranges are still pending.
+        others = set().union(*(featurize(params, text) for i, text in enumerate(texts) if i != 150))
+        cols = sorted(set(featurize(params, texts[150])) - others)
+        assert cols
+        params.projection[:, cols] *= 1e200
+        save(params, model)
+        out = tmp_path / "i.rfi"
+        monkeypatch.setattr(embedder, "_TASK_TEXTS", 32)
+        capfd.readouterr()
+        code = dispatch(["index", "--corpus", str(corpus), "--model", str(model), "--out", str(out)])
+        err = capfd.readouterr().err
+        assert code == 3
+        assert err.splitlines() == ["numeric failure: embedding norm overflowed"], err
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    @TWO_CPUS
+    def test_output_before_the_fork_is_printed_once(self, seed7, tmp_path):
+        # A forked worker flushes its copy of stdout when it ends, so whatever
+        # this process had buffered must be flushed before the fork.
+        corpus, model = seed7
+        out, log = tmp_path / "i.rfi", tmp_path / "stdout.txt"
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)  # a file gets a block buffer
+        with log.open("w") as stdout:
+            result = subprocess.run(
+                [sys.executable, "-c", ONCE_CHILD, "index", "--corpus", str(corpus), "--model", str(model),
+                 "--out", str(out)],
+                env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert log.read_text().splitlines() == ["before", f"indexed 320 documents into {out}"]
+
+    @TWO_CPUS
+    def test_index_bytes_do_not_depend_on_the_cpu_count(self, tmp_path):
+        data, model = tmp_path / "data", tmp_path / "m.rare"
+        assert dispatch(["synth", "--out", str(data), "--clusters", "8", "--docs", "160"]) == 0
+        save(new_params(hash_dim=4096, embed_dim=16, seed=2), model)
+        cpu = min(os.sched_getaffinity(0))
+        blobs = []
+        for pin in (lambda: os.sched_setaffinity(0, {cpu}), None):  # this child alone
+            out = tmp_path / f"i{len(blobs)}.rfi"
+            result = subprocess.run(
+                [sys.executable, "-m", "rare.cli", "index", "--corpus", str(data / "corpus.jsonl"),
+                 "--model", str(model), "--out", str(out)],
+                env=_child_env(), preexec_fn=pin, capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout == f"indexed 1280 documents into {out}\n"
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
