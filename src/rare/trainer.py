@@ -56,6 +56,9 @@ from .prompt import AugmentedQuery, PromptFormat, render_inst, render_inst_ic
 
 log = logging.getLogger(__name__)
 
+# Floats of W one slice of `BatchLoss.descend` updates: 256 KiB of float64.
+_STEP_FLOATS = 32 * 1024
+
 
 class SelectionPolicy(Enum):
     RETRIEVED = "retrieved"
@@ -102,8 +105,15 @@ class BatchLoss:
         return dense
 
     def descend(self, projection: np.ndarray, learning_rate: float) -> None:
-        """`projection -= learning_rate * grads`, on `cols` only: w - lr * 0.0 == w."""
-        projection.T[self.cols] -= learning_rate * self.block
+        """`projection -= learning_rate * grads`, on `cols` only: w - lr * 0.0 == w.
+
+        Each column still gets `w - learning_rate * b`, but a slice of
+        `_STEP_FLOATS` floats at a time, so the step's temporaries (the
+        gathered columns and the scaled block) stay two slices, not two blocks.
+        """
+        step = max(1, _STEP_FLOATS // self.shape[0])
+        for start in range(0, len(self.cols), step):
+            projection.T[self.cols[start : start + step]] -= learning_rate * self.block[start : start + step]
 
 
 class Features:
@@ -146,7 +156,8 @@ def batch_grads(
 
     `features` carries texts' (cols, vals) arrays across calls; without it
     every text of the batch is featurized afresh. The gradient block is built
-    from those arrays: one `np.outer(vals, g)` per text with a gradient.
+    from those arrays: one `np.outer(vals, g / n)` per text with a gradient,
+    added at the block rows a column -> row table gives for its columns.
     """
     if config.temperature <= 0.0:
         raise NonPositiveTemperature(f"temperature must be positive, got {config.temperature}")
@@ -193,17 +204,20 @@ def batch_grads(
     grad = (coef.T @ e_q - (coef * sims).sum(axis=0)[:, None] * emb) / safe
     np.add.at(grad, q_rows, (v - e_q * np.einsum("ij,ij->i", e_q, v)[:, None]) / safe[q_rows])
 
-    grad_rows = np.flatnonzero(grad.any(axis=1))
+    grad_rows = np.flatnonzero(grad.any(axis=1))  # before dividing: a tiny entry / n can round to 0
+    grad /= n
     touched = np.zeros(params.hash_dim, dtype=bool)
     if grad_rows.size:  # none when every query of the batch embeds to zero
         touched[np.concatenate([feats[r][0] for r in grad_rows])] = True
     cols = np.flatnonzero(touched)
+    where = np.empty(params.hash_dim, dtype=np.intp)  # column -> its row of the block, on `cols`
+    where[cols] = np.arange(len(cols))
     # Each touched column sums its per-text terms from 0.0 in text order, as
     # a dense gradient would; a text's own columns are distinct.
     block = np.zeros((len(cols), params.embed_dim))
     for r in grad_rows:
         text_cols, vals = feats[r]
-        block[np.searchsorted(cols, text_cols)] += np.outer(vals, grad[r] / n)
+        block[where[text_cols]] += np.outer(vals, grad[r])
     value = float(losses.sum()) / n
     if not np.isfinite(value) or not np.all(np.isfinite(block)):
         raise NonFiniteLoss(f"batch produced non-finite loss or gradient (loss={value})")
@@ -323,6 +337,7 @@ def train(
             result = batch_grads(rendered, params, config, features)
             result.descend(params.projection, config.learning_rate)
             epoch_loss += result.value * len(chunk)
+            del result  # so the next batch's block is not allocated beside this one
         features.next_epoch()
         mean_loss = epoch_loss / n
         history.append({"epoch": epoch, "mean_loss": mean_loss})

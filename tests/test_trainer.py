@@ -8,7 +8,9 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from rare.errors import (
 )
 from rare.prompt import FormatKind, PromptFormat
 from rare.trainer import (
+    BatchLoss,
     Features,
     RenderedExample,
     SelectionPolicy,
@@ -70,6 +73,24 @@ def small_params(seed=0, hash_dim=256, embed_dim=12):
 def random_example(rng, with_negative=True):
     neg = random_text(rng, 6) if with_negative else None
     return RenderedExample(query=random_text(rng, 6), positive=random_text(rng, 6), negative=neg)
+
+
+def word_at(params, col: int) -> str:
+    """A one-word text whose unigram lands in bucket `col`."""
+    return next(f"w{i}" for i in itertools.count() if col in featurize(params, f"w{i}"))
+
+
+def edge_batch(params) -> list[RenderedExample]:
+    """Texts at column 0 and column hash_dim - 1, columns shared between
+    texts ("apple", "cherry", the last column), a zero query whose own
+    negative "river maple" is a candidate of no live query (its gradient row
+    is 0 unless batch hard negatives are offered) and a gram-free positive."""
+    first, last = word_at(params, 0), word_at(params, params.hash_dim - 1)
+    return [
+        RenderedExample(query=f"{first} apple", positive="apple banana", negative=f"{last} cherry"),
+        RenderedExample(query="", positive="cherry stone", negative="river maple"),
+        RenderedExample(query=f"lunar {last}", positive="!!", negative="frost galaxy"),
+    ]
 
 
 class TestLossFromSimilarities:
@@ -349,6 +370,41 @@ class TestBatchGrads:
         assert shared
 
 
+class TestDescend:
+    """`BatchLoss.descend` updates W a slice of columns at a time."""
+
+    @pytest.mark.parametrize("n_cols", [5_000, 5_120, 300])  # 512 columns of 64 floats per slice
+    def test_slices_give_the_one_shot_bytes_in_two_slices_of_memory(self, n_cols):
+        rng = np.random.default_rng(n_cols)
+        params = new_params(hash_dim=8192, embed_dim=64, seed=1)
+        cols = np.sort(rng.choice(params.hash_dim, n_cols, replace=False))
+        block = rng.standard_normal((n_cols, params.embed_dim)) * 10.0 ** rng.integers(-8, 3, (n_cols, 1))
+        result = BatchLoss(value=0.0, cols=cols, block=block, shape=params.projection.shape)
+        expected = params.projection.copy(order="F")
+        expected.T[cols] -= 0.003 * block
+        tracemalloc.start()
+        try:
+            result.descend(params.projection, 0.003)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert params.projection.tobytes() == expected.tobytes()
+        slice_bytes = 256 * 1024
+        assert peak <= 2 * slice_bytes + 4096  # the gathered columns and the scaled block, one slice each
+        if n_cols >= 5_000:
+            assert peak < block.nbytes / 4
+
+    def test_a_batch_of_zero_queries_leaves_w_alone(self):
+        params = small_params()
+        batch = [RenderedExample(query="", positive="apple banana", negative="cherry stone"),
+                 RenderedExample(query="!!", positive="river maple", negative="frost galaxy")]
+        result = batch_grads(batch, params, TrainConfig(temperature=0.1))
+        assert result.cols.size == 0 and result.block.shape == (0, params.embed_dim)
+        before = params.projection.tobytes()
+        result.descend(params.projection, 0.05)
+        assert params.projection.tobytes() == before
+
+
 class TestBatchMatrices:
     """`batch_grads` computes the whole batch as matrices; `oracle_batch_loss`
     is the same loss one example at a time."""
@@ -395,11 +451,52 @@ class TestBatchMatrices:
         config = TrainConfig(use_hard_negative=use_hard_negative,
                              include_batch_hard_negatives=include_batch_hard_negatives,
                              dedupe_in_batch=dedupe_in_batch)
-        for batch in ([a, b, a, a], [a, b, c]):
+        for batch in ([a, b, a, a], [a, b, c], edge_batch(params)):
             result = batch_grads(batch, params, config)
             value, grads = oracle_batch_loss(batch, params, config)
             assert abs(result.value - value) <= 1e-12 * max(1.0, abs(value))
             assert np.abs(result.grads - grads).max() <= 1e-12 * max(1.0, float(np.abs(grads).max()))
+
+    @pytest.mark.parametrize(("use_hard_negative", "include_batch_hard_negatives", "dedupe_in_batch"),
+                             list(itertools.product((False, True), repeat=3)))
+    def test_block_rows_match_the_searchsorted_loop(self, monkeypatch, use_hard_negative,
+                                                    include_batch_hard_negatives, dedupe_in_batch):
+        # The block as a per-text `np.searchsorted(cols, text_cols)` loop
+        # builds it, from the (vals, g) pairs each text's `np.outer` gets.
+        params = small_params(seed=5)
+        terms: list[tuple[np.ndarray, np.ndarray]] = []
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def outer(self, a, b):
+                terms.append((a, b))
+                return np.outer(a, b)
+
+        monkeypatch.setattr(trainer_module, "np", RecordingNumpy())
+        config = TrainConfig(use_hard_negative=use_hard_negative,
+                             include_batch_hard_negatives=include_batch_hard_negatives,
+                             dedupe_in_batch=dedupe_in_batch)
+        features = Features(params)
+        batch = edge_batch(params)
+        result = batch_grads(batch, params, config, features)
+
+        cols_of = {id(vals): text_cols for text_cols, vals in features.now.values()}
+        texts = [(cols_of[id(vals)], vals, g) for vals, g in terms if id(vals) in cols_of]
+        assert texts and all(g.any() for _, _, g in texts)
+        cols = np.unique(np.concatenate([text_cols for text_cols, _, _ in texts]))
+        block = np.zeros((len(cols), params.embed_dim))
+        for text_cols, vals, g in texts:
+            block[np.searchsorted(cols, text_cols)] += np.outer(vals, g)
+        assert result.cols.tobytes() == cols.tobytes()
+        assert result.block.tobytes() == block.tobytes()
+        assert {0, params.hash_dim - 1} <= set(result.cols.tolist())
+        # "river maple" is a live query's candidate only when the batch offers its negatives.
+        river = set(featurize(params, "river maple"))
+        assert not river & {c for ex in batch for t in (ex.query, ex.positive, ex.negative)
+                             if t != "river maple" for c in featurize(params, t)}
+        assert river & set(result.cols.tolist()) == (river if include_batch_hard_negatives else set())
 
     @pytest.mark.parametrize(("use_hard_negative", "include_batch_hard_negatives", "texts"),
                              [(False, False, 8), (True, False, 12), (False, True, 12), (True, True, 12)])
@@ -644,6 +741,28 @@ class TestTrain:
         train(train_set, pools, small_params(), config, render_hook=hook)
         assert len(drawn) > len(set(drawn))
         assert drawn == rendered
+
+    def test_each_batch_loss_is_dropped_before_the_next_batch(self, tmp_path, monkeypatch):
+        # One batch's gradient block at a time: no earlier result is alive
+        # when `train` asks for the next one.
+        data = tmp_path / "data"
+        assert dispatch(["synth", "--out", str(data), "--seed", "7", "--clusters", "2", "--docs", "20",
+                         "--queries", "5"]) == 0
+        results: list[weakref.ref] = []
+        alive: list[int] = []
+        grads = trainer_module.batch_grads
+
+        def tracked(*args, **kwargs):
+            alive.append(sum(r() is not None for r in results))
+            result = grads(*args, **kwargs)
+            results.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(trainer_module, "batch_grads", tracked)
+        assert dispatch(["train", "--data", str(data / "train.jsonl"), "--pool", str(data / "pool.jsonl"),
+                         "--out", str(tmp_path / "m.rare"), "--epochs", "2", "--batch", "8",
+                         "--hash-dim", "4096", "--dim", "16"]) == 0
+        assert alive == [0] * 14  # 50 triples in batches of 8, twice
 
     def test_empty_train_set(self):
         _, pools = make_train_task()
