@@ -24,35 +24,63 @@ it; `eval`'s fingerprint and `search`'s check that the index names its model
 use the same digests.
 Flag values can also be supplied as `--config key=value` pairs, which override
 parsed flags by destination name. No environment variables are consulted.
+
+`synth`, and `eval` without `--buckets-out`, run without importing numpy. The
+other commands load numpy and the names in `_NUMERIC` when they are dispatched.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import importlib
 import json
 import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, data, embedder, synth
-from .bench import add_inc_factors, emit_csv, profile
+from . import DEFAULT_EMBED_DIM, DEFAULT_HASH_DIM, DEFAULT_NGRAM_ORDERS, __version__, data, synth
+from .data import load_run, write_run
 from .errors import ConfigError, DataError, NumericError, RareError
 from .evaluation import AblationCell, DatasetBundle, ablate, evaluate, score_at_top1, write_ablation_csv
 from .manifest import build_manifest, digest_file, write_manifest
-from .prompt import FormatKind, PromptFormat
-from .retrieve import (
-    StageTimes,
-    build_flat_index,
-    load_flat_index,
-    load_run,
-    run_inference,
-    save_index,
-    write_run,
-)
-from .trainer import SelectionPolicy, TrainConfig, train
+from .prompt import FormatKind, PromptFormat, SelectionPolicy
+
+# The names the numeric commands' handlers call that need numpy, by the
+# module each comes from (a module itself where the two are equal).
+_NUMERIC = {
+    "embedder": "embedder",
+    "train": "trainer", "TrainConfig": "trainer",
+    "StageTimes": "retrieve", "build_flat_index": "retrieve", "load_flat_index": "retrieve",
+    "run_inference": "retrieve", "save_index": "retrieve",
+    "add_inc_factors": "bench", "emit_csv": "bench", "profile": "bench",
+}
+
+
+def __getattr__(name: str):
+    """Import a name of `_NUMERIC` on first use (PEP 562) and keep it as a
+    global. A global already bound, such as a wrapper set in its place,
+    stays as it is."""
+    if name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__package__}.{_NUMERIC[name]}")
+    return globals().setdefault(name, module if name == _NUMERIC[name] else getattr(module, name))
+
+
+def _numeric_guard(args: argparse.Namespace) -> contextlib.AbstractContextManager:
+    """What a command runs under. One that computes with numpy (all but
+    `synth`, and `eval` without `--buckets-out`) first loads the names of
+    `_NUMERIC`. Overflow and NaN on the way to a numeric failure are each
+    caught by an explicit check, which prints one line, so numpy need not warn."""
+    if args.command == "synth" or (args.command == "eval" and not args.buckets_out):
+        return contextlib.nullcontext()
+    for name in _NUMERIC:
+        __getattr__(name)
+    import numpy as np
+
+    return np.errstate(over="ignore", invalid="ignore")
+
 
 FORMAT_CHOICES = [kind.value for kind in FormatKind]
 SELECT_CHOICES = [policy.value for policy in SelectionPolicy]
@@ -126,9 +154,10 @@ def ngram_orders(raw: str) -> tuple[int, ...]:
 
 
 def _add_embedder_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--hash-dim", type=positive_int, default=embedder.DEFAULT_HASH_DIM)
-    parser.add_argument("--dim", type=positive_int, default=embedder.DEFAULT_EMBED_DIM)
-    parser.add_argument("--ngrams", type=ngram_orders, default="1,2", help="comma-separated n-gram orders")
+    parser.add_argument("--hash-dim", type=positive_int, default=DEFAULT_HASH_DIM)
+    parser.add_argument("--dim", type=positive_int, default=DEFAULT_EMBED_DIM)
+    parser.add_argument("--ngrams", type=ngram_orders, default=DEFAULT_NGRAM_ORDERS,
+                        help="comma-separated n-gram orders")
     parser.add_argument("--max-tokens", type=positive_int, default=None)
 
 
@@ -516,9 +545,7 @@ def dispatch(argv: list[str]) -> int:
             raise UsageError(parser.format_usage())
         _apply_config_pairs(args, parser.commands[args.command])
         inputs: dict[str, str] = {}
-        # Overflow and NaN on the way to a numeric failure are each caught by an
-        # explicit check, which prints the one line below; numpy need not warn.
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _numeric_guard(args):
             written = args.func(args, inputs)
         options = {key: value for key, value in sorted(vars(args).items()) if key not in ("func", "config")}
         seeds = {key: value for key, value in options.items() if key.endswith("seed")}

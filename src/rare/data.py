@@ -1,9 +1,9 @@
 """Loading and writing BeIR-style retrieval data.
 
-Every loader, and `retrieve.load_run`, reads UTF-8 text through `_lines`, which
-names the line of any byte that is not UTF-8. A JSONL string field whose JSON
-escapes decode to a lone surrogate is not UTF-8 either, and is a
-`MalformedLine` too. File formats:
+Every loader reads UTF-8 text through `_lines`, which names the line of any
+byte that is not UTF-8. A JSONL string field whose JSON escapes decode to a
+lone surrogate is not UTF-8 either, and is a `MalformedLine` too. File
+formats:
 
 * ``corpus.jsonl``: one JSON object per line with ``_id``, ``title``, ``text``.
 * ``queries.jsonl``: one JSON object per line with ``_id``, ``text``.
@@ -13,6 +13,12 @@ escapes decode to a lone surrogate is not UTF-8 either, and is a
   ``query``, ``positive``, ``negative``.
 * ``pool.jsonl``: one JSON object per line with ``query``, ``positive`` and an
   optional ``negative``; these are the in-context example candidates.
+* TREC run files: whitespace-separated ``qid Q0 docid rank score tag`` rows.
+  Within a query the ranks are integers that increase down the file, and no
+  document is listed twice.
+
+The module needs no numpy: `ExamplePool.bm25_index` imports `bm25` when it
+first builds an index.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import bm25
 from .errors import (
     DuplicateId,
     EmptyPool,
@@ -30,6 +36,9 @@ from .errors import (
     MalformedRow,
     NegativeGrade,
 )
+
+if TYPE_CHECKING:
+    from . import bm25
 
 log = logging.getLogger(__name__)
 
@@ -91,6 +100,8 @@ class ExamplePool:
     def bm25_index(self) -> bm25.Bm25Index:
         """BM25 over the pool queries by ordinal, built on first use."""
         if self._bm25 is None:
+            from . import bm25
+
             self._bm25 = bm25.build_index([ex.query for ex in self.examples])
         return self._bm25
 
@@ -219,6 +230,40 @@ def load_qrels(path: str | Path) -> QRels:
     return QRels(judgments=judgments)
 
 
+def load_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
+    """Load a TREC run file: qid -> [(doc id, score)] in rank order.
+
+    A row with other than 6 fields, a rank that is not an integer or does not
+    increase on the query's previous row, a score that is not a number, or a
+    document listed twice for one query is a `MalformedRow`.
+    """
+    run: dict[str, list[tuple[str, float]]] = {}
+    last_rank: dict[str, int] = {}
+    listed: set[tuple[str, str]] = set()
+    p = Path(path)
+    for line_no, line in _lines(p):
+        fields = line.split()
+        if len(fields) != 6:
+            raise MalformedRow(str(p), line_no, f"expected 6 fields, got {len(fields)}")
+        qid, _, doc_id, raw_rank, raw_score, _ = fields
+        try:
+            rank = int(raw_rank)
+        except ValueError:
+            raise MalformedRow(str(p), line_no, f"rank {raw_rank!r} is not an integer") from None
+        try:
+            score = float(raw_score)
+        except ValueError:
+            raise MalformedRow(str(p), line_no, f"score {raw_score!r} is not a number") from None
+        if qid in last_rank and rank <= last_rank[qid]:
+            raise MalformedRow(str(p), line_no, f"rank {rank} of query {qid!r} does not follow rank {last_rank[qid]}")
+        if (qid, doc_id) in listed:
+            raise MalformedRow(str(p), line_no, f"document {doc_id!r} is listed twice for query {qid!r}")
+        last_rank[qid] = rank
+        listed.add((qid, doc_id))
+        run.setdefault(qid, []).append((doc_id, score))
+    return run
+
+
 def load_train(path: str | Path) -> list[TrainExample]:
     """Load train.jsonl in file order."""
     out: list[TrainExample] = []
@@ -272,3 +317,11 @@ def write_train(examples: list[TrainExample], path: str | Path) -> None:
 def write_pool(pool: ExamplePool, path: str | Path) -> None:
     """Write the pool's examples; a None negative is left out of its line."""
     _write_jsonl(path, ({k: v for k, v in vars(ex).items() if v is not None} for ex in pool.examples))
+
+
+def write_run(run: dict[str, list[tuple[str, float]]], path: str | Path, tag: str = "rare") -> None:
+    """Write a TREC run file: qid Q0 docid rank score tag."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for qid, ranked in run.items():
+            for rank, (doc_id, score) in enumerate(ranked, start=1):
+                fh.write(f"{qid} Q0 {doc_id} {rank} {score:.6f} {tag}\n")

@@ -30,16 +30,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import DEFAULT_EMBED_DIM, DEFAULT_HASH_DIM, DEFAULT_NGRAM_ORDERS
 from .binfile import Reader
 from .bm25 import tokenize
 from .errors import DimMismatch, NonFiniteParams, SerializationError, SpecInvalid, WorkerLost
 
 MAGIC = b"RARE1"
 VERSION = 2
-
-DEFAULT_HASH_DIM = 1 << 16
-DEFAULT_EMBED_DIM = 64
-DEFAULT_NGRAM_ORDERS = (1, 2)
 
 
 @dataclass

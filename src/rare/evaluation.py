@@ -4,6 +4,9 @@ nDCG uses the graded gain 2^grade - 1 and the discount 1 / log2(rank + 1)
 with ranks starting at 1. Queries that have no relevant document in the
 qrels cannot be ranked meaningfully, so they are excluded from the mean and
 counted separately.
+
+Scoring a run needs no numpy: `ablate` and `score_at_top1`, which embed and
+search, import the numeric modules when they are called.
 """
 
 from __future__ import annotations
@@ -12,14 +15,15 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import bm25
 from .data import Document, ExamplePool, QRels, Query
-from .embedder import EmbedderParams, cosine, embed_many
 from .errors import SpecInvalid
-from .prompt import PromptFormat
-from .retrieve import FlatIndex, StageTimes, build_flat_index, run_inference
-from .trainer import SelectionPolicy
+from .prompt import PromptFormat, SelectionPolicy
+
+if TYPE_CHECKING:
+    from .embedder import EmbedderParams
+    from .retrieve import StageTimes
 
 
 def ndcg_at_k(ranked: list[tuple[str, float]], judged: dict[str, int], k: int) -> float:
@@ -131,6 +135,8 @@ def ablate(
 
     Every cell's inference adds its stage counts into `times` when one is given.
     """
+    from .retrieve import build_flat_index, run_inference
+
     if not cells or not datasets:
         raise SpecInvalid("ablation needs at least one cell and one dataset")
     table = AblationTable(rows=[c.label() for c in cells], datasets=[d.name for d in datasets], cells={})
@@ -181,6 +187,9 @@ def score_at_top1(
     bucket reports how many queries landed in it and the mean nDCG delta
     (report_a minus report_b) over those queries.
     """
+    from . import bm25
+    from .embedder import cosine, embed_many
+
     if not 1e-3 <= bin_width <= 1.0:
         raise SpecInvalid(f"bin width must be in [0.001, 1], got {bin_width}")
     n_bins = math.ceil(1.0 / bin_width)

@@ -29,6 +29,13 @@ class FormatKind(Enum):
     INST_IC_NEG = "inst+ic+neg"
 
 
+class SelectionPolicy(Enum):
+    """How a query's in-context examples are picked from its task's pool."""
+
+    RETRIEVED = "retrieved"
+    RANDOM = "random"
+
+
 @dataclass(frozen=True)
 class PromptFormat:
     kind: FormatKind = FormatKind.INST_IC

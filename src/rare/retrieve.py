@@ -23,11 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from .binfile import Reader
-from .data import Document, ExamplePool, Query, _lines
+from .data import Document, ExamplePool, Query
 from .embedder import EmbedderParams, embed, embed_many
-from .errors import DataError, DimMismatch, EmptyCorpus, MalformedRow, SpecInvalid, VersionMismatch
-from .prompt import PromptFormat, render_inst, render_inst_ic
-from .trainer import SelectionPolicy, select_examples
+from .errors import DataError, DimMismatch, EmptyCorpus, SpecInvalid, VersionMismatch
+from .prompt import PromptFormat, SelectionPolicy, render_inst, render_inst_ic
+from .trainer import select_examples
 
 MAGIC = b"RFI1"
 VERSION = 2
@@ -243,29 +243,6 @@ def run_inference(
         times.queries += 1
         if not emb.any():
             times.zero_queries += 1
-    return run
-
-
-def write_run(run: dict[str, list[tuple[str, float]]], path: str | Path, tag: str = "rare") -> None:
-    """Write a TREC run file: qid Q0 docid rank score tag."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for qid, ranked in run.items():
-            for rank, (doc_id, score) in enumerate(ranked, start=1):
-                fh.write(f"{qid} Q0 {doc_id} {rank} {score:.6f} {tag}\n")
-
-
-def load_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
-    run: dict[str, list[tuple[str, float]]] = {}
-    p = Path(path)
-    for line_no, line in _lines(p):
-        fields = line.split()
-        if len(fields) != 6:
-            raise MalformedRow(str(p), line_no, f"expected 6 fields, got {len(fields)}")
-        qid, _, doc_id, _, score, _ = fields
-        try:
-            run.setdefault(qid, []).append((doc_id, float(score)))
-        except ValueError:
-            raise MalformedRow(str(p), line_no, f"score {score!r} is not a number") from None
     return run
 
 

@@ -36,7 +36,6 @@ import logging
 import math
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -52,17 +51,12 @@ from .errors import (
     PoolTooSmall,
     SpecInvalid,
 )
-from .prompt import AugmentedQuery, PromptFormat, render_inst, render_inst_ic
+from .prompt import AugmentedQuery, PromptFormat, SelectionPolicy, render_inst, render_inst_ic
 
 log = logging.getLogger(__name__)
 
 # Floats of W one slice of `BatchLoss.descend` updates: 256 KiB of float64.
 _STEP_FLOATS = 32 * 1024
-
-
-class SelectionPolicy(Enum):
-    RETRIEVED = "retrieved"
-    RANDOM = "random"
 
 
 @dataclass

@@ -95,6 +95,20 @@ class TestExitCodes:
         assert code == 2
         assert str(missing) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines, reason", [
+        # Read in file order, ranks ignored, they would score nDCG@10 = 1.6309, 0.6309 and 1.0.
+        (["q1 Q0 d1 1 0.9 t", "q1 Q0 d1 2 0.8 t"], "document 'd1' is listed twice for query 'q1'"),
+        (["q1 Q0 d2 2 0.8 t", "q1 Q0 d1 1 0.9 t"], "rank 1 of query 'q1' does not follow rank 2"),
+        (["q1 Q0 d1 1 0.9 t", "q1 Q0 d2 x 0.8 t"], "rank 'x' is not an integer"),
+    ])
+    def test_malformed_run_is_one_line_exit_two(self, tmp_path, capsys, lines, reason):
+        run, qrels, out = tmp_path / "run.trec", tmp_path / "qrels.tsv", tmp_path / "r.json"
+        run.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        qrels.write_text("q1\td1\t1\n", encoding="utf-8")
+        assert dispatch(["eval", "--run", str(run), "--qrels", str(qrels), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {run}:2: {reason}"]
+        assert not out.exists()
+
     def test_malformed_data_is_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "corpus.jsonl"
         bad.write_text("{broken\n", encoding="utf-8")
@@ -1039,21 +1053,120 @@ def assert_exit_code(argv: list[str]) -> None:
     assert "Traceback" not in err.getvalue()
 
 
-class TestTrainImports:
-    def test_train_does_not_load_numpy_ma(self, tmp_path):
+# What the commands that compute load: numpy and the modules built on it.
+NUMERIC_MODULES = ["numpy", "rare.bm25", "rare.embedder", "rare.retrieve", "rare.trainer"]
+# The rare.cli names perfbench/tracer.py rebinds before any command runs; the
+# first five come from numpy-backed modules.
+TRACED_NAMES = ["train", "build_flat_index", "save_index", "load_flat_index", "run_inference",
+                "write_run", "load_run", "evaluate", "build_manifest"]
+
+# Runs `dispatch(ARGV)` and prints its exit code and which of MODULES are loaded.
+MODULES_CHILD = """
+import json, sys
+from rare.cli import dispatch
+try:
+    code = dispatch(json.loads(sys.argv[1]))
+except SystemExit as exc:  # --version exits from argparse
+    code = exc.code
+print(json.dumps([code, [m for m in json.loads(sys.argv[2]) if m in sys.modules]]))
+"""
+
+# Resolves NAMES on rare.cli, rebinds each to a wrapper that counts its calls,
+# runs each of STEPS through dispatch, and prints what resolved and what was called.
+REBIND_CHILD = """
+import json, sys
+import rare.cli as cli
+names, steps = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+resolved = [name for name in names if callable(getattr(cli, name))]
+called = []
+def rebind(name, fn):
+    def wrapper(*args, **kwargs):
+        called.append(name)
+        return fn(*args, **kwargs)
+    setattr(cli, name, wrapper)
+for name in names:
+    rebind(name, getattr(cli, name))
+codes = [cli.dispatch(argv) for argv in steps]
+print(json.dumps([resolved, codes, sorted(set(called))]))
+"""
+
+
+def run_fresh(*argv: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
+    """Run `python ARGV...` in a fresh interpreter with src/ on its path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, *argv], env=env, cwd=cwd, capture_output=True, text=True,
+                            timeout=SUBPROCESS_TIMEOUT_S)
+    assert result.returncode == 0, result.stderr
+    return result
+
+
+class TestImports:
+    """Each command imports only what it runs: `synth` and `eval` start
+    without numpy, and the numeric commands load it when dispatched."""
+
+    @staticmethod
+    def command_argv(pipeline: Path, tmp_path: Path) -> dict[str, list[str]]:
+        d = pipeline / "data"
+        return {
+            "synth": ["synth", "--out", str(tmp_path / "d"), *SMALL_SYNTH],
+            "eval": ["eval", "--run", str(pipeline / "run.trec"), "--qrels", str(d / "qrels.tsv"),
+                     "--out", str(tmp_path / "r.json")],
+            "--version": ["--version"],
+            "usage-error": ["train", "--data", str(d / "train.jsonl")],
+            "train": ["train", "--data", str(d / "train.jsonl"), "--pool", str(d / "pool.jsonl"), "--k", "2",
+                      "--epochs", "1", "--out", str(tmp_path / "m.rare"), *SMALL_EMBEDDER],
+            "index": ["index", "--corpus", str(d / "corpus.jsonl"), "--model", str(pipeline / "model.rare"),
+                      "--out", str(tmp_path / "i.rfi")],
+            "search": ["search", "--index", str(pipeline / "index.rfi"), "--model", str(pipeline / "model.rare"),
+                       "--queries", str(d / "queries.jsonl"), "--pool", str(d / "pool.jsonl"), "--task", "synth",
+                       "--k", "2", "--out", str(tmp_path / "run.trec")],
+        }
+
+    @pytest.mark.parametrize("command", ["synth", "eval", "--version", "usage-error", "train", "index", "search"])
+    def test_only_numeric_commands_load_numpy(self, pipeline, tmp_path, command):
         # numpy.ma comes with the first np.unique call in a process, and costs
         # every `rare train` about 13 ms; batch_grads does not need it.
-        synth_argv = ["synth", "--out", str(tmp_path / "d"), *SMALL_SYNTH]
-        train_argv = ["train", "--data", str(tmp_path / "d" / "train.jsonl"),
-                      "--pool", str(tmp_path / "d" / "pool.jsonl"), "--k", "2", "--epochs", "1",
-                      "--out", str(tmp_path / "m.rare"), *SMALL_EMBEDDER]
-        child = (f"import sys\nfrom rare.cli import dispatch\nassert dispatch({synth_argv!r}) == 0\n"
-                 f"assert dispatch({train_argv!r}) == 0\nprint('numpy.ma' in sys.modules)")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-        result = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True,
-                                timeout=SUBPROCESS_TIMEOUT_S)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "False"
+        argv = self.command_argv(pipeline, tmp_path)[command]
+        code = 1 if command == "usage-error" else 0
+        loaded = NUMERIC_MODULES if command in ("train", "index", "search") else []
+        result = run_fresh("-c", MODULES_CHILD, json.dumps(argv), json.dumps([*NUMERIC_MODULES, "numpy.ma"]))
+        assert json.loads(result.stdout.splitlines()[-1]) == [code, loaded]
+
+    def test_rebound_names_are_the_ones_dispatch_calls(self, tmp_path):
+        # Every traced name resolves before any command runs, and a wrapper set
+        # in its place stays there when a numeric command loads its names.
+        steps = [argv for argv, *_ in manifest_steps(tmp_path)]
+        result = run_fresh("-c", REBIND_CHILD, json.dumps(TRACED_NAMES), json.dumps(steps))
+        resolved, codes, called = json.loads(result.stdout.splitlines()[-1])
+        assert resolved == TRACED_NAMES
+        assert codes == [0] * len(steps)
+        assert called == sorted(TRACED_NAMES)
+
+    @pytest.mark.parametrize("command", ["eval", "ablate", "bench"])
+    def test_fresh_interpreter_writes_the_in_process_csv(self, pipeline, tmp_path, monkeypatch, command):
+        # Run in a fresh interpreter, the command imports numpy's modules as it
+        # is dispatched; in-process, pytest has loaded them all already.
+        d = pipeline / "data"
+        argv = {
+            "eval": ["eval", "--run", str(pipeline / "run.trec"), "--qrels", str(d / "qrels.tsv"),
+                     "--out", "r.json", "--buckets-out", "out.csv", "--baseline-run", str(pipeline / "run.trec"),
+                     "--queries", str(d / "queries.jsonl"), "--pool", str(d / "pool.jsonl"), "--task", "synth",
+                     "--model", str(pipeline / "model.rare")],
+            "ablate": ["ablate", "--data", f"synth={d}", "--model", str(pipeline / "model.rare"),
+                       "--cell", "inst:0:retrieved", "--cell", "inst+ic:2:random", "--out", "out.csv"],
+            "bench": ["bench", "--data", str(d), "--dataset", "synth", "--model", str(pipeline / "model.rare"),
+                      "--k", "2", "--reps", "1", "--out", "out.csv"],
+        }[command]
+        fresh, here = tmp_path / "fresh", tmp_path / "here"
+        fresh.mkdir()
+        here.mkdir()
+        run_fresh("-m", "rare.cli", *argv, cwd=fresh)
+        monkeypatch.chdir(here)
+        assert dispatch(argv) == 0
+        fresh_csv, here_csv = ((p / "out.csv").read_text(encoding="utf-8") for p in (fresh, here))
+        if command == "bench":  # keep the columns that are not seconds
+            fresh_csv, here_csv = ([row[:4] for row in csv.reader(io.StringIO(text))] for text in (fresh_csv, here_csv))
+        assert fresh_csv == here_csv
 
 
 def run_synth(argv: list[str], out: Path) -> None:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rare import data
-from rare.data import Document, ExamplePool, ICExample, QRels, Query, TrainExample
+from rare.data import Document, ExamplePool, ICExample, QRels, Query, TrainExample, load_run
 from rare.errors import (
     DataError,
     DuplicateId,
@@ -21,7 +21,6 @@ from rare.errors import (
     MalformedRow,
     NegativeGrade,
 )
-from rare.retrieve import load_run
 
 
 def write_lines(path, lines):

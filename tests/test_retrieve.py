@@ -23,7 +23,7 @@ from rare import bm25, embedder, retrieve
 from rare.bench import profile
 from rare.binfile import Reader
 from rare.cli import dispatch
-from rare.data import Document, ExamplePool, ICExample, Query, TrainExample, load_corpus
+from rare.data import Document, ExamplePool, ICExample, Query, TrainExample, load_corpus, load_run, write_run
 from rare.embedder import embed, featurize, load, new_params, save
 from rare.errors import (
     BadMagic,
@@ -43,11 +43,9 @@ from rare.retrieve import (
     build_flat_index,
     document_text,
     load_flat_index,
-    load_run,
     run_inference,
     save_index,
     search,
-    write_run,
 )
 from rare.synth import SynthSpec, generate
 from rare.trainer import TrainConfig, train
@@ -645,6 +643,27 @@ class TestRunFiles:
         path = tmp_path / "run.trec"
         path.write_text("q1 Q0 d1 1 0.5 tag\n\n", encoding="utf-8")
         assert len(load_run(path)) == 1
+
+    @pytest.mark.parametrize("second, reason", [
+        ("q1 Q0 d1 2 0.4 tag", "document 'd1' is listed twice for query 'q1'"),
+        ("q1 Q0 d2 x 0.4 tag", "rank 'x' is not an integer"),
+        ("q1 Q0 d2 1 0.4 tag", "rank 1 of query 'q1' does not follow rank 1"),
+        ("q1 Q0 d2 0 0.4 tag", "rank 0 of query 'q1' does not follow rank 1"),
+    ])
+    def test_repeated_document_and_bad_rank_name_the_line(self, tmp_path, second, reason):
+        path = tmp_path / "run.trec"
+        path.write_text(f"q1 Q0 d1 1 0.5 tag\nq2 Q0 d1 1 0.5 tag\n{second}\n", encoding="utf-8")
+        with pytest.raises(MalformedRow) as err:
+            load_run(path)
+        assert str(err.value) == f"{path}:3: {reason}"
+
+    def test_queries_may_interleave(self, tmp_path):
+        # Ranks increase within each query, not across the file, and
+        # one document may be listed once for each query.
+        path = tmp_path / "run.trec"
+        path.write_text("q1 Q0 d1 1 0.5 t\nq2 Q0 d1 1 0.5 t\nq1 Q0 d2 3 0.25 t\nq2 Q0 d3 7 0.125 t\n",
+                        encoding="utf-8")
+        assert load_run(path) == {"q1": [("d1", 0.5), ("d2", 0.25)], "q2": [("d1", 0.5), ("d3", 0.125)]}
 
 
 class TestIndexSerialization:
