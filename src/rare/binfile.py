@@ -2,23 +2,89 @@
 
 Every artifact is a magic string, a little-endian u32 version, a header of
 fixed-width fields and length-prefixed UTF-8 strings, then a row-major
-float64 matrix, which `Reader.matrix` reads straight from the file into the
-array it returns. Every length is checked against the file size before it
-is read, so a header declaring more than the file holds allocates nothing.
-Reading fails with a DataError subclass on a wrong magic or version, a short
-read, bytes left over after the last field, or a string that is not UTF-8,
-and with NonFiniteParams on a matrix holding NaN or infinity.
+float64 matrix. `Reader.matrix` reads it straight from the file into the
+array it returns; `Reader.stored_matrix` leaves it in the file and returns a
+`StoredMatrix`, which keeps the file open and reads rows with `os.preadv`
+when they are asked for. Either checks the matrix for NaN and infinity in
+slices of `SLICE_BYTES`, so the check allocates no array the matrix's size.
+Every length is checked against the file size before it is read, so a
+header declaring more than the file holds allocates nothing. Reading fails
+with a DataError subclass on a wrong magic or version, a short read (also of
+a stored matrix whose file shrank after it was opened), bytes left over
+after the last field, or a string that is not UTF-8, and with
+NonFiniteParams on a matrix holding NaN or infinity.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import weakref
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BadMagic, NonFiniteParams, SerializationError, Truncated, VersionMismatch
+
+# A matrix is checked, and a stored one read whole, in row slices of about this many bytes.
+SLICE_BYTES = 1 << 18
+
+
+def row_slices(rows: int, cols: int) -> list[tuple[int, int]]:
+    """`[start, stop)` ranges of whole rows, about `SLICE_BYTES` of float64 each, covering `rows`."""
+    step = max(1, SLICE_BYTES // (8 * max(cols, 1)))
+    return [(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
+class StoredMatrix:
+    """A row-major float64 matrix left in its file, read on demand.
+
+    It holds its own descriptor of the file, closed when the object is
+    collected, so the rows come from the file that was opened even if its
+    path is replaced. Indexing takes a slice of rows or an array of row
+    numbers and returns a new C-order array: each run of consecutive rows is
+    one `os.preadv` into it. A read that comes back short, because the file
+    shrank, is `Truncated`; no row of it is returned.
+    """
+
+    def __init__(self, fd: int, path: str | Path, offset: int, rows: int, cols: int):
+        self.fd = fd
+        self._close = weakref.finalize(self, os.close, fd)
+        self.path = path
+        self.offset = offset
+        self.shape = (rows, cols)
+
+    def __getitem__(self, key: slice | np.ndarray) -> np.ndarray:
+        rows = np.arange(*key.indices(self.shape[0])) if isinstance(key, slice) else np.asarray(key, dtype=np.int64)
+        out = np.empty((len(rows), self.shape[1]), dtype="<f8")
+        if len(rows):
+            runs = (np.flatnonzero(np.diff(rows) != 1) + 1).tolist()
+            for lo, hi in pairwise([0, *runs, len(rows)]):
+                self._read_into(out[lo:hi], int(rows[lo]))
+        return out
+
+    def _read_into(self, out: np.ndarray, row: int) -> None:
+        """Fill `out` with the rows from `row` on, looping over partial reads."""
+        if not 0 <= row <= self.shape[0] - len(out):
+            raise IndexError(f"rows [{row}, {row + len(out)}) of a {self.shape[0]}-row matrix")
+        at = self.offset + 8 * self.shape[1] * row
+        view = memoryview(out).cast("B")
+        while view:
+            got = os.preadv(self.fd, [view], at)
+            if not got:
+                raise Truncated(f"{self.path}: expected {len(view)} more bytes at offset {at}; the file shrank")
+            view, at = view[got:], at + got
+
+    def close(self) -> None:
+        self._close()
+
+
+def _check_finite(path: str | Path, matrix: np.ndarray | StoredMatrix) -> None:
+    """NonFiniteParams unless every entry is finite, checked one row slice at a time."""
+    for start, stop in row_slices(*matrix.shape):
+        if not np.isfinite(matrix[start:stop]).all():
+            raise NonFiniteParams(f"{path}: matrix contains non-finite values")
 
 
 class Reader:
@@ -96,16 +162,31 @@ class Reader:
             raise Truncated(f"{self.path}: {nbytes - at} unexpected bytes after the strings at offset {base + at}")
         return out
 
-    def matrix(self, rows: int, cols: int) -> np.ndarray:
-        """A finite row-major (rows, cols) float64 matrix; both sides must be positive."""
+    def _claim_matrix(self, rows: int, cols: int) -> int:
+        """Claim a row-major (rows, cols) float64 matrix's bytes; both sides must be positive."""
         if rows < 1 or cols < 1:
             raise SerializationError(f"{self.path}: matrix shape ({rows}, {cols}) has an empty side")
-        start = self._skip(8 * rows * cols)
+        return self._skip(8 * rows * cols)
+
+    def matrix(self, rows: int, cols: int) -> np.ndarray:
+        """A finite row-major (rows, cols) float64 matrix, read into memory."""
+        start = self._claim_matrix(rows, cols)
         out = np.empty((rows, cols), dtype="<f8")
         self._check_full(self.fh.readinto(out), out.nbytes, start)
-        if not np.all(np.isfinite(out)):
-            raise NonFiniteParams(f"{self.path}: matrix contains non-finite values")
+        _check_finite(self.path, out)
         return out
+
+    def stored_matrix(self, rows: int, cols: int) -> StoredMatrix:
+        """A finite row-major (rows, cols) float64 matrix left in the file,
+        on a descriptor of its own that outlives this reader."""
+        start = self._claim_matrix(rows, cols)
+        stored = StoredMatrix(os.dup(self.fh.fileno()), self.path, start, rows, cols)
+        try:
+            _check_finite(self.path, stored)
+        except BaseException:
+            stored.close()
+            raise
+        return stored
 
     def end(self) -> None:
         """Reject bytes past the last field."""

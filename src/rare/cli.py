@@ -21,7 +21,8 @@ named `*seed`, and the sha256 of each file read, keyed `train`, `pool` or
 `baseline_run`, or `NAME:corpus|queries|qrels|pool` per dataset directory.
 Each digest is taken once, when the command takes the file and before it reads
 it; `eval`'s fingerprint and `search`'s check that the index names its model
-use the same digests.
+use the same digests. `index` writes to a temporary file beside `--out` and
+renames it into place only on success.
 Flag values can also be supplied as `--config key=value` pairs, which override
 parsed flags by destination name. No environment variables are consulted.
 
@@ -52,8 +53,8 @@ from .prompt import FormatKind, PromptFormat, SelectionPolicy
 _NUMERIC = {
     "embedder": "embedder",
     "train": "trainer", "TrainConfig": "trainer",
-    "StageTimes": "retrieve", "build_flat_index": "retrieve", "load_flat_index": "retrieve",
-    "run_inference": "retrieve", "save_index": "retrieve",
+    "IndexWriter": "retrieve", "StageTimes": "retrieve", "build_flat_index": "retrieve",
+    "load_flat_index": "retrieve", "run_inference": "retrieve", "save_index": "retrieve",
     "add_inc_factors": "bench", "emit_csv": "bench", "profile": "bench",
 }
 
@@ -161,11 +162,16 @@ def _add_embedder_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-tokens", type=positive_int, default=None)
 
 
+_BOOLEANS = {word: value for words, value in (("true 1 yes on", True), ("false 0 no off", False))
+             for word in words.split()}
+
+
 def _apply_config_pairs(args: argparse.Namespace, command: argparse.ArgumentParser) -> None:
     """Apply --config key=value overrides onto parsed flags.
 
     Each value is converted by its flag's type and checked against its
-    choices, exactly as the flag itself would be.
+    choices, exactly as the flag itself would be. A switch takes true/false,
+    1/0, yes/no or on/off, in any case; any other value is a usage error.
     """
     actions = {a.dest: a for a in command._actions if a.option_strings and a.dest not in ("help", "config")}
     for pair in args.config:
@@ -176,7 +182,9 @@ def _apply_config_pairs(args: argparse.Namespace, command: argparse.ArgumentPars
         if action is None:
             raise UsageError(f"--config refers to unknown option {key!r}")
         if action.nargs == 0:
-            value = raw.strip().lower() in ("1", "true", "yes", "on")
+            value = _BOOLEANS.get(raw.strip().lower())
+            if value is None:
+                raise UsageError(f"--config {key}: {raw!r} is not a boolean (true/false, 1/0, yes/no, on/off)")
         else:
             convert = action.type or str
             try:
@@ -275,8 +283,9 @@ def _cmd_train(args: argparse.Namespace, inputs: dict[str, str]) -> list[str | P
 def _cmd_index(args: argparse.Namespace, inputs: dict[str, str]) -> list[str | Path]:
     corpus = data.load_corpus(_require_file(args.corpus, "corpus", inputs, "corpus"))
     params = embedder.load(_require_file(args.model, "model", inputs, "model"))
-    index = build_flat_index(corpus, params)
-    save_index(index, args.out, inputs["model"])
+    with IndexWriter(args.out, inputs["model"]) as out:  # rows go to disk as they are made
+        index = build_flat_index(corpus, params, out)
+        save_index(index, args.out, inputs["model"])
     print(f"indexed {len(index)} documents into {args.out}")
     return [args.out]
 

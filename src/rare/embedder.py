@@ -5,9 +5,10 @@ configured orders, and each n-gram is hashed into one of `hash_dim` buckets
 with a seeded, process-independent hash. Bucket counts normalized by the
 total n-gram count form a sparse feature vector x; the embedding is the
 L2-normalized projection W @ x. Texts producing no n-grams embed to the zero
-vector, and cosine against a zero vector is defined as 0. `embed_many` is
-the one path from text to embedding; `featurize` runs its gram-counting core
-over one text for the trainer.
+vector, and cosine against a zero vector is defined as 0. `embed_ranges` is
+the one path from text to embedding: `embed_many` gathers its rows into one
+array, and `featurize` runs its gram-counting core over one text for the
+trainer.
 
 W is held column-major (Fortran order), so the columns of a text's buckets
 are contiguous 8 * embed_dim-byte reads. The RARE1 file (version 2) stores
@@ -131,7 +132,7 @@ class _GramTable(dict):
 
 _bucket = _GramTable()
 
-# `embed_many` hands out texts in ranges of this many, and hashes and counts
+# `embed_ranges` hands out texts in ranges of this many, and hashes and counts
 # the grams of a range this many at a time.
 _TASK_TEXTS = 1 << 10
 _CHUNK_GRAMS = 1 << 14
@@ -246,25 +247,40 @@ def embed(params: EmbedderParams, text: str) -> np.ndarray:
 
 
 def embed_many(params: EmbedderParams, texts: Sequence[str]) -> np.ndarray:
-    """Each text's unit-norm embedding (zero for gram-free text), one row each.
-
-    The texts go in ranges of `_TASK_TEXTS`, and a range in chunks of about
-    `_CHUNK_GRAMS` grams: each distinct gram of a chunk is hashed once into a
-    memo that lives for the chunk, and the chunk's buckets are counted in one
-    pass. With more than one range and more than one usable CPU, forked
-    workers featurize the ranges (see `_range_features`); this process
-    projects every row in text order either way. Each row is its own
-    `project` gemv, so a text's row has the same bits in any batch and on any
-    number of CPUs; a gemm over the chunk would not give a gemv's bits.
-    """
+    """Each text's unit-norm embedding (zero for gram-free text), one row each:
+    the rows of `embed_ranges`, gathered into one array."""
     out = np.empty((len(texts), params.embed_dim))
     row = 0
-    with closing(_range_features(params, texts)) as ranges:  # its workers end before an error leaves here
-        for cols, vals, ends in chain.from_iterable(ranges):
-            for start, end in pairwise([0, *ends]):
-                out[row] = unit(project(params, cols[start:end], vals[start:end]))[0]
-                row += 1
+    for rows in embed_ranges(params, texts):
+        out[row : row + len(rows)] = rows
+        row += len(rows)
     return out
+
+
+def embed_ranges(params: EmbedderParams, texts: Sequence[str]) -> Iterator[np.ndarray]:
+    """`embed_many`'s rows, one array per range of `_TASK_TEXTS` texts, each
+    yielded once it is projected, so a caller that writes them out never
+    holds every row.
+
+    A range goes in chunks of about `_CHUNK_GRAMS` grams: each distinct gram
+    of a chunk is hashed once into a memo that lives for the chunk, and the
+    chunk's buckets are counted in one pass. With more than one range and
+    more than one usable CPU, forked workers featurize the ranges (see
+    `_range_features`); this process projects every row in text order either
+    way. Each row is its own `project` gemv, so a text's row has the same
+    bits in any batch and on any number of CPUs; a gemm over the chunk would
+    not give a gemv's bits. Close the generator if it is left early: that
+    ends the workers.
+    """
+    with closing(_range_features(params, texts)) as ranges:  # its workers end before an error leaves here
+        for chunks in ranges:
+            rows = np.empty((sum(len(ends) for _, _, ends in chunks), params.embed_dim))
+            row = 0
+            for cols, vals, ends in chunks:
+                for start, end in pairwise([0, *ends]):
+                    rows[row] = unit(project(params, cols[start:end], vals[start:end]))[0]
+                    row += 1
+            yield rows
 
 
 def _range_features(params: EmbedderParams, texts: Sequence[str]) -> Iterator[list[_Chunk]]:

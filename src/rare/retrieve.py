@@ -8,23 +8,32 @@ top K, and only their 4-row blocks are scored again in float64. The result
 is the float64 top K with the float64 scores: scores descending, ties broken
 by ascending document id. An index file names the model it was built with
 by the sha256 of the model file.
+
+`ablate`, `bench` and library callers build an index in memory. `rare index`
+builds into an `IndexWriter`, which writes the header and ids first and each
+range of rows as it is projected, to a temporary file renamed into place on
+success. A loaded index keeps its float64 rows in the file: it holds the
+float32 scan copy, built from slices of the file, and reads each query's
+candidate blocks with `os.preadv`.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
 import struct
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from contextlib import closing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .binfile import Reader
+from .binfile import Reader, StoredMatrix, row_slices
 from .data import Document, ExamplePool, Query
-from .embedder import EmbedderParams, embed, embed_many
+from .embedder import EmbedderParams, embed, embed_many, embed_ranges
 from .errors import DataError, DimMismatch, EmptyCorpus, SpecInvalid, VersionMismatch
 from .prompt import PromptFormat, SelectionPolicy, render_inst, render_inst_ic
 from .trainer import select_examples
@@ -33,25 +42,44 @@ MAGIC = b"RFI1"
 VERSION = 2
 
 
-@dataclass
 class FlatIndex:
-    ids: list[str]
-    matrix: np.ndarray  # (n, dim) C-order float64, every entry in [-1, 1]; fixed once searched
-    dim: int
-    model: str | None = None  # sha256 hex digest of the model file; None for an index built in memory
-    _scan: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    """One row per document, in `ids` order, every entry in [-1, 1].
+
+    The rows are an `(n, dim)` C-order float64 array held in memory, or a
+    `StoredMatrix` left in the index file that `load_flat_index` or
+    `build_flat_index` with an `IndexWriter` keeps open. Search touches the
+    float64 rows only through slices and gathered rows, so a stored index
+    holds no more than its float32 `scan` copy; `matrix` reads a stored index
+    whole on each access. The rows are fixed once searched.
+    """
+
+    def __init__(self, ids: list[str], matrix: np.ndarray | StoredMatrix, dim: int, model: str | None = None):
+        self.ids = ids
+        self.rows = matrix
+        self.dim = dim
+        self.model = model  # sha256 hex digest of the model file; None for an index built in memory
+        self._scan: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.ids)
 
+    @property
+    def matrix(self) -> np.ndarray:
+        rows = self.rows
+        return rows if isinstance(rows, np.ndarray) else rows[:]
+
     def scan(self) -> np.ndarray:
-        """The float32 copy of `matrix`, built on first use once every entry
-        is checked to lie in [-1, 1] (NaN fails the check)."""
+        """The float32 copy of the rows, built on first use one row slice at
+        a time, each checked to lie in [-1, 1] (NaN fails the check)."""
         if self._scan is None:
-            matrix = self.matrix
-            if not max(matrix.max(initial=0.0), -matrix.min(initial=0.0)) <= 1.0:
-                raise DataError("index entries must lie in [-1, 1]; rebuild it with `rare index`")
-            self._scan = matrix.astype(np.float32)
+            rows = self.rows
+            scan = np.empty(rows.shape, dtype=np.float32)
+            for start, stop in row_slices(*rows.shape):
+                part = rows[start:stop]
+                if not max(part.max(initial=0.0), -part.min(initial=0.0)) <= 1.0:
+                    raise DataError("index entries must lie in [-1, 1]; rebuild it with `rare index`")
+                scan[start:stop] = part
+            self._scan = scan
         return self._scan
 
 
@@ -73,13 +101,27 @@ class _DocumentTexts(Sequence):
         return document_text(self.docs[row])
 
 
-def build_flat_index(corpus: dict[str, Document], params: EmbedderParams) -> FlatIndex:
-    """Embed every document, rows in corpus iteration order."""
+def build_flat_index(
+    corpus: dict[str, Document], params: EmbedderParams, out: IndexWriter | None = None
+) -> FlatIndex:
+    """Embed every document, rows in corpus iteration order.
+
+    With `out`, the header and ids are written first and each range of rows
+    as soon as it is projected, so no `(n, dim)` array is ever held; the
+    index returned reads its rows back from that file, and `save_index`
+    moves the file into place.
+    """
     if not corpus:
         raise EmptyCorpus("cannot index an empty corpus")
     docs = list(corpus.values())
-    matrix = embed_many(params, _DocumentTexts(docs))
-    return FlatIndex(ids=[d.id for d in docs], matrix=matrix, dim=params.embed_dim)
+    ids = [d.id for d in docs]
+    if out is None:
+        return FlatIndex(ids=ids, matrix=embed_many(params, _DocumentTexts(docs)), dim=params.embed_dim)
+    out.begin(ids, params.embed_dim)
+    with closing(embed_ranges(params, _DocumentTexts(docs))) as ranges:
+        for rows in ranges:
+            out.write(rows)
+    return FlatIndex(ids=ids, matrix=out, dim=params.embed_dim, model=out.model)
 
 
 def search(index: FlatIndex, q_emb: np.ndarray, top_k: int) -> list[tuple[str, float]]:
@@ -101,7 +143,7 @@ def search(index: FlatIndex, q_emb: np.ndarray, top_k: int) -> list[tuple[str, f
     # and underflow stays within `_rescore_rows`' delta: a flag is spurious.
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         rows = _rescore_rows(index.scan(), q_emb, top_k)
-        scores = _product(index.matrix[rows], q_emb).tolist()
+        scores = _product(index.rows[rows], q_emb).tolist()
     ids = index.ids
     ranked = sorted(zip(scores, rows.tolist()), key=lambda p: (-p[0], ids[p[1]]))[:top_k]
     return [(ids[row], score) for score, row in ranked]
@@ -246,21 +288,76 @@ def run_inference(
     return run
 
 
-def save_index(index: FlatIndex, path: str | Path, model: str) -> None:
-    """Serialize: magic RFI1, u32 version, u64 n, u64 dim, the 32-byte sha256
-    `model` of the model file the index was built with, ids, row-major float64."""
-    with Path(path).open("wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<QQ32s", len(index.ids), index.dim, bytes.fromhex(model)))
-        for doc_id in index.ids:
+class IndexWriter(StoredMatrix):
+    """An index file written front to back: `begin` writes the header and
+    ids, `write` appends rows, and `commit` renames the file into place.
+
+    The bytes go to a temporary file beside `path`, which the `with` block
+    removes unless `commit` ran, so a failed build leaves no file at `path`
+    and an index already there unchanged. The rows written can be read back
+    as a `StoredMatrix`.
+    """
+
+    def __init__(self, path: str | Path, model: str):
+        self.target = Path(path)
+        tmp = self.target.with_name(f"{self.target.name}.{os.getpid()}.tmp")
+        super().__init__(os.open(tmp, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666), tmp, 0, 0, 0)
+        self.model = model
+        self.committed = False
+
+    def __enter__(self) -> IndexWriter:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if not self.committed:
+            self.close()
+            Path(self.path).unlink(missing_ok=True)
+
+    def _write(self, data) -> None:
+        view = memoryview(data).cast("B")
+        while view:
+            view = view[os.write(self.fd, view):]
+
+    def begin(self, ids: list[str], dim: int) -> None:
+        """Magic RFI1, u32 version, u64 n, u64 dim, the 32-byte sha256 of the
+        model file, then each id as a u32 byte length and its UTF-8 bytes."""
+        head = bytearray(MAGIC + struct.pack("<IQQ32s", VERSION, len(ids), dim, bytes.fromhex(self.model)))
+        for doc_id in ids:  # into one buffer: a list of two small objects per id costs 7 MiB at 32k ids
             raw = doc_id.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-        fh.write(np.ascontiguousarray(index.matrix, dtype="<f8"))
+            head += struct.pack("<I", len(raw))
+            head += raw
+        self._write(head)
+        self.offset = os.lseek(self.fd, 0, os.SEEK_CUR)
+        self.shape = (len(ids), dim)
+
+    def write(self, rows: np.ndarray) -> None:
+        """Append row-major float64 rows."""
+        self._write(np.ascontiguousarray(rows, dtype="<f8"))
+
+    def commit(self) -> None:
+        os.replace(self.path, self.target)
+        self.path = self.target
+        self.committed = True
+
+
+def save_index(index: FlatIndex, path: str | Path, model: str) -> None:
+    """Write `index` as an RFI1 file (see `IndexWriter.begin`), its rows
+    row-major float64 after the ids, naming `model`. An index that
+    `build_flat_index` wrote into an `IndexWriter` for `path` and `model` is
+    only renamed into place."""
+    rows = index.rows
+    if isinstance(rows, IndexWriter) and not rows.committed and (rows.target, rows.model) == (Path(path), model):
+        rows.commit()
+        return
+    with IndexWriter(path, model) as out:
+        out.begin(index.ids, index.dim)
+        for start, stop in row_slices(*rows.shape):
+            out.write(rows[start:stop])
+        out.commit()
 
 
 def load_flat_index(path: str | Path) -> FlatIndex:
+    """The index at `path`, its rows left in the file (checked to be finite)."""
     try:
         reader = Reader(path, MAGIC, VERSION, "index")
     except VersionMismatch as exc:
@@ -268,6 +365,6 @@ def load_flat_index(path: str | Path) -> FlatIndex:
     with reader as rd:
         n, dim, model = rd.unpack("<QQ32s")
         ids = rd.texts(n, trailer=8 * n * dim)
-        matrix = rd.matrix(n, dim)
+        rows = rd.stored_matrix(n, dim)
         rd.end()
-    return FlatIndex(ids=ids, matrix=matrix, dim=int(dim), model=model.hex())
+    return FlatIndex(ids=ids, matrix=rows, dim=int(dim), model=model.hex())

@@ -1,6 +1,7 @@
 """`binfile.Reader`: the matrix is read into the array it returns, with no
-copy of the file bytes beside it, and a declared size is checked against the
-file before anything is allocated for it."""
+copy of the file bytes beside it, its finiteness is checked in row slices,
+and a declared size is checked against the file before anything is
+allocated for it."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rare.binfile import SLICE_BYTES
 from rare.cli import dispatch
 from rare.embedder import load, new_params, save
 from rare.errors import BadMagic, NonFiniteParams, Truncated
@@ -35,6 +37,32 @@ def test_model_load_peak_is_one_matrix(tmp_path):
         tracemalloc.stop()
     assert params.projection.nbytes == matrix_bytes
     assert matrix_bytes <= peak <= 1.25 * matrix_bytes
+
+
+def test_default_model_load_makes_no_array_beside_w(tmp_path):
+    # A whole-matrix `np.isfinite` would add a bool array of W's entries: 4 MiB here.
+    path = tmp_path / "model.rare"
+    save(new_params(), path)
+    tracemalloc.start()
+    try:
+        params = load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert params.projection.nbytes == 32 << 20
+    assert peak < params.projection.nbytes + (1 << 20)
+
+
+def test_nan_in_the_last_slice_is_rejected(tmp_path):
+    hash_dim, embed_dim = 1 << 14, 16
+    assert 8 * hash_dim * embed_dim >= 8 * SLICE_BYTES  # several slices
+    path = tmp_path / "model.rare"
+    save(new_params(hash_dim=hash_dim, embed_dim=embed_dim), path)
+    with path.open("r+b") as fh:
+        fh.seek(-8, 2)
+        fh.write(struct.pack("<d", float("nan")))
+    with pytest.raises(NonFiniteParams):
+        load(path)
 
 
 def test_huge_declared_rows_are_truncated_not_allocated(tmp_path):

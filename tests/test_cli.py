@@ -191,6 +191,45 @@ class TestExitCodes:
         assert err.splitlines() == ["numeric failure: embedding norm underflowed"], err
         assert not (tmp_path / "i.rfi").exists()
 
+    def test_failed_rebuild_leaves_the_index_and_no_temporary_file(self, pipeline, tmp_path, capsys):
+        # The rows go to a temporary file beside --out, renamed into place only on success.
+        index = tmp_path / "i.rfi"
+        shutil.copy(pipeline / "index.rfi", index)
+        before = index.read_bytes()
+        params = new_params(hash_dim=2048, embed_dim=16)
+        params.projection *= 1e-162  # every norm underflows: exit 3 after the ids are written
+        save(params, tmp_path / "tiny.rare")
+        capsys.readouterr()
+        code = dispatch(["index", "--corpus", str(pipeline / "data" / "corpus.jsonl"),
+                         "--model", str(tmp_path / "tiny.rare"), "--out", str(index)])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == ["numeric failure: embedding norm underflowed"]
+        assert index.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["i.rfi", "tiny.rare"]
+
+    def test_index_that_shrinks_after_loading_is_exit_two(self, pipeline, tmp_path, monkeypatch, capsys):
+        index, run = tmp_path / "i.rfi", tmp_path / "run.trec"
+        shutil.copy(pipeline / "index.rfi", index)
+        load_flat_index = rare.cli.load_flat_index
+
+        def load_then_truncate(path):
+            loaded = load_flat_index(path)
+            with Path(path).open("r+b") as fh:
+                fh.truncate(fh.seek(0, 2) - 8)
+            return loaded
+
+        monkeypatch.setattr(rare.cli, "load_flat_index", load_then_truncate)
+        data_dir = pipeline / "data"
+        capsys.readouterr()
+        code = dispatch(["search", "--index", str(index), "--model", str(pipeline / "model.rare"),
+                         "--queries", str(data_dir / "queries.jsonl"), "--pool", str(data_dir / "pool.jsonl"),
+                         "--task", "synth", "--k", "2", "--out", str(run)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {index}: expected "), err
+        assert "the file shrank" in err
+        assert not run.exists()
+
     def test_out_of_range_index_is_exit_two(self, pipeline, tmp_path, capsys):
         # Index entries outside [-1, 1] are not unit-or-zero rows `rare index` writes.
         blob = (pipeline / "index.rfi").read_bytes()
@@ -275,6 +314,19 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert len(err.strip().splitlines()) == 1, err
             assert "Traceback" not in err
+
+    def test_mistyped_switch_in_config_is_usage_error(self, tmp_path, capsys):
+        train = ["train", "--data", str(tmp_path / "train.jsonl"), "--out", str(tmp_path / "m.rare")]
+        for value in ("ture", "", "2", "y", "enabled"):
+            capsys.readouterr()
+            assert dispatch([*train, "--config", f"no_hard_negative={value}"]) == 1, value
+            err = capsys.readouterr().err
+            assert err.splitlines() == [f"error: --config no_hard_negative: {value!r} is not a boolean "
+                                        "(true/false, 1/0, yes/no, on/off)"], err
+        assert not (tmp_path / "m.rare").exists()
+        for value, expected in (("TRUE", True), (" yes ", True), ("On", True), ("1", True),
+                                ("false", False), ("No", False), ("off", False), ("0", False)):
+            assert parsed_value([*train, "--config", f"no-hard-negative={value}"], "no_hard_negative") is expected
 
     def test_bad_embedder_shape_is_usage_error(self, tmp_path, capsys):
         # With real training data these values used to reach new_params and

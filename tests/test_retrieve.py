@@ -7,6 +7,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -781,6 +782,97 @@ class TestIndexSerialization:
         path.write_bytes(blob[:65] + b"\xff" + blob[66:])  # the second id's byte
         with pytest.raises(DataError, match="string at offset 65 is not valid UTF-8"):
             load_flat_index(path)
+
+
+class TestStoredIndex:
+    """A loaded index, and one `build_flat_index` writes into an
+    `IndexWriter`, keep their float64 rows in the file: they read them in
+    slices and gathered blocks, and score with the bits of `matrix @ q`."""
+
+    N, DIM = 1 << 14, 64
+
+    @pytest.fixture
+    def big(self, tmp_path) -> tuple[np.ndarray, Path]:
+        matrix = np.random.default_rng(5).standard_normal((self.N, self.DIM))
+        matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+        path = tmp_path / "big.rfi"
+        save_index(FlatIndex(ids=[f"d{i}" for i in range(self.N)], matrix=matrix, dim=self.DIM), path, MODEL)
+        return matrix, path
+
+    def test_load_and_first_search_hold_the_float32_copy_and_no_more(self, big):
+        matrix, path = big
+        tracemalloc.start()
+        try:
+            index = load_flat_index(path)
+            held, _ = tracemalloc.get_traced_memory()
+            got = search(index, matrix[7].copy(), 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got[0][0] == "d7"
+        ids = sys.getsizeof(index.ids) + sum(map(sys.getsizeof, index.ids))
+        assert held <= ids + (64 << 10)  # the ids; none of the float64 rows
+        # The float32 copy is half the matrix; the rest is slices and the scan's scores.
+        assert peak - ids <= 0.6 * matrix.nbytes
+
+    def test_build_and_save_through_a_writer_hold_no_matrix(self, tmp_path):
+        words = [f"w{i}" for i in range(3000)]
+        rng = random.Random(1)
+        corpus = make_corpus([" ".join(rng.choices(words, k=8)) for _ in range(self.N)])
+        params = new_params(hash_dim=4096, embed_dim=self.DIM, seed=1)
+        out = tmp_path / "built.rfi"
+        tracemalloc.start()
+        try:
+            with retrieve.IndexWriter(out, MODEL) as writer:
+                index = build_flat_index(corpus, params, writer)
+                save_index(index, out, MODEL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(index) == self.N
+        assert peak < 0.5 * 8 * self.N * self.DIM
+
+    def test_writer_bytes_and_rows_equal_the_in_memory_build(self, rng, tmp_path):
+        params = small_params()
+        corpus = make_corpus([random_text(rng, 6) for _ in range(2 * 1024 + 3)])
+        built = build_flat_index(corpus, params)
+        save_index(built, tmp_path / "memory.rfi", MODEL)
+        out = tmp_path / "streamed.rfi"
+        with retrieve.IndexWriter(out, MODEL) as writer:
+            streamed = build_flat_index(corpus, params, writer)
+            assert not out.exists()
+            save_index(streamed, out, MODEL)
+        assert out.read_bytes() == (tmp_path / "memory.rfi").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["memory.rfi", "streamed.rfi"]
+        assert streamed.model == MODEL
+        assert streamed.matrix.tobytes() == built.matrix.tobytes()
+        q = built.matrix[5].copy()
+        assert search(streamed, q, 10) == search(built, q, 10)
+
+    def test_stored_rows_read_as_the_matrix_indexes(self, tmp_path):
+        index = FlatIndex(ids=[f"d{i}" for i in range(37)], matrix=np.random.default_rng(2).uniform(-1, 1, (37, 5)),
+                          dim=5)
+        save_index(index, tmp_path / "i.rfi", MODEL)
+        stored = load_flat_index(tmp_path / "i.rfi").rows
+        for key in (slice(None), slice(3, 9), slice(30, 99), slice(9, 3), np.array([0, 1, 2, 3, 8, 9, 36]),
+                    np.array([36, 4, 5, 5, 0]), np.array([], dtype=np.int64)):
+            assert stored[key].tobytes() == index.matrix[key].tobytes(), key
+        with pytest.raises(IndexError):
+            stored[np.array([35, 36, 37])]
+
+    def test_a_file_that_shrinks_after_the_scan_is_truncated(self, big):
+        matrix, path = big
+        index = load_flat_index(path)
+        q = matrix[7].copy()
+        expected = search(index, q, 10)
+        # The path may be replaced: the index reads the file it opened.
+        path.rename(path.with_name("moved.rfi"))
+        path.write_bytes(b"RFI1")
+        assert search(index, q, 10) == expected
+        with path.with_name("moved.rfi").open("r+b") as fh:
+            fh.truncate(fh.seek(0, 2) - 8 * self.DIM)
+        with pytest.raises(Truncated, match="the file shrank"):
+            search(index, matrix[self.N - 1].copy(), 10)
 
 
 def _die(_start):
