@@ -133,8 +133,10 @@ class _GramTable(dict):
 _bucket = _GramTable()
 
 # `embed_ranges` hands out texts in ranges of this many, and hashes and counts
-# the grams of a range this many at a time.
-_TASK_TEXTS = 1 << 10
+# the grams of a range this many at a time. 256 texts of an L corpus are about
+# one chunk, so what a worker returns stays small while the ranges stream.
+# More than four ranges (1,024 texts) go to forked workers.
+_TASK_TEXTS = 1 << 8
 _CHUNK_GRAMS = 1 << 14
 
 # A chunk's `_features`: its texts' buckets, their values, and each text's end.
@@ -264,13 +266,13 @@ def embed_ranges(params: EmbedderParams, texts: Sequence[str]) -> Iterator[np.nd
 
     A range goes in chunks of about `_CHUNK_GRAMS` grams: each distinct gram
     of a chunk is hashed once into a memo that lives for the chunk, and the
-    chunk's buckets are counted in one pass. With more than one range and
-    more than one usable CPU, forked workers featurize the ranges (see
-    `_range_features`); this process projects every row in text order either
-    way. Each row is its own `project` gemv, so a text's row has the same
-    bits in any batch and on any number of CPUs; a gemm over the chunk would
-    not give a gemv's bits. Close the generator if it is left early: that
-    ends the workers.
+    chunk's buckets are counted in one pass. With more than four ranges
+    (more than 1,024 texts) and more than one usable CPU, forked workers
+    featurize the ranges (see `_range_features`); this process projects
+    every row in text order either way. Each row is its own `project` gemv,
+    so a text's row has the same bits in any batch and on any number of
+    CPUs; a gemm over the chunk would not give a gemv's bits. Close the
+    generator if it is left early: that ends the workers.
     """
     with closing(_range_features(params, texts)) as ranges:  # its workers end before an error leaves here
         for chunks in ranges:
@@ -286,7 +288,8 @@ def embed_ranges(params: EmbedderParams, texts: Sequence[str]) -> Iterator[np.nd
 def _range_features(params: EmbedderParams, texts: Sequence[str]) -> Iterator[list[_Chunk]]:
     """`_chunks` of each range of `_TASK_TEXTS` texts, in text order.
 
-    Stays in this process when there is one range, one usable CPU, or no
+    Stays in this process when there are at most four ranges (at most 1,024
+    texts: every query, the 320-document synth corpus), one usable CPU, or no
     `fork` or `os.sched_getaffinity` (as off Linux). Otherwise `min(usable
     CPUs, ranges)` workers forked from this process inherit `params` and
     `texts`, so only range starts go to them and only chunks and counts come
@@ -296,7 +299,7 @@ def _range_features(params: EmbedderParams, texts: Sequence[str]) -> Iterator[li
     """
     starts = range(0, len(texts), _TASK_TEXTS)
     workers = 1
-    if len(starts) > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+    if len(starts) > 4 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         workers = min(len(os.sched_getaffinity(0)), len(starts))
     if workers < 2:
         yield from (_chunks(params, texts, start) for start in starts)
@@ -308,10 +311,11 @@ def _range_features(params: EmbedderParams, texts: Sequence[str]) -> Iterator[li
     # buffered here is printed again by a worker as it ends.
     pool = ProcessPoolExecutor(workers, get_context("fork"), initializer=_inherit, initargs=(params, texts))
     try:
-        # At most two ranges per worker are out at a time, so finished ranges
-        # that this process has not projected yet cannot pile up in memory.
+        # At most eight ranges (2,048 texts) per worker are out at a time, so
+        # finished ranges that this process has not projected yet cannot pile
+        # up in memory; fewer left the workers idle while this process lagged.
         queued = iter(starts)
-        futures = deque(pool.submit(_worker_chunks, start) for start in islice(queued, 2 * workers))
+        futures = deque(pool.submit(_worker_chunks, start) for start in islice(queued, 8 * workers))
         while futures:
             chunks, lookups, hashes = futures.popleft().result()
             futures.extend(pool.submit(_worker_chunks, start) for start in islice(queued, 1))
@@ -327,7 +331,8 @@ def _range_features(params: EmbedderParams, texts: Sequence[str]) -> Iterator[li
 def _chunks(params: EmbedderParams, texts: Sequence[str], start: int) -> list[_Chunk]:
     """The `_features` of texts[start : start + _TASK_TEXTS], one per chunk of
     about `_CHUNK_GRAMS` grams: a chunk ends with the text that brings it to
-    that many, or with the range."""
+    that many, or with the range. On an L corpus a range is about one chunk,
+    so smaller ranges would hash more grams: each chunk's memo starts empty."""
     stop = min(start + _TASK_TEXTS, len(texts))
     chunks, grams, lens = [], [], []
     for row in range(start, stop):  # by row: `texts` may not slice

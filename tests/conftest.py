@@ -38,7 +38,7 @@ TWO_CPUS = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs tw
 
 def no_pool(*_args, **_kwargs):
     """A stand-in for `ProcessPoolExecutor` where no worker may be forked."""
-    raise AssertionError("one range of texts or one usable CPU: no worker may be forked")
+    raise AssertionError("at most four ranges (1,024 texts) or one usable CPU: no worker may be forked")
 
 
 def dense_features(params: EmbedderParams, text: str) -> np.ndarray:

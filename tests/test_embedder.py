@@ -468,3 +468,21 @@ class TestEmbedManyOverRanges:
         monkeypatch.setattr(embedder, "_TASK_TEXTS", 50)
         monkeypatch.setattr(embedder.os, "sched_getaffinity", lambda _pid: {0})
         assert embedder.embed_many(params, texts).tobytes() == rows.tobytes()
+
+
+class TestForkThreshold:
+    """Forking starts past 1,024 texts, whatever the default `_TASK_TEXTS`:
+    every query and the pipeline corpus stay in this process."""
+
+    @TWO_CPUS
+    def test_1024_texts_stay_in_process_and_1025_build_one_pool(self, rng, monkeypatch):
+        params = small_params()
+        texts = [random_text(rng, 6) for _ in range(1025)]
+        monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", no_pool)
+        rows = embedder.embed_many(params, texts[:1024])
+        monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", _CountedPool)
+        monkeypatch.setattr(_CountedPool, "built", 0)
+        forked = embedder.embed_many(params, texts)
+        assert _CountedPool.built == 1
+        assert forked[:1024].tobytes() == rows.tobytes()
+        assert multiprocessing.active_children() == []

@@ -135,7 +135,7 @@ def test_traced_index_projects_each_document_and_counts_each_gram(tmp_path):
 
 
 def test_traced_index_over_workers_projects_each_document_and_counts_each_gram(tmp_path):
-    # 1,280 documents are two ranges of `_TASK_TEXTS`: with two usable CPUs
+    # 1,280 documents are five ranges of `_TASK_TEXTS`: with two usable CPUs
     # they are featurized in forked workers, whose gram counts must reach the
     # traced process, while every project span stays in it.
     data, model = tmp_path / "data", tmp_path / "model.rare"

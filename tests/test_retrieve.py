@@ -984,3 +984,29 @@ class TestIndexOverWorkers:
             assert result.stdout == f"indexed 1280 documents into {out}\n"
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestStreamedBuildOverWorkers:
+    """While workers featurize the ranges of a streamed build, this process
+    holds only a few small ranges of their results at a time."""
+
+    @TWO_CPUS
+    def test_streaming_8k_documents_holds_under_two_mib(self, tmp_path):
+        words = [f"w{i}" for i in range(3000)]
+        rng = random.Random(1)
+        corpus = make_corpus([" ".join(rng.choices(words, k=32)) for _ in range(1 << 13)])
+        params = new_params(hash_dim=4096, embed_dim=16, seed=1)
+        built = build_flat_index(corpus, params)  # loads what the pool imports before tracing
+        out = tmp_path / "built.rfi"
+        tracemalloc.start()
+        try:
+            with retrieve.IndexWriter(out, MODEL) as writer:
+                index = build_flat_index(corpus, params, writer)
+                save_index(index, out, MODEL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert index.matrix.tobytes() == built.matrix.tobytes()
+        assert multiprocessing.active_children() == []
+        # Ranges of 1,024 texts held 3.4-4.4 MiB here, ranges of 256 1.0-1.2 MiB.
+        assert peak < 2 << 20
