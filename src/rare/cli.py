@@ -22,9 +22,7 @@ named `*seed`, and the sha256 of each file read, keyed `train`, `pool` or
 Each digest is taken once, when the command takes the file and before it reads
 it; `eval`'s fingerprint and `search`'s check that the index names its model
 use the same digests. `index` writes to a temporary file beside `--out` and
-renames it into place only on success.
-Flag values can also be supplied as `--config key=value` pairs, which override
-parsed flags by destination name. No environment variables are consulted.
+renames it into place only on success. No environment variables are consulted.
 
 `synth`, and `eval` without `--buckets-out`, run without importing numpy. The
 other commands load numpy and the names in `_NUMERIC` when they are dispatched.
@@ -162,43 +160,6 @@ def _add_embedder_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-tokens", type=positive_int, default=None)
 
 
-_BOOLEANS = {word: value for words, value in (("true 1 yes on", True), ("false 0 no off", False))
-             for word in words.split()}
-
-
-def _apply_config_pairs(args: argparse.Namespace, command: argparse.ArgumentParser) -> None:
-    """Apply --config key=value overrides onto parsed flags.
-
-    Each value is converted by its flag's type and checked against its
-    choices, exactly as the flag itself would be. A switch takes true/false,
-    1/0, yes/no or on/off, in any case; any other value is a usage error.
-    """
-    actions = {a.dest: a for a in command._actions if a.option_strings and a.dest not in ("help", "config")}
-    for pair in args.config:
-        key, sep, raw = pair.partition("=")
-        if not sep:
-            raise UsageError(f"--config expects key=value, got {pair!r}")
-        action = actions.get(key.strip().replace("-", "_"))
-        if action is None:
-            raise UsageError(f"--config refers to unknown option {key!r}")
-        if action.nargs == 0:
-            value = _BOOLEANS.get(raw.strip().lower())
-            if value is None:
-                raise UsageError(f"--config {key}: {raw!r} is not a boolean (true/false, 1/0, yes/no, on/off)")
-        else:
-            convert = action.type or str
-            try:
-                value = convert(raw)
-            except ValueError:
-                raise UsageError(f"--config {key}: invalid {convert.__name__} value {raw!r}") from None
-            if action.choices is not None and value not in action.choices:
-                choices = ", ".join(map(str, action.choices))
-                raise UsageError(f"--config {key}: {raw!r} is not one of {choices}")
-            if isinstance(action, argparse._AppendAction):
-                value = [value]
-        setattr(args, action.dest, value)
-
-
 def _report_zero_queries(zero: int, total: int) -> None:
     if zero:
         print(f"{zero} of {total} query embeddings are all zeros; ranked by document id", file=sys.stderr)
@@ -232,18 +193,19 @@ def _cmd_synth(args: argparse.Namespace, inputs: dict[str, str]) -> list[str | P
 def _parse_pools(
     pool_args: list[str], train_set: list[data.TrainExample], inputs: dict[str, str]
 ) -> dict[str, data.ExamplePool]:
-    """Load each `--pool PATH` or `--pool TASK=PATH`."""
+    """Load each `--pool PATH` or `--pool TASK=PATH`; a task may have only one pool."""
     task_ids = sorted({ex.task_id for ex in train_set})
     pools: dict[str, data.ExamplePool] = {}
     for entry in pool_args:
         task, sep, path = entry.partition("=")
-        if sep and not Path(task).exists():
-            pools[task] = data.load_example_pool(_require_file(path, "example pool", inputs, f"pool:{task}"), task)
-        else:
+        key = f"pool:{task}"
+        if not sep or Path(task).exists():
             if len(task_ids) != 1:
                 raise UsageError("train set has multiple tasks; use --pool TASK=PATH for each")
-            task = task_ids[0]
-            pools[task] = data.load_example_pool(_require_file(entry, "example pool", inputs, "pool"), task)
+            task, path, key = task_ids[0], entry, "pool"
+        if task in pools:
+            raise UsageError(f"--pool names task {task!r} more than once")
+        pools[task] = data.load_example_pool(_require_file(path, "example pool", inputs, key), task)
     return pools
 
 
@@ -536,10 +498,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bench)
 
-    for sp in sub.choices.values():
-        sp.add_argument("--config", action="append", default=[], metavar="KEY=VALUE",
-                        help="override any flag of this subcommand by destination name")
-    parser.commands = sub.choices
     return parser
 
 
@@ -552,11 +510,13 @@ def dispatch(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise UsageError(parser.format_usage())
-        _apply_config_pairs(args, parser.commands[args.command])
+        for flag in ("log", "buckets_out"):  # the second output of train and of eval
+            if getattr(args, flag, None) and Path(getattr(args, flag)).resolve() == Path(args.out).resolve():
+                raise UsageError(f"--{flag.replace('_', '-')} and --out name the same file: {args.out}")
         inputs: dict[str, str] = {}
         with _numeric_guard(args):
             written = args.func(args, inputs)
-        options = {key: value for key, value in sorted(vars(args).items()) if key not in ("func", "config")}
+        options = {key: value for key, value in sorted(vars(args).items()) if key != "func"}
         seeds = {key: value for key, value in options.items() if key.endswith("seed")}
         manifest = build_manifest(["rare", *argv], options, seeds, inputs)
         for path in written:

@@ -1,9 +1,10 @@
-"""Command-line surface: exit codes, the full pipeline, config overrides and
-manifests. Commands run in-process through dispatch; the subprocess tests
-cover the declared `rare` console script and `main()`."""
+"""Command-line surface: exit codes, the full pipeline and manifests.
+Commands run in-process through dispatch; the subprocess tests cover the
+declared `rare` console script and `main()`."""
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import importlib
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 import rare.cli
 import rare.manifest
-from rare.cli import UsageError, _apply_config_pairs, build_parser, dispatch, main
+from rare.cli import UsageError, build_parser, dispatch, main
 from rare.embedder import load, new_params, save
 from rare.manifest import digest_file, manifest_path
 
@@ -134,7 +135,7 @@ class TestExitCodes:
         assert "numeric" in capsys.readouterr().err.lower()
 
     def test_non_finite_rate_is_usage_error(self, tmp_path, capsys):
-        # Rejected before training, in the flag and the --config form.
+        # Rejected before training.
         synth_dir = tmp_path / "data"
         assert dispatch(["synth", "--out", str(synth_dir), *SMALL_SYNTH]) == 0
         out = tmp_path / "m.rare"
@@ -142,11 +143,11 @@ class TestExitCodes:
                  "--k", "2", "--epochs", "2", "--batch", "8", "--out", str(out), *SMALL_EMBEDDER]
         for key in ("lr", "temp"):
             for value in ("nan", "inf"):
-                for extra in ([f"--{key}", value], ["--config", f"{key}={value}"]):
-                    capsys.readouterr()
-                    assert dispatch([*train, *extra]) == 1, extra
-                    err = capsys.readouterr().err
-                    assert err.splitlines() == [err.strip()] and "must be finite" in err, err
+                extra = [f"--{key}", value]
+                capsys.readouterr()
+                assert dispatch([*train, *extra]) == 1, extra
+                err = capsys.readouterr().err
+                assert err.splitlines() == [err.strip()] and "must be finite" in err, err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -296,43 +297,11 @@ class TestExitCodes:
             assert err.splitlines() == [f"error: {old}: unsupported model version 1"], err
         assert not (tmp_path / "j.rfi").exists() and not (tmp_path / "run.trec").exists()
 
-    def test_bad_config_pair_is_usage_error(self, tmp_path, capsys):
-        synth = ["synth", "--out", str(tmp_path / "d")]
-        train = ["train", "--data", str(tmp_path / "train.jsonl"), "--out", str(tmp_path / "m.rare")]
-        cases = [
-            (synth, "nonsense"),
-            (synth, "unknown-key=3"),
-            (synth, "seed=abc"),
-            (train, "temp=abc"),
-            (train, "max_tokens=abc"),
-            (train, "select=bogus"),
-            (train, "func=x"),
-        ]
-        for argv, pair in cases:
-            capsys.readouterr()
-            assert dispatch([*argv, "--config", pair]) == 1, pair
-            err = capsys.readouterr().err
-            assert len(err.strip().splitlines()) == 1, err
-            assert "Traceback" not in err
-
-    def test_mistyped_switch_in_config_is_usage_error(self, tmp_path, capsys):
-        train = ["train", "--data", str(tmp_path / "train.jsonl"), "--out", str(tmp_path / "m.rare")]
-        for value in ("ture", "", "2", "y", "enabled"):
-            capsys.readouterr()
-            assert dispatch([*train, "--config", f"no_hard_negative={value}"]) == 1, value
-            err = capsys.readouterr().err
-            assert err.splitlines() == [f"error: --config no_hard_negative: {value!r} is not a boolean "
-                                        "(true/false, 1/0, yes/no, on/off)"], err
-        assert not (tmp_path / "m.rare").exists()
-        for value, expected in (("TRUE", True), (" yes ", True), ("On", True), ("1", True),
-                                ("false", False), ("No", False), ("off", False), ("0", False)):
-            assert parsed_value([*train, "--config", f"no-hard-negative={value}"], "no_hard_negative") is expected
-
     def test_bad_embedder_shape_is_usage_error(self, tmp_path, capsys):
         # With real training data these values used to reach new_params and
         # end in a ValueError traceback, or (--max-tokens -1) train and then
         # fail to save, or (--max-tokens 0) cut every text to nothing; now the
-        # flag's type rejects them, with one line in either form.
+        # flag's type rejects them, with one line.
         synth_dir = tmp_path / "data"
         assert dispatch(["synth", "--out", str(synth_dir), *SMALL_SYNTH]) == 0
         out = tmp_path / "m.rare"
@@ -349,11 +318,6 @@ class TestExitCodes:
             assert dispatch([*train, f"--{flag}", value]) == 1, (flag, value)
             err = capsys.readouterr().err
             assert err.splitlines() == [f"error: rare train: argument --{flag}: invalid {type_name} value: '{value}'"], err
-
-            assert dispatch([*train, "--config", f"{flag}={value}"]) == 1, (flag, value)
-            err = capsys.readouterr().err
-            assert len(err.strip().splitlines()) == 1, err
-            assert f"--config {flag}: invalid" in err
         assert not out.exists()
 
     def test_train_seed_outside_int64_is_usage_error(self, tmp_path, capsys):
@@ -369,9 +333,6 @@ class TestExitCodes:
             assert dispatch([*train, "--seed", value]) == 1, value
             err = capsys.readouterr().err
             assert err.splitlines() == [f"error: rare train: argument --seed: invalid model_seed value: '{value}'"]
-            assert dispatch([*train, "--config", f"seed={value}"]) == 1, value
-            err = capsys.readouterr().err
-            assert err.strip().splitlines() == [f"error: --config seed: invalid model_seed value {value!r}"], err
             assert not out.exists()
         assert dispatch([*train, "--seed", str(2**63 - 1)]) == 0
         assert load(out).hash_seed == 2**63 - 1
@@ -391,9 +352,6 @@ class TestExitCodes:
         assert dispatch([*argv, f"--{flag}", value]) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: rare train: argument --{flag}: invalid {type_name} value: '{value}'"]
-        assert dispatch([*argv, "--config", f"{flag}={value}"]) == 1
-        err = capsys.readouterr().err
-        assert err.splitlines() == [f"error: --config {flag}: invalid {type_name} value {value!r}"]
         assert files_under(out.parent) == set()
 
     def test_max_tokens_outside_u64_is_usage_error(self, small_train, capsys):
@@ -421,6 +379,50 @@ class TestExitCodes:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ") and "too large" in err[0], (size, err)
             assert files_under(out.parent) == set()
+
+    def test_config_flag_is_refused(self, small_train, capsys):
+        out, train = small_train
+        capsys.readouterr()
+        assert dispatch([*train, "--config", "epochs=1"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: rare: unrecognized arguments: --config epochs=1"]
+        assert files_under(out.parent) == set()
+
+    def test_pool_named_twice_for_one_task_is_usage_error(self, small_train, tmp_path, capsys):
+        # The second pool used to replace the first, and only its digest was recorded.
+        out, train = small_train
+        at = train.index("--pool")
+        pool, train = train[at + 1], train[:at] + train[at + 2:]
+        first = tmp_path / "p1.jsonl"
+        first.write_text(Path(pool).read_text(encoding="utf-8").splitlines(keepends=True)[0], encoding="utf-8")
+        for pools in ([str(first), pool], [f"synth={first}", f"synth={pool}"], [str(first), f"synth={pool}"]):
+            capsys.readouterr()
+            assert dispatch([*train, *(arg for p in pools for arg in ("--pool", p))]) == 1, pools
+            assert capsys.readouterr().err.splitlines() == ["error: --pool names task 'synth' more than once"]
+            assert files_under(out.parent) == set()
+
+    def test_train_log_over_its_model_is_usage_error(self, small_train, capsys):
+        # The log used to overwrite the model. The check comes before any input
+        # is read, so a missing --data does not change the error.
+        out, train = small_train
+        missing = ["--data", str(out.parent / "missing.jsonl")]
+        for extra in (["--log", str(out)], ["--log", f"{out.parent}/../out/{out.name}", *missing]):
+            capsys.readouterr()
+            assert dispatch([*train, *extra]) == 1, extra
+            assert capsys.readouterr().err.splitlines() == [f"error: --log and --out name the same file: {out}"]
+            assert files_under(out.parent) == set()
+
+    def test_eval_buckets_over_its_report_is_usage_error(self, pipeline, tmp_path, capsys):
+        # The report used to overwrite the buckets CSV. The check comes before
+        # any input is read, so a missing --run does not change the error.
+        out = tmp_path / "out.json"
+        argv = ["eval", "--qrels", str(pipeline / "data" / "qrels.tsv"), "--out", str(out),
+                "--baseline-run", str(pipeline / "run.trec"), "--queries", str(pipeline / "data" / "queries.jsonl"),
+                "--pool", str(pipeline / "data" / "pool.jsonl"), "--task", "synth", "--model", str(pipeline / "model.rare")]
+        for run in (pipeline / "run.trec", tmp_path / "missing.trec"):
+            capsys.readouterr()
+            assert dispatch([*argv, "--run", str(run), "--buckets-out", str(out)]) == 1, run
+            assert capsys.readouterr().err.splitlines() == [f"error: --buckets-out and --out name the same file: {out}"]
+            assert files_under(tmp_path) == set()
 
 
 class TestPipelineArtifacts:
@@ -489,37 +491,6 @@ class TestDeterminism:
         assert models[0] == models[1]
 
 
-class TestConfigOverride:
-    def test_config_overrides_flag_value(self, tmp_path):
-        synth_dir = tmp_path / "data"
-        assert dispatch(["synth", "--out", str(synth_dir), *SMALL_SYNTH]) == 0
-        out = tmp_path / "m.rare"
-        assert dispatch([
-            "train", "--data", str(synth_dir / "train.jsonl"),
-            "--pool", str(synth_dir / "pool.jsonl"),
-            "--k", "2", "--epochs", "3", "--batch", "16",
-            "--config", "epochs=1", "--out", str(out), *SMALL_EMBEDDER,
-        ]) == 0
-        log_lines = (tmp_path / "m.rare.log.jsonl").read_text(encoding="utf-8").splitlines()
-        assert len(log_lines) == 1
-
-    def test_config_respects_types(self, tmp_path):
-        out = tmp_path / "d"
-        assert dispatch(["synth", "--out", str(out), *SMALL_SYNTH, "--config", "seed=9"]) == 0
-        manifest = json.loads((out / "corpus.jsonl.manifest.json").read_text(encoding="utf-8"))
-        assert manifest["seeds"]["seed"] == 9
-        model = tmp_path / "m.rare"
-        assert dispatch([
-            "train", "--data", str(out / "train.jsonl"), "--pool", str(tmp_path / "missing.jsonl"),
-            "--k", "2", "--epochs", "1", "--batch", "16", "--out", str(model), *SMALL_EMBEDDER,
-            "--config", "max_tokens=5", "--config", "temp=0.5", "--config", "brackets=true",
-            "--config", f"pool={out / 'pool.jsonl'}",
-        ]) == 0
-        config = json.loads((tmp_path / "m.rare.manifest.json").read_text(encoding="utf-8"))["config"]
-        assert (config["max_tokens"], config["temp"], config["brackets"]) == (5, 0.5, True)
-        assert load(model).max_tokens == 5
-
-
 class TestEvalBuckets:
     def test_buckets_need_companion_flags(self, pipeline, tmp_path, capsys):
         code = dispatch([
@@ -566,12 +537,12 @@ class TestEvalBuckets:
             "--task", "synth", "--model", str(pipeline / "model.rare"),
         ]
         for value in ("1e-300", "0.0009", "0", "-0.1", "1.5", "nan", "inf"):
-            for form in (["--bin-width", value], ["--config", f"bin-width={value}"]):
-                capsys.readouterr()
-                assert dispatch([*argv, *form]) == 1, form
-                err = capsys.readouterr().err
-                assert err.strip().splitlines() == [f"error: bin width must be in [0.001, 1], got {float(value)}"]
-                assert not out.exists() and not buckets.exists()
+            form = ["--bin-width", value]
+            capsys.readouterr()
+            assert dispatch([*argv, *form]) == 1, form
+            err = capsys.readouterr().err
+            assert err.strip().splitlines() == [f"error: bin width must be in [0.001, 1], got {float(value)}"]
+            assert not out.exists() and not buckets.exists()
         assert dispatch([*argv, "--bin-width", "0.001"]) == 0
         assert len(buckets.read_text(encoding="utf-8").splitlines()) == 1 + 1000
 
@@ -692,20 +663,14 @@ class TestCountFlags:
             err = capsys.readouterr().err
             assert err.splitlines()[0] == f"error: rare {command}: argument --{flag}: invalid {type_name} value: '{value}'"
             assert "Traceback" not in err
-
-            assert dispatch([*argv, "--config", f"{flag}={value}"]) == 1, (command, flag, value)
-            err = capsys.readouterr().err
-            assert err.strip().splitlines() == [f"error: --config {flag}: invalid {type_name} value {value!r}"], err
         ablate = [*commands["ablate"][:-2], "--out", str(out)]
-        # --cell is required, so the --config form overrides a valid one.
-        for form in (["--cell", "inst+ic:-1:retrieved"],
-                     ["--cell", "inst:0:retrieved", "--config", "cell=inst+ic:-1:retrieved"]):
-            capsys.readouterr()
-            assert dispatch([*ablate, *form]) == 1, form
-            err = capsys.readouterr().err
-            assert err.strip().splitlines() == [
-                "error: k must be a non-negative integer in --cell 'inst+ic:-1:retrieved'"
-            ], err
+        form = ["--cell", "inst+ic:-1:retrieved"]
+        capsys.readouterr()
+        assert dispatch([*ablate, *form]) == 1, form
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            "error: k must be a non-negative integer in --cell 'inst+ic:-1:retrieved'"
+        ], err
         assert not out.exists()
 
     def test_zero_examples_stays_valid(self, pipeline, tmp_path):
@@ -985,7 +950,7 @@ class TestNotUtf8:
                   "--queries", str(data_dir / "queries.jsonl"), "--pool", str(data_dir / "pool.jsonl"),
                   "--task", "synth", "--k", "2", "--out", str(run)]
         byte = os.fsdecode(b"\xff")  # how the interpreter passes a byte that is not UTF-8
-        for extra in (["--tag", byte], ["--instruction", f"find {byte}"], ["--config", f"tag={byte}"]):
+        for extra in (["--tag", byte], ["--instruction", f"find {byte}"]):
             capsys.readouterr()
             assert dispatch([*search, *extra]) == 1, extra
             err = capsys.readouterr().err.splitlines()
@@ -1002,9 +967,10 @@ class TestNotUtf8:
 
 def numeric_flags() -> list[tuple[str, str]]:
     """(command, flag) for every option of every subcommand whose type turns "1" into a number."""
+    (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     return [
         (name, action.option_strings[0])
-        for name, command in build_parser().commands.items()
+        for name, command in commands.items()
         for action in command._actions
         if action.option_strings and action.type is not None and isinstance(action.type("1"), (int, float))
     ]
@@ -1024,11 +990,9 @@ RAW_NUMBERS = st.one_of(
 
 
 def parsed_value(argv: list[str], dest: str):
-    """The value `dest` gets from argv's flags and --config pairs, or None when they do not parse."""
-    parser = build_parser()
+    """The value `dest` gets from argv's flags, or None when they do not parse."""
     try:
-        args = parser.parse_args(argv)
-        _apply_config_pairs(args, parser.commands[argv[0]])
+        args = build_parser().parse_args(argv)
     except UsageError:
         return None
     return getattr(args, dest)
@@ -1060,7 +1024,7 @@ def command_argv(pipeline, tmp_path_factory):
 
 class TestNumericFlags:
     """Every numeric option, walked from the parser, ends any value in exit
-    0-3 without a traceback, in the flag and the --config form."""
+    0-3 without a traceback."""
 
     def test_walk_covers_every_command(self, command_argv):
         flags = numeric_flags()
@@ -1082,18 +1046,16 @@ class TestNumericFlags:
     @example(raw="1e-300")
     @example(raw="5e-324")
     def test_any_value_ends_in_an_exit_code(self, command_argv, command, flag, raw):
-        for form in (f"{flag}={raw}", f"--config={flag[2:]}={raw}"):
-            argv = [*command_argv[command], form]
-            value = parsed_value(argv, flag[2:].replace("-", "_"))
-            if (command, flag) in SIZE_FLAGS and value is not None and value > 0:
-                continue  # never start a workload this size
-            assert_exit_code(argv)
+        argv = [*command_argv[command], f"{flag}={raw}"]
+        value = parsed_value(argv, flag[2:].replace("-", "_"))
+        if (command, flag) in SIZE_FLAGS and value is not None and value > 0:
+            return  # never start a workload this size
+        assert_exit_code(argv)
 
     # --ngrams parses to a tuple, so the walk above does not reach it.
     @pytest.mark.parametrize("raw", ["0", "-1", "1,0", "1,-2", f"1,{2**32}", f"1,{2**64}", "1,,2", ",", "", "1.5", "nan"])
     def test_any_ngram_orders_end_in_an_exit_code(self, command_argv, raw):
-        for form in (f"--ngrams={raw}", f"--config=ngrams={raw}"):
-            assert_exit_code([*command_argv["train"], form])
+        assert_exit_code([*command_argv["train"], f"--ngrams={raw}"])
 
 
 def assert_exit_code(argv: list[str]) -> None:
