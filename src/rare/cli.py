@@ -21,8 +21,8 @@ named `*seed`, and the sha256 of each file read, keyed `train`, `pool` or
 `baseline_run`, or `NAME:corpus|queries|qrels|pool` per dataset directory.
 Each digest is taken once, when the command takes the file and before it reads
 it; `eval`'s fingerprint and `search`'s check that the index names its model
-use the same digests. `index` writes to a temporary file beside `--out` and
-renames it into place only on success. No environment variables are consulted.
+use the same digests. Each output is written to `NAME.PID.tmp` beside it and
+renamed into place only on success. No environment variables are consulted.
 
 `synth`, and `eval` without `--buckets-out`, run without importing numpy. The
 other commands load numpy and the names in `_NUMERIC` when they are dispatched.
@@ -36,6 +36,7 @@ import hashlib
 import importlib
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from . import DEFAULT_EMBED_DIM, DEFAULT_HASH_DIM, DEFAULT_NGRAM_ORDERS, __versi
 from .data import load_run, write_run
 from .errors import ConfigError, DataError, NumericError, RareError
 from .evaluation import AblationCell, DatasetBundle, ablate, evaluate, score_at_top1, write_ablation_csv
-from .manifest import build_manifest, digest_file, write_manifest
+from .manifest import build_manifest, digest_file, manifest_path, write_manifest
 from .prompt import FormatKind, PromptFormat, SelectionPolicy
 
 # The names the numeric commands' handlers call that need numpy, by the
@@ -144,6 +145,13 @@ def model_seed(raw: str) -> int:
     return value
 
 
+def run_tag(raw: str) -> str:
+    """An argparse type for a run tag, the sixth field of every run line: not empty, no whitespace."""
+    if raw.split() != [raw]:
+        raise ValueError(raw)
+    return raw
+
+
 def ngram_orders(raw: str) -> tuple[int, ...]:
     """Comma-separated n-gram orders, at least one, each a u32 in the model header: 1 <= order < 2**32."""
     orders = tuple(positive_int(n) for n in raw.split(",") if n.strip())
@@ -165,7 +173,7 @@ def _report_zero_queries(zero: int, total: int) -> None:
         print(f"{zero} of {total} query embeddings are all zeros; ranked by document id", file=sys.stderr)
 
 
-def _cmd_synth(args: argparse.Namespace, inputs: dict[str, str]) -> list[str | Path]:
+def _cmd_synth(args: argparse.Namespace, inputs: dict[str, str], out: dict[str, Path]) -> None:
     spec = synth.SynthSpec(
         n_clusters=args.clusters,
         vocab_per_cluster=args.vocab_per_cluster,
@@ -176,18 +184,13 @@ def _cmd_synth(args: argparse.Namespace, inputs: dict[str, str]) -> list[str | P
         seed=args.seed,
     )
     bench_data = synth.generate(spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    written = [out / name for name in ("corpus.jsonl", "queries.jsonl", "qrels.tsv", "train.jsonl", "pool.jsonl")]
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     writers = (data.write_corpus, data.write_queries, data.write_qrels, data.write_train, data.write_pool)
     values = (bench_data.corpus, bench_data.queries, bench_data.qrels, bench_data.train_set, bench_data.pool)
-    for write, value, path in zip(writers, values, written):
+    for write, value, path in zip(writers, values, out.values()):
         write(value, path)
-    print(
-        f"wrote {len(bench_data.corpus)} docs, {len(bench_data.queries)} queries, "
-        f"{len(bench_data.train_set)} training triples to {out}"
-    )
-    return written
+    print(f"wrote {len(bench_data.corpus)} docs, {len(bench_data.queries)} queries, "
+          f"{len(bench_data.train_set)} training triples to {Path(args.out)}")
 
 
 def _parse_pools(
@@ -209,7 +212,7 @@ def _parse_pools(
     return pools
 
 
-def _cmd_train(args: argparse.Namespace, inputs: dict[str, str]) -> list[str | Path]:
+def _cmd_train(args: argparse.Namespace, inputs: dict[str, str], out: dict[str, Path]) -> None:
     train_set = data.load_train(_require_file(args.data, "training data", inputs, "train"))
     pools = _parse_pools(args.pool or [], train_set, inputs)
     params = embedder.new_params(
@@ -233,26 +236,21 @@ def _cmd_train(args: argparse.Namespace, inputs: dict[str, str]) -> list[str | P
         include_batch_hard_negatives=args.include_batch_hard_negatives,
     )
     params, history = train(train_set, pools, params, config)
-    out = Path(args.out)
-    embedder.save(params, out)
-    log_path = Path(args.log) if args.log else out.with_name(out.name + ".log.jsonl")
-    data._write_jsonl(log_path, history)
+    embedder.save(params, out["out"])
+    data._write_jsonl(out["log"], history)
     final = history[-1]["mean_loss"] if history else float("nan")
-    print(f"trained {args.epochs} epochs, final mean loss {final:.6f}, model at {out}")
-    return [out, log_path]
+    print(f"trained {args.epochs} epochs, final mean loss {final:.6f}, model at {Path(args.out)}")
 
 
-def _cmd_index(args: argparse.Namespace, inputs: dict[str, str]) -> list[str | Path]:
+def _cmd_index(args: argparse.Namespace, inputs: dict[str, str], out: dict[str, Path]) -> None:
     corpus = data.load_corpus(_require_file(args.corpus, "corpus", inputs, "corpus"))
     params = embedder.load(_require_file(args.model, "model", inputs, "model"))
-    with IndexWriter(args.out, inputs["model"]) as out:  # rows go to disk as they are made
-        index = build_flat_index(corpus, params, out)
-        save_index(index, args.out, inputs["model"])
+    index = build_flat_index(corpus, params, IndexWriter(out["out"], inputs["model"]))  # rows go to disk as made
+    save_index(index, out["out"], inputs["model"])
     print(f"indexed {len(index)} documents into {args.out}")
-    return [args.out]
 
 
-def _cmd_search(args: argparse.Namespace, inputs: dict[str, str]) -> list[str | Path]:
+def _cmd_search(args: argparse.Namespace, inputs: dict[str, str], out: dict[str, Path]) -> None:
     index = load_flat_index(_require_file(args.index, "index", inputs, "index"))
     params = embedder.load(_require_file(args.model, "model", inputs, "model"))
     if index.model != inputs["model"]:
@@ -272,12 +270,11 @@ def _cmd_search(args: argparse.Namespace, inputs: dict[str, str]) -> list[str | 
         selection=SelectionPolicy(args.select), seed=args.seed, times=times,
     )
     _report_zero_queries(times.zero_queries, times.queries)
-    write_run(run, args.out, tag=args.tag)
+    write_run(run, out["out"], tag=args.tag)
     print(f"searched {len(queries)} queries, run written to {args.out}")
-    return [args.out]
 
 
-def _cmd_eval(args: argparse.Namespace, inputs: dict[str, str]) -> list[str | Path]:
+def _cmd_eval(args: argparse.Namespace, inputs: dict[str, str], out: dict[str, Path]) -> None:
     if args.buckets_out:
         for flag in ("baseline_run", "queries", "pool", "model"):
             if not getattr(args, flag):
@@ -306,23 +303,24 @@ def _cmd_eval(args: argparse.Namespace, inputs: dict[str, str]) -> list[str | Pa
         pool = data.load_example_pool(_require_file(args.pool, "example pool", inputs, "pool"), args.task)
         params = embedder.load(_require_file(args.model, "model", inputs, "model"))
         buckets = score_at_top1(queries, pool, params, report, baseline, args.bin_width)
-        with Path(args.buckets_out).open("w", encoding="utf-8", newline="") as fh:
+        with out["buckets_out"].open("w", encoding="utf-8", newline="") as fh:
             fh.write("Lower,Upper,N,MeanNdcgDelta\n")
             for b in buckets:
                 delta = "" if b.mean_ndcg_delta is None else repr(b.mean_ndcg_delta)
                 fh.write(f"{b.lower!r},{b.upper!r},{b.n},{delta}\n")
-    Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    out["out"].write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     mean = "n/a" if report.mean is None else f"{report.mean:.4f}"
     print(f"nDCG@{args.k} = {mean} over {report.n_evaluated} queries "
           f"({len(report.zero_relevant)} had no relevant documents)")
-    return [args.out, args.buckets_out] if args.buckets_out else [args.out]
 
 
 def _dataset_entry(entry: str) -> tuple[str, Path]:
     """The NAME and directory of a `--data` entry: NAME=dir, or a dir named by its last component."""
     name, sep, path = entry.partition("=")
-    root = Path(path if sep else entry)
-    return (name if sep else root.name), root
+    name, root = (name, Path(path)) if sep else (Path(entry).name, Path(entry))
+    if not name:
+        raise UsageError(f"--data {entry!r} names no dataset; give it as NAME=dir")
+    return name, root
 
 
 def _load_bundle(entry: str, instruction: str, inputs: dict[str, str]) -> DatasetBundle:
@@ -342,7 +340,7 @@ def _load_bundle(entry: str, instruction: str, inputs: dict[str, str]) -> Datase
 
 def _parse_cell(raw: str) -> AblationCell:
     parts = raw.split(":")
-    if len(parts) not in (3, 4):
+    if len(parts) < 3 or parts[3:] not in ([], ["brackets"]):
         raise UsageError(f"--cell expects format:k:selection[:brackets], got {raw!r}")
     fmt_name, k_raw, selection = parts[:3]
     if fmt_name not in FORMAT_CHOICES:
@@ -353,15 +351,14 @@ def _parse_cell(raw: str) -> AblationCell:
         k = nonneg_int(k_raw)
     except ValueError:
         raise UsageError(f"k must be a non-negative integer in --cell {raw!r}") from None
-    brackets = len(parts) == 4 and parts[3] == "brackets"
     return AblationCell(
-        fmt=PromptFormat(kind=FormatKind(fmt_name), bracket_queries=brackets),
+        fmt=PromptFormat(kind=FormatKind(fmt_name), bracket_queries=len(parts) == 4),
         k=k,
         selection=SelectionPolicy(selection),
     )
 
 
-def _cmd_ablate(args: argparse.Namespace, inputs: dict[str, str]) -> list[str | Path]:
+def _cmd_ablate(args: argparse.Namespace, inputs: dict[str, str], out: dict[str, Path]) -> None:
     names = [_dataset_entry(entry)[0] for entry in args.data]
     for name in names:
         if names.count(name) > 1:
@@ -372,12 +369,11 @@ def _cmd_ablate(args: argparse.Namespace, inputs: dict[str, str]) -> list[str | 
     times = StageTimes()
     table = ablate(cells, bundles, params, top_k=args.topk, ndcg_k=args.ndcg_k, seed=args.seed, times=times)
     _report_zero_queries(times.zero_queries, times.queries)
-    write_ablation_csv(table, args.out)
+    write_ablation_csv(table, out["out"])
     print(f"wrote {len(cells)} x {len(bundles)} ablation table to {args.out}")
-    return [args.out]
 
 
-def _cmd_bench(args: argparse.Namespace, inputs: dict[str, str]) -> list[str | Path]:
+def _cmd_bench(args: argparse.Namespace, inputs: dict[str, str], out: dict[str, Path]) -> None:
     params = embedder.load(_require_file(args.model, "model", inputs, "model"))
     bundle = _load_bundle(f"{args.dataset}={args.data}" if args.dataset else args.data, args.instruction, inputs)
     index = build_flat_index(bundle.corpus, params)
@@ -395,12 +391,11 @@ def _cmd_bench(args: argparse.Namespace, inputs: dict[str, str]) -> list[str | P
     ]
     _report_zero_queries(sum(r.zero_queries for r in reports), len(bundle.queries) * len(reports))
     add_inc_factors(reports)
-    emit_csv(reports, args.out)
+    emit_csv(reports, out["out"])
     for r in reports:
         inc = f", inc {r.inc_factor:.2f}x" if r.inc_factor is not None else ""
         print(f"{r.dataset} [{r.setting}] total {r.total_s:.4f}s "
               f"(nn {r.nn_s:.4f} query {r.query_s:.4f} search {r.search_s:.4f}){inc}")
-    return [args.out]
 
 
 def build_parser() -> _Parser:
@@ -455,7 +450,7 @@ def build_parser() -> _Parser:
     p.add_argument("--topk", type=positive_int, default=10)
     p.add_argument("--select", choices=SELECT_CHOICES, default="retrieved")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tag", default="rare")
+    p.add_argument("--tag", type=run_tag, default="rare")
     p.add_argument("--out", required=True)
     _add_format_flags(p)
     p.set_defaults(func=_cmd_search)
@@ -501,8 +496,32 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _outputs(args: argparse.Namespace) -> dict[str, Path]:
+    """Every file the command writes, keyed by the option that names it (synth's by file name, in the order it
+    writes them). Refused: a directory, and two outputs, or an output and another's manifest, that are one file."""
+    outputs = {"out": Path(args.out)}
+    if args.command == "synth":
+        names = ("corpus.jsonl", "queries.jsonl", "qrels.tsv", "train.jsonl", "pool.jsonl")
+        outputs = {name: Path(args.out, name) for name in names}
+    elif args.command == "train":
+        outputs["log"] = Path(args.log or f"{outputs['out']}.log.jsonl")
+    elif args.command == "eval" and args.buckets_out:
+        outputs["buckets_out"] = Path(args.buckets_out)
+    seen: dict[str, str] = {}
+    for key, path in outputs.items():
+        if not path.name or path.is_dir():
+            raise UsageError(f"output {str(path)!r} is a directory, not a file")
+        flag = f"--{key.replace('_', '-')}"
+        for what, file in ((flag, path), (f"the manifest of {flag}", manifest_path(path))):
+            if os.path.realpath(file) in seen:  # realpath, unlike Path.resolve, takes a symlink loop
+                raise UsageError(f"{what} and {seen[os.path.realpath(file)]}")
+            seen[os.path.realpath(file)] = f"{what} name the same file: {file}"
+    return outputs
+
+
 def dispatch(argv: list[str]) -> int:
     parser = build_parser()
+    staged: dict[str, Path] = {}  # each temporary file the handler writes -> the output it becomes
     try:
         for position, arg in enumerate(argv, start=1):
             if any("\ud800" <= c <= "\udfff" for c in arg):  # how a byte that is not UTF-8 arrives
@@ -510,16 +529,17 @@ def dispatch(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise UsageError(parser.format_usage())
-        for flag in ("log", "buckets_out"):  # the second output of train and of eval
-            if getattr(args, flag, None) and Path(getattr(args, flag)).resolve() == Path(args.out).resolve():
-                raise UsageError(f"--{flag.replace('_', '-')} and --out name the same file: {args.out}")
+        outputs = _outputs(args)
+        temporary = {key: path.with_name(f"{path.name}.{os.getpid()}.tmp") for key, path in outputs.items()}
+        staged = {str(temporary[key]): path for key, path in outputs.items()}
         inputs: dict[str, str] = {}
         with _numeric_guard(args):
-            written = args.func(args, inputs)
+            args.func(args, inputs, temporary)
         options = {key: value for key, value in sorted(vars(args).items()) if key != "func"}
         seeds = {key: value for key, value in options.items() if key.endswith("seed")}
         manifest = build_manifest(["rare", *argv], options, seeds, inputs)
-        for path in written:
+        for tmp, path in staged.items():
+            os.replace(tmp, path)
             write_manifest(manifest, path)
         return 0
     except ConfigError as exc:
@@ -529,8 +549,13 @@ def dispatch(argv: list[str]) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (RareError, OSError) as exc:
+        if isinstance(exc, OSError) and str(exc.filename) in staged:  # name the output, not its temporary file
+            exc = OSError(exc.errno, exc.strerror, str(staged[str(exc.filename)]))
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        for tmp in filter(os.path.lexists, staged):
+            os.unlink(tmp)
 
 
 def main() -> None:

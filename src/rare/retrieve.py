@@ -11,10 +11,9 @@ by the sha256 of the model file.
 
 `ablate`, `bench` and library callers build an index in memory. `rare index`
 builds into an `IndexWriter`, which writes the header and ids first and each
-range of rows as it is projected, to a temporary file renamed into place on
-success. A loaded index keeps its float64 rows in the file: it holds the
-float32 scan copy, built from slices of the file, and reads each query's
-candidate blocks with `os.preadv`.
+range of rows as it is projected. A loaded index keeps its float64 rows in
+the file: it holds the float32 scan copy, built from slices of the file, and
+reads each query's candidate blocks with `os.preadv`.
 """
 
 from __future__ import annotations
@@ -108,8 +107,7 @@ def build_flat_index(
 
     With `out`, the header and ids are written first and each range of rows
     as soon as it is projected, so no `(n, dim)` array is ever held; the
-    index returned reads its rows back from that file, and `save_index`
-    moves the file into place.
+    index returned reads its rows back from that file.
     """
     if not corpus:
         raise EmptyCorpus("cannot index an empty corpus")
@@ -289,29 +287,12 @@ def run_inference(
 
 
 class IndexWriter(StoredMatrix):
-    """An index file written front to back: `begin` writes the header and
-    ids, `write` appends rows, and `commit` renames the file into place.
-
-    The bytes go to a temporary file beside `path`, which the `with` block
-    removes unless `commit` ran, so a failed build leaves no file at `path`
-    and an index already there unchanged. The rows written can be read back
-    as a `StoredMatrix`.
-    """
+    """An index file written front to back at `path`: `begin` writes the header
+    and ids, `write` appends rows, and they can be read back as a `StoredMatrix`."""
 
     def __init__(self, path: str | Path, model: str):
-        self.target = Path(path)
-        tmp = self.target.with_name(f"{self.target.name}.{os.getpid()}.tmp")
-        super().__init__(os.open(tmp, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666), tmp, 0, 0, 0)
+        super().__init__(os.open(path, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666), path, 0, 0, 0)
         self.model = model
-        self.committed = False
-
-    def __enter__(self) -> IndexWriter:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if not self.committed:
-            self.close()
-            Path(self.path).unlink(missing_ok=True)
 
     def _write(self, data) -> None:
         view = memoryview(data).cast("B")
@@ -334,26 +315,19 @@ class IndexWriter(StoredMatrix):
         """Append row-major float64 rows."""
         self._write(np.ascontiguousarray(rows, dtype="<f8"))
 
-    def commit(self) -> None:
-        os.replace(self.path, self.target)
-        self.path = self.target
-        self.committed = True
-
 
 def save_index(index: FlatIndex, path: str | Path, model: str) -> None:
     """Write `index` as an RFI1 file (see `IndexWriter.begin`), its rows
     row-major float64 after the ids, naming `model`. An index that
     `build_flat_index` wrote into an `IndexWriter` for `path` and `model` is
-    only renamed into place."""
+    there already."""
     rows = index.rows
-    if isinstance(rows, IndexWriter) and not rows.committed and (rows.target, rows.model) == (Path(path), model):
-        rows.commit()
+    if isinstance(rows, IndexWriter) and (Path(rows.path), rows.model) == (Path(path), model):
         return
-    with IndexWriter(path, model) as out:
+    with closing(IndexWriter(path, model)) as out:
         out.begin(index.ids, index.dim)
         for start, stop in row_slices(*rows.shape):
             out.write(rows[start:stop])
-        out.commit()
 
 
 def load_flat_index(path: str | Path) -> FlatIndex:

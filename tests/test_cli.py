@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import importlib
 import io
 import json
@@ -42,6 +43,14 @@ SMALL_SYNTH = [
     "--docs", "4", "--queries", "2", "--ambiguity", "0.8", "--seed", "3",
 ]
 SMALL_EMBEDDER = ["--hash-dim", "2048", "--dim", "16"]
+
+
+@pytest.fixture(autouse=True)
+def no_temporary_file_left(tmp_path):
+    """A command stages each output in a `NAME.PID.tmp` beside it; none may
+    be left behind, whether the command succeeds or fails."""
+    yield
+    assert sorted(tmp_path.rglob("*.tmp")) == []
 
 
 @pytest.fixture(scope="module")
@@ -424,6 +433,45 @@ class TestExitCodes:
             assert capsys.readouterr().err.splitlines() == [f"error: --buckets-out and --out name the same file: {out}"]
             assert files_under(tmp_path) == set()
 
+    def test_train_log_over_its_model_manifest_is_usage_error(self, small_train, capsys):
+        # The model's manifest used to replace the log, with exit 0.
+        out, train = small_train
+        log = ["--log", f"{out}.manifest.json"]
+        for extra in (log, [*log, "--data", str(out.parent / "missing.jsonl")]):
+            capsys.readouterr()
+            assert dispatch([*train, *extra]) == 1, extra
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: --log and the manifest of --out name the same file: {out}.manifest.json"]
+            assert files_under(out.parent) == set()
+
+    def test_eval_buckets_over_its_report_manifest_is_usage_error(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ["eval", "--qrels", str(pipeline / "data" / "qrels.tsv"), "--out", str(out),
+                "--buckets-out", f"{out}.manifest.json", "--baseline-run", str(pipeline / "run.trec"),
+                "--queries", str(pipeline / "data" / "queries.jsonl"), "--pool", str(pipeline / "data" / "pool.jsonl"),
+                "--task", "synth", "--model", str(pipeline / "model.rare")]
+        for run in (pipeline / "run.trec", tmp_path / "missing.trec"):
+            capsys.readouterr()
+            assert dispatch([*argv, "--run", str(run)]) == 1, run
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: --buckets-out and the manifest of --out name the same file: {out}.manifest.json"]
+            assert files_under(tmp_path) == set()
+
+    def test_search_tag_with_whitespace_or_empty_is_usage_error(self, pipeline, tmp_path, capsys):
+        # A run line must have six fields; `rare eval` refused the run these wrote.
+        d = pipeline / "data"
+        argv = ["search", "--index", str(pipeline / "index.rfi"), "--model", str(pipeline / "model.rare"),
+                "--queries", str(d / "queries.jsonl"), "--format", "inst", "--k", "0",
+                "--out", str(tmp_path / "r.trec")]
+        for tag in ("", "a b", "a\tb", " a"):
+            capsys.readouterr()
+            assert dispatch([*argv, "--tag", tag]) == 1, tag
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: rare search: argument --tag: invalid run_tag value: {tag!r}"]
+            assert files_under(tmp_path) == set()
+        assert dispatch([*argv, "--tag", "a-b"]) == 0
+        assert {line.split()[5] for line in (tmp_path / "r.trec").read_text(encoding="utf-8").splitlines()} == {"a-b"}
+
 
 class TestPipelineArtifacts:
     def test_synth_wrote_dataset_files(self, pipeline):
@@ -577,6 +625,31 @@ class TestAblateCommand:
             "--out", str(tmp_path / "a.csv"),
         ])
         assert code == 1
+
+    def test_unknown_cell_option_is_usage_error(self, pipeline, tmp_path, capsys):
+        # A misspelt `brackets` used to run the cell without brackets.
+        out = tmp_path / "a.csv"
+        for cell in ("inst+ic:5:retrieved:brackts", "inst:0:retrieved:", "inst:0:retrieved:brackets:brackets"):
+            capsys.readouterr()
+            assert dispatch(["ablate", "--data", f"synth={pipeline / 'data'}", "--model", str(pipeline / "model.rare"),
+                             "--cell", cell, "--out", str(out)]) == 1, cell
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: --cell expects format:k:selection[:brackets], got {cell!r}"]
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ablate", "bench"])
+    def test_empty_dataset_name_is_usage_error(self, pipeline, tmp_path, capsys, command):
+        # An empty NAME gave the CSV header `Setting,,Average` and the digest keys `:corpus`.
+        out = tmp_path / "out.csv"
+        extra = ["--cell", "inst:0:retrieved"] if command == "ablate" else ["--k", "0", "--reps", "1"]
+        entries = [f"={pipeline / 'data'}", "/"] if command == "ablate" else ["/"]
+        for entry in entries:
+            capsys.readouterr()
+            assert dispatch([command, "--data", entry, "--model", str(pipeline / "model.rare"), *extra,
+                             "--out", str(out)]) == 1, entry
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: --data {entry!r} names no dataset; give it as NAME=dir"]
+            assert not out.exists()
 
     def test_repeated_dataset_name_is_usage_error(self, pipeline, tmp_path, capsys):
         # The table is keyed by dataset NAME, so a second `synth` used to put its
@@ -851,6 +924,102 @@ class TestManifests:
         assert dispatch([*eval_argv, *companions, "--baseline-run", str(tmp_path / "missing.trec")]) == 2
         assert "baseline run not found" in capsys.readouterr().err
         assert files_under(tmp_path) == set()
+
+
+# What writes the bytes of each command's last output, by the command in `manifest_steps`.
+LAST_WRITERS = {
+    "synth": "rare.data.write_pool",
+    "train": "rare.data._write_jsonl",
+    "index": "rare.retrieve.IndexWriter.write",
+    "search": "rare.cli.write_run",
+    "eval": "pathlib.Path.write_text",
+    "ablate": "rare.cli.write_ablation_csv",
+    "bench": "rare.cli.emit_csv",
+}
+
+
+def with_option(argv: list[str], flag: str, value: str) -> list[str]:
+    """`argv` with the value of `flag` replaced."""
+    at = argv.index(flag) + 1
+    return [*argv[:at], value, *argv[at + 1:]]
+
+
+class TestStagedOutputs:
+    """`dispatch` gives each command a temporary file beside every output
+    and renames them into place only when the command has succeeded."""
+
+    @pytest.mark.parametrize("step", range(len(LAST_WRITERS)), ids=list(LAST_WRITERS))
+    def test_failed_write_leaves_every_output_and_manifest_as_it_was(self, tmp_path, monkeypatch, capsys, step):
+        steps = manifest_steps(tmp_path)
+        for argv, *_ in steps[:step + 1]:
+            assert dispatch(argv) == 0, argv[0]
+        argv, wrote, *_ = steps[step]
+        # Outputs already there, with bytes the command would not write.
+        before = {path: f"old {path.name}\n".encode() for artifact in wrote
+                  for path in (artifact, manifest_path(artifact))}
+        for path, blob in before.items():
+            path.write_bytes(blob)
+
+        def fail(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(LAST_WRITERS[argv[0]], fail)
+        capsys.readouterr()
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: [Errno 28] No space left on device"]
+        assert {path: path.read_bytes() for path in before} == before
+
+    @pytest.mark.parametrize("step", range(len(LAST_WRITERS)), ids=list(LAST_WRITERS))
+    def test_output_that_cannot_be_a_file_is_usage_error(self, tmp_path, capsys, step):
+        # Checked before any input is read: none of these exist.
+        argv, *_ = manifest_steps(tmp_path)[step]
+        if argv[0] == "synth":
+            (tmp_path / "data" / "corpus.jsonl").mkdir(parents=True)
+            cases = [(argv, tmp_path / "data" / "corpus.jsonl")]
+        else:
+            cases = [(with_option(argv, "--out", out), Path(out)) for out in (".", "", str(tmp_path))]
+        for bad, shown in cases:
+            capsys.readouterr()
+            assert dispatch(bad) == 1, bad
+            assert capsys.readouterr().err.splitlines() == [f"error: output {str(shown)!r} is a directory, not a file"]
+            assert files_under(tmp_path) == set()
+
+    @pytest.mark.parametrize("step", range(1, len(LAST_WRITERS)), ids=list(LAST_WRITERS)[1:])
+    def test_output_in_a_missing_directory_names_the_output(self, tmp_path, capsys, step):
+        steps = manifest_steps(tmp_path)
+        for argv, *_ in steps[:step + 1]:
+            assert dispatch(argv) == 0, argv[0]
+        argv, wrote, *_ = steps[step]
+        missing = tmp_path / "missing" / wrote[0].name
+        before = files_under(tmp_path)
+        capsys.readouterr()
+        assert dispatch(with_option(argv, "--out", str(missing))) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: [Errno 2] No such file or directory: '{missing}'"]
+        assert files_under(tmp_path) == before
+
+    def test_symlinked_output_is_replaced_not_written_through(self, pipeline, tmp_path):
+        target, out, loop = tmp_path / "target.json", tmp_path / "out.json", tmp_path / "loop.json"
+        target.write_text("old\n", encoding="utf-8")
+        out.symlink_to(target)
+        loop.symlink_to(loop)
+        argv = ["eval", "--run", str(pipeline / "run.trec"), "--qrels", str(pipeline / "data" / "qrels.tsv")]
+        for path in (out, loop):
+            assert dispatch([*argv, "--out", str(path)]) == 0, path
+            assert not path.is_symlink() and path.read_bytes() == (pipeline / "report.json").read_bytes()
+        assert target.read_text(encoding="utf-8") == "old\n"
+
+    def test_train_log_in_a_missing_directory_leaves_the_model(self, tmp_path, capsys):
+        # The model used to be replaced before the log failed, and kept its old manifest.
+        steps = manifest_steps(tmp_path)
+        for argv, *_ in steps[:2]:
+            assert dispatch(argv) == 0, argv[0]
+        argv, wrote, *_ = steps[1]
+        before = {path: path.read_bytes() for path in files_under(tmp_path)}
+        log = tmp_path / "missing" / "log.jsonl"
+        capsys.readouterr()
+        assert dispatch([*with_option(argv, "--seed", "6"), "--log", str(log)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: [Errno 2] No such file or directory: '{log}'"]
+        assert {path: path.read_bytes() for path in files_under(tmp_path)} == before
 
 
 class TestIndexNamesItsModel:

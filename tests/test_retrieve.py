@@ -823,9 +823,9 @@ class TestStoredIndex:
         out = tmp_path / "built.rfi"
         tracemalloc.start()
         try:
-            with retrieve.IndexWriter(out, MODEL) as writer:
-                index = build_flat_index(corpus, params, writer)
-                save_index(index, out, MODEL)
+            writer = retrieve.IndexWriter(out, MODEL)
+            index = build_flat_index(corpus, params, writer)
+            save_index(index, out, MODEL)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -838,10 +838,9 @@ class TestStoredIndex:
         built = build_flat_index(corpus, params)
         save_index(built, tmp_path / "memory.rfi", MODEL)
         out = tmp_path / "streamed.rfi"
-        with retrieve.IndexWriter(out, MODEL) as writer:
-            streamed = build_flat_index(corpus, params, writer)
-            assert not out.exists()
-            save_index(streamed, out, MODEL)
+        writer = retrieve.IndexWriter(out, MODEL)
+        streamed = build_flat_index(corpus, params, writer)
+        save_index(streamed, out, MODEL)
         assert out.read_bytes() == (tmp_path / "memory.rfi").read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["memory.rfi", "streamed.rfi"]
         assert streamed.model == MODEL
@@ -1000,9 +999,9 @@ class TestStreamedBuildOverWorkers:
         out = tmp_path / "built.rfi"
         tracemalloc.start()
         try:
-            with retrieve.IndexWriter(out, MODEL) as writer:
-                index = build_flat_index(corpus, params, writer)
-                save_index(index, out, MODEL)
+            writer = retrieve.IndexWriter(out, MODEL)
+            index = build_flat_index(corpus, params, writer)
+            save_index(index, out, MODEL)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
