@@ -193,6 +193,14 @@ def _cmd_synth(args: argparse.Namespace, inputs: dict[str, str], out: dict[str, 
           f"{len(bench_data.train_set)} training triples to {Path(args.out)}")
 
 
+def _named_path(entry: str, default: str | None) -> tuple[str | None, str]:
+    """The NAME and PATH of a `--pool` or `--data` entry. An entry that names
+    an existing path, or holds no `=`, is that path named `default`; any other
+    is NAME=PATH, split at its first `=`."""
+    name, sep, path = entry.partition("=")
+    return (name, path) if sep and not os.path.exists(entry) else (default, entry)
+
+
 def _parse_pools(
     pool_args: list[str], train_set: list[data.TrainExample], inputs: dict[str, str]
 ) -> dict[str, data.ExamplePool]:
@@ -200,12 +208,12 @@ def _parse_pools(
     task_ids = sorted({ex.task_id for ex in train_set})
     pools: dict[str, data.ExamplePool] = {}
     for entry in pool_args:
-        task, sep, path = entry.partition("=")
+        task, path = _named_path(entry, None)
         key = f"pool:{task}"
-        if not sep or Path(task).exists():
+        if task is None:
             if len(task_ids) != 1:
                 raise UsageError("train set has multiple tasks; use --pool TASK=PATH for each")
-            task, path, key = task_ids[0], entry, "pool"
+            task, key = task_ids[0], "pool"
         if task in pools:
             raise UsageError(f"--pool names task {task!r} more than once")
         pools[task] = data.load_example_pool(_require_file(path, "example pool", inputs, key), task)
@@ -316,15 +324,13 @@ def _cmd_eval(args: argparse.Namespace, inputs: dict[str, str], out: dict[str, P
 
 def _dataset_entry(entry: str) -> tuple[str, Path]:
     """The NAME and directory of a `--data` entry: NAME=dir, or a dir named by its last component."""
-    name, sep, path = entry.partition("=")
-    name, root = (name, Path(path)) if sep else (Path(entry).name, Path(entry))
+    name, path = _named_path(entry, Path(entry).name)
     if not name:
         raise UsageError(f"--data {entry!r} names no dataset; give it as NAME=dir")
-    return name, root
+    return name, Path(path)
 
 
-def _load_bundle(entry: str, instruction: str, inputs: dict[str, str]) -> DatasetBundle:
-    name, root = _dataset_entry(entry)
+def _load_bundle(name: str, root: Path, instruction: str, inputs: dict[str, str]) -> DatasetBundle:
     if not root.is_dir():
         raise DataError(f"dataset directory not found: {root}")
     corpus = data.load_corpus(_require_file(root / "corpus.jsonl", "corpus", inputs, f"{name}:corpus"))
@@ -359,12 +365,13 @@ def _parse_cell(raw: str) -> AblationCell:
 
 
 def _cmd_ablate(args: argparse.Namespace, inputs: dict[str, str], out: dict[str, Path]) -> None:
-    names = [_dataset_entry(entry)[0] for entry in args.data]
+    entries = [_dataset_entry(entry) for entry in args.data]
+    names = [name for name, _ in entries]
     for name in names:
         if names.count(name) > 1:
             raise UsageError(f"--data names dataset {name!r} more than once; give each a distinct NAME=dir")
     params = embedder.load(_require_file(args.model, "model", inputs, "model"))
-    bundles = [_load_bundle(entry, args.instruction, inputs) for entry in args.data]
+    bundles = [_load_bundle(name, root, args.instruction, inputs) for name, root in entries]
     cells = [_parse_cell(raw) for raw in args.cell]
     times = StageTimes()
     table = ablate(cells, bundles, params, top_k=args.topk, ndcg_k=args.ndcg_k, seed=args.seed, times=times)
@@ -375,7 +382,8 @@ def _cmd_ablate(args: argparse.Namespace, inputs: dict[str, str], out: dict[str,
 
 def _cmd_bench(args: argparse.Namespace, inputs: dict[str, str], out: dict[str, Path]) -> None:
     params = embedder.load(_require_file(args.model, "model", inputs, "model"))
-    bundle = _load_bundle(f"{args.dataset}={args.data}" if args.dataset else args.data, args.instruction, inputs)
+    name, root = (args.dataset, Path(args.data)) if args.dataset else _dataset_entry(args.data)
+    bundle = _load_bundle(name, root, args.instruction, inputs)
     index = build_flat_index(bundle.corpus, params)
     settings = {
         "inst": [FormatKind.INST],

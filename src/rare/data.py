@@ -6,7 +6,8 @@ lone surrogate is not UTF-8 either, and is a `MalformedLine` too. File
 formats:
 
 * ``corpus.jsonl``: one JSON object per line with ``_id``, ``title``, ``text``.
-* ``queries.jsonl``: one JSON object per line with ``_id``, ``text``.
+* ``queries.jsonl``: one JSON object per line with ``_id``, ``text``. A
+  corpus or query ``_id`` holds no whitespace, as a run file field cannot.
 * ``qrels.tsv``: tab-separated ``query-id  doc-id  grade`` rows with an
   optional header row.
 * ``train.jsonl``: one JSON object per line with ``task_id``, ``instruction``,
@@ -155,7 +156,9 @@ def _write_jsonl(path: str | Path, objs) -> None:
             fh.write("\n")
 
 
-def _require_str(obj: dict, key: str, path: str, line_no: int, allow_empty: bool = False) -> str:
+def _require_str(
+    obj: dict, key: str, path: str, line_no: int, allow_empty: bool = False, spaceless: bool = False
+) -> str:
     if key not in obj:
         raise MalformedLine(path, line_no, f"missing field {key!r}")
     value = obj[key]
@@ -168,6 +171,8 @@ def _require_str(obj: dict, key: str, path: str, line_no: int, allow_empty: bool
             raise MalformedLine(path, line_no, f"field {key!r} is not valid UTF-8 (a lone surrogate)") from None
     if not allow_empty and not value:
         raise MalformedLine(path, line_no, f"field {key!r} must be non-empty")
+    if spaceless and value.split() != [value]:  # as a run file line splits
+        raise MalformedLine(path, line_no, f"field {key!r} must not contain whitespace: {value!r}")
     return value
 
 
@@ -175,7 +180,7 @@ def load_corpus(path: str | Path) -> dict[str, Document]:
     """Load corpus.jsonl into an id -> Document mapping, preserving file order."""
     corpus: dict[str, Document] = {}
     for line_no, obj in _read_jsonl(path):
-        doc_id = _require_str(obj, "_id", str(path), line_no)
+        doc_id = _require_str(obj, "_id", str(path), line_no, spaceless=True)
         title = _require_str(obj, "title", str(path), line_no, allow_empty=True)
         text = _require_str(obj, "text", str(path), line_no, allow_empty=True)
         if not title and not text:
@@ -191,7 +196,7 @@ def load_queries(path: str | Path) -> list[Query]:
     queries: list[Query] = []
     seen: set[str] = set()
     for line_no, obj in _read_jsonl(path):
-        qid = _require_str(obj, "_id", str(path), line_no)
+        qid = _require_str(obj, "_id", str(path), line_no, spaceless=True)
         text = _require_str(obj, "text", str(path), line_no)
         if qid in seen:
             raise DuplicateId(f"{path}:{line_no}: duplicate query id {qid!r}")

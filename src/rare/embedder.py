@@ -92,45 +92,20 @@ def _shape_problem(hash_dim: int, embed_dim: int, orders: tuple[int, ...]) -> st
     return None
 
 
-# hits are gram lookups answered from the table, misses are gram hashes.
+# hits are gram lookups answered from a memo, misses are gram hashes.
 CacheInfo = namedtuple("CacheInfo", "hits misses")
 
 
-class _GramTable(dict):
-    """The trainer's gram -> bucket memo for one (hash_seed, hash_dim), and the process's gram counts.
+class _GramCounts:
+    """The process's gram lookups and hashes, its featurizing workers' included."""
 
-    `featurize` hashes a gram the table lacks once and adds it. The table
-    empties after a text leaves it above `cap` grams, which bounds a long
-    training (a train sees ~13k distinct grams), and whenever it is asked for
-    another (hash_seed, hash_dim). `embed_many` keeps a memo per chunk instead
-    (an L index has ~630k distinct grams), so serving leaves the table empty.
-    `lookups` and `hashes` count every gram lookup and hash in the process,
-    its featurizing workers' included.
-    """
-
-    def __init__(self, cap: int = 1 << 16):
-        super().__init__()
-        self.cap = cap
-        self.seed: int | None = None
-        self.dim = 0
-        self.keyed = None
-        self.lookups = 0
-        self.hashes = 0
-
-    def serve(self, hash_seed: int, hash_dim: int) -> _GramTable:
-        """This table, emptied first if it last served another (hash_seed, hash_dim)."""
-        if hash_seed != self.seed or hash_dim != self.dim:
-            self.clear()
-            self.seed, self.dim = hash_seed, hash_dim
-            # blake2b keyed by the seed, to copy per gram: a copy skips the key block.
-            self.keyed = hashlib.blake2b(digest_size=8, key=(hash_seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
-        return self
+    lookups = hashes = 0  # each instance counts from these
 
     def cache_info(self) -> CacheInfo:
         return CacheInfo(self.lookups - self.hashes, self.hashes)
 
 
-_bucket = _GramTable()
+_bucket = _GramCounts()
 
 # `embed_ranges` hands out texts in ranges of this many, and hashes and counts
 # the grams of a range this many at a time. 256 texts of an L corpus are about
@@ -161,15 +136,17 @@ def _features(
     bucket's count over the text's gram count.
 
     `grams` holds the texts' grams back to back, `lens[i]` text i's number.
-    Each distinct gram that `memo` lacks is hashed once and added to it, and
-    `_bucket` counts every lookup and hash. Returns `(cols, vals, ends)`:
-    text i's features are `cols[ends[i-1]:ends[i]]` and the same of `vals`.
+    `memo` maps grams to buckets for `params`' hash_seed and hash_dim: each
+    distinct gram it lacks is hashed once and added to it, and `_bucket`
+    counts every lookup and hash. Returns `(cols, vals, ends)`: text i's
+    features are `cols[ends[i-1]:ends[i]]` and the same of `vals`.
     """
-    table = _bucket.serve(params.hash_seed, params.hash_dim)
     fresh = set(filterfalse(memo.__contains__, grams))
-    table.lookups += len(grams)
-    table.hashes += len(fresh)
-    copy, digests = table.keyed.copy, []
+    _bucket.lookups += len(grams)
+    _bucket.hashes += len(fresh)
+    # blake2b keyed by the seed, copied per gram: a copy skips the key block.
+    keyed = hashlib.blake2b(digest_size=8, key=(params.hash_seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
+    copy, digests = keyed.copy, []
     add = digests.append
     for gram in map(str.encode, fresh):
         h = copy()
@@ -195,16 +172,15 @@ def _features(
     return buckets[first], counts[first] / np.asarray(lens)[text], ends
 
 
-def featurize(params: EmbedderParams, text: str) -> dict[int, float]:
+def featurize(params: EmbedderParams, text: str, memo: dict[str, int] | None = None) -> dict[int, float]:
     """Sparse hashed n-gram features; values sum to 1 when any gram exists.
 
     Buckets keep the order their first gram reaches them, orders in turn;
-    `project` sums in that order, and that order decides the bits.
+    `project` sums in that order, and that order decides the bits. The grams
+    are hashed into `memo` (see `_features`), or into a fresh one without it.
     """
     grams = _grams(params, text)
-    cols, vals, _ = _features(params, grams, [len(grams)], _bucket)
-    if len(_bucket) > _bucket.cap:
-        _bucket.clear()
+    cols, vals, _ = _features(params, grams, [len(grams)], {} if memo is None else memo)
     return dict(zip(cols.tolist(), vals.tolist()))
 
 

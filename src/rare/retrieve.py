@@ -318,11 +318,14 @@ class IndexWriter(StoredMatrix):
 
 def save_index(index: FlatIndex, path: str | Path, model: str) -> None:
     """Write `index` as an RFI1 file (see `IndexWriter.begin`), its rows
-    row-major float64 after the ids, naming `model`. An index that
-    `build_flat_index` wrote into an `IndexWriter` for `path` and `model` is
-    there already."""
+    row-major float64 after the ids, naming `model`. An index whose rows are
+    stored in the very file at `path` (loaded from it, or built into an
+    `IndexWriter` for it) is there already if it names `model`, and an error
+    otherwise: writing the file would truncate the rows it reads."""
     rows = index.rows
-    if isinstance(rows, IndexWriter) and (Path(rows.path), rows.model) == (Path(path), model):
+    if isinstance(rows, StoredMatrix) and os.path.exists(path) and os.path.samestat(os.fstat(rows.fd), os.stat(path)):
+        if index.model != model:
+            raise DataError(f"{path} holds the rows being saved and names another model; save them to another file")
         return
     with closing(IndexWriter(path, model)) as out:
         out.begin(index.ids, index.dim)

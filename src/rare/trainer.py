@@ -58,6 +58,9 @@ log = logging.getLogger(__name__)
 # Floats of W one slice of `BatchLoss.descend` updates: 256 KiB of float64.
 _STEP_FLOATS = 32 * 1024
 
+# `Features.memo` empties past this many grams; a seed-7 train hashes ~13k.
+_MEMO_GRAMS = 1 << 16
+
 
 @dataclass
 class TrainConfig:
@@ -119,22 +122,24 @@ class Features:
     previous epoch's; `next_epoch` drops whatever the epoch now ending did not
     use. Memory stays within two epochs' distinct texts, also when rendered
     queries never repeat (random example selection).
+
+    `memo` is the run's gram -> bucket memo for `featurize`, which empties
+    after a text leaves it above `_MEMO_GRAMS` grams.
     """
 
     def __init__(self, params: EmbedderParams) -> None:
         self.params = params
         self.now: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.last: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.memo: dict[str, int] = {}
 
     def of(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """`text`'s (cols, vals); a gram-free text's are two empty arrays."""
-        feats = self.now.get(text)
-        if feats is None:
-            feats = self.last.pop(text, None)
-            if feats is None:
-                feats = feature_arrays(featurize(self.params, text))
-            self.now[text] = feats
-        return feats
+        if text not in self.now:
+            self.now[text] = self.last.pop(text, None) or feature_arrays(featurize(self.params, text, self.memo))
+            if len(self.memo) > _MEMO_GRAMS:
+                self.memo.clear()
+        return self.now[text]
 
     def next_epoch(self) -> None:
         self.last, self.now = self.now, {}

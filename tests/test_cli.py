@@ -127,6 +127,31 @@ class TestExitCodes:
                          "--out", str(tmp_path / "i.rfi")])
         assert code == 2
 
+    def test_corpus_id_with_whitespace_is_exit_two(self, pipeline, tmp_path, capsys):
+        # `rare index` and `rare search` took the id "d 0", and then `rare eval`
+        # refused the run line it made: "expected 6 fields, got 7".
+        lines = (pipeline / "data" / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        doc = json.loads(lines[1])
+        doc["_id"] = "d 0"
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(lines[0] + json.dumps(doc) + "\n", encoding="utf-8")
+        out = tmp_path / "i.rfi"
+        assert dispatch(["index", "--corpus", str(corpus), "--model", str(pipeline / "model.rare"),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {corpus}:2: field '_id' must not contain whitespace: 'd 0'"]
+        assert not out.exists()
+
+    def test_query_id_with_whitespace_is_exit_two(self, pipeline, tmp_path, capsys):
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(json.dumps({"_id": "q\t1", "text": "apple"}) + "\n", encoding="utf-8")
+        out = tmp_path / "r.trec"
+        assert dispatch(["search", "--index", str(pipeline / "index.rfi"), "--model", str(pipeline / "model.rare"),
+                         "--queries", str(queries), "--format", "inst", "--k", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {queries}:1: field '_id' must not contain whitespace: 'q\\t1'"]
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_numeric_blowup_is_exit_three(self, tmp_path, capsys):
@@ -409,6 +434,26 @@ class TestExitCodes:
             assert capsys.readouterr().err.splitlines() == ["error: --pool names task 'synth' more than once"]
             assert files_under(out.parent) == set()
 
+    def test_pool_task_named_like_a_directory(self, tmp_path, monkeypatch):
+        # `synth=synth/pool.jsonl` was read as a plain path because a `synth`
+        # directory exists: "example pool not found: synth=synth/pool.jsonl".
+        monkeypatch.chdir(tmp_path)
+        assert dispatch(["synth", "--out", "synth", *SMALL_SYNTH]) == 0
+        assert dispatch(["train", "--data", "synth/train.jsonl", "--pool", "synth=synth/pool.jsonl",
+                         "--k", "2", "--epochs", "1", "--out", "m.rare", *SMALL_EMBEDDER]) == 0
+        manifest = json.loads(manifest_path(tmp_path / "m.rare").read_text(encoding="utf-8"))
+        assert set(manifest["input_digests"]) == {"train", "pool:synth"}
+
+    def test_pool_path_holding_an_equals_sign(self, small_train, tmp_path, monkeypatch):
+        # An existing `p=1.jsonl` was split into task `p` and "example pool not found: 1.jsonl".
+        out, train = small_train
+        at = train.index("--pool")
+        shutil.copy(train[at + 1], tmp_path / "p=1.jsonl")
+        monkeypatch.chdir(tmp_path)
+        assert dispatch([*train[:at], "--pool", "p=1.jsonl", *train[at + 2:]]) == 0
+        manifest = json.loads(manifest_path(out).read_text(encoding="utf-8"))
+        assert manifest["input_digests"]["pool"] == digest_file(tmp_path / "p=1.jsonl")
+
     def test_train_log_over_its_model_is_usage_error(self, small_train, capsys):
         # The log used to overwrite the model. The check comes before any input
         # is read, so a missing --data does not change the error.
@@ -616,6 +661,15 @@ class TestAblateCommand:
         for row in rows[1:]:
             assert row[1] == row[2]  # single dataset: average equals the cell
             assert 0.0 <= float(row[1]) <= 1.0
+
+    def test_dataset_directory_holding_an_equals_sign(self, pipeline, tmp_path, monkeypatch):
+        # An existing directory `k=5` was split into NAME `k` and "dataset directory not found: 5".
+        shutil.copytree(pipeline / "data", tmp_path / "k=5")
+        monkeypatch.chdir(tmp_path)
+        assert dispatch(["ablate", "--data", "k=5", "--model", str(pipeline / "model.rare"),
+                         "--cell", "inst:0:retrieved", "--out", "a.csv"]) == 0
+        with (tmp_path / "a.csv").open(newline="", encoding="utf-8") as fh:
+            assert next(csv.reader(fh)) == ["Setting", "k=5", "Average"]
 
     def test_bad_cell_is_usage_error(self, pipeline, tmp_path, capsys):
         code = dispatch([

@@ -443,14 +443,14 @@ class TestEmbedManyOverRanges:
     def test_workers_give_the_serial_bits_and_counts(self, monkeypatch):
         params = small_params(seed=3, hash_dim=4096)
         texts = self.seed7_texts()
-        monkeypatch.setattr(embedder, "_bucket", embedder._GramTable())
+        monkeypatch.setattr(embedder, "_bucket", embedder._GramCounts())
         monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", no_pool)
         serial = embedder.embed_many(params, texts)  # 321 texts: one range
         lookups = embedder._bucket.lookups
         monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", _CountedPool)
         monkeypatch.setattr(_CountedPool, "built", 0)
         monkeypatch.setattr(embedder, "_TASK_TEXTS", 50)  # 7 ranges
-        monkeypatch.setattr(embedder, "_bucket", embedder._GramTable())
+        monkeypatch.setattr(embedder, "_bucket", embedder._GramCounts())
         forked = embedder.embed_many(params, texts)
         assert _CountedPool.built == 1
         assert [list(map(float.hex, row)) for row in forked.tolist()] == \

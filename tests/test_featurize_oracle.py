@@ -2,7 +2,9 @@
 per-gram loop implementations, and the bucket hash against a keyed blake2b
 made afresh per gram, kept here as oracles. `embedder.embed_many` (and so
 `embed`, its one-text case) against rows built from the oracle features,
-which share no hashing or counting code with `embedder._features`.
+which share no hashing or counting code with `embedder._features`; and the
+trainer's `Features`, whose gram memo empties as it grows, against the same
+oracle features.
 
 `project` sums a text's columns in the key order of its features, and that
 order decides the bits of every embedding, so the comparison is on
@@ -22,9 +24,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rare import embedder
+from rare import embedder, trainer
 from rare.bm25 import tokenize
 from rare.embedder import feature_arrays, featurize, new_params, project, unit
+from rare.trainer import Features
 
 
 def oracle_bucket(hash_seed: int, hash_dim: int, gram: str) -> int:
@@ -146,22 +149,28 @@ _VOCAB = [f"w{i}" for i in range(40)] + ["Don't", "naïve", "東京"]
 CORPUS = [" ".join(_rng.choice(_VOCAB) for _ in range(_rng.randint(0, 30))) for _ in range(60)]
 
 
-def test_featurize_matches_oracle_across_table_flushes(monkeypatch):
-    table = embedder._GramTable(cap=16)
-    monkeypatch.setattr(embedder, "_bucket", table)
+def test_features_match_oracle_across_memo_flushes(monkeypatch):
+    counts = embedder._GramCounts()
+    monkeypatch.setattr(embedder, "_bucket", counts)
+    monkeypatch.setattr(trainer, "_MEMO_GRAMS", 16)
     params = new_params(hash_dim=97, embed_dim=2, ngram_orders=(1, 2, 3))
+    features = Features(params)
     for text in CORPUS:
-        assert list(featurize(params, text).items()) == list(oracle_featurize(params, text).items())
-        assert len(table) <= 16
+        cols, vals = features.of(text)
+        expected = oracle_featurize(params, text)
+        assert cols.tolist() == list(expected)
+        assert [v.hex() for v in vals.tolist()] == [v.hex() for v in expected.values()]
+        assert len(features.memo) <= 16
     distinct = {g for text in CORPUS for g in oracle_grams(params, text)}
-    assert table.cache_info().misses > len(distinct)  # flushed grams were hashed again
+    assert counts.cache_info().misses > len(distinct)  # flushed grams were hashed again
 
 
-def test_featurize_matches_oracle_while_params_alternate(monkeypatch):
-    monkeypatch.setattr(embedder, "_bucket", embedder._GramTable())
+def test_featurize_matches_oracle_while_params_alternate():
+    # No memo is shared between calls unless the caller passes one, so
+    # featurizing for one model leaves nothing stale for another.
     a = new_params(hash_dim=97, embed_dim=2, ngram_orders=(1, 2), seed=1)
     b = new_params(hash_dim=1 << 16, embed_dim=2, ngram_orders=(1, 2), seed=2)
-    # Same dimension, another seed: a table keyed on the dimension alone goes stale.
+    # Same dimension, another seed: a memo keyed on the dimension alone goes stale.
     c = dataclasses.replace(a, hash_seed=5)
     for text in CORPUS:
         for params in (a, b, c):
@@ -169,15 +178,15 @@ def test_featurize_matches_oracle_while_params_alternate(monkeypatch):
 
 
 def test_cache_info_counts_lookups_and_hashes(monkeypatch):
-    table = embedder._GramTable()
-    monkeypatch.setattr(embedder, "_bucket", table)
+    monkeypatch.setattr(embedder, "_bucket", embedder._GramCounts())
     params = new_params(hash_dim=1 << 16, embed_dim=2, ngram_orders=(1, 2))
     grams = [g for text in CORPUS for g in oracle_grams(params, text)]
+    memo: dict[str, int] = {}
     for text in CORPUS:
-        featurize(params, text)
+        featurize(params, text, memo)
     info = embedder._bucket.cache_info()
     assert info.hits + info.misses == len(grams)
-    assert info.misses == len(set(grams))
+    assert info.misses == len(set(grams)) == len(memo)
     assert info.hits > 0
 
 
@@ -214,7 +223,7 @@ def test_embed_many_with_a_text_larger_than_a_chunk():
 
 
 def test_cache_info_counts_embed_many_lookups_and_hashes(monkeypatch):
-    monkeypatch.setattr(embedder, "_bucket", embedder._GramTable())
+    monkeypatch.setattr(embedder, "_bucket", embedder._GramCounts())
     params = new_params(hash_dim=1 << 16, embed_dim=2, ngram_orders=(1, 2))
     per_text = [oracle_grams(params, text) for text in CORPUS]
     grams = [g for text_grams in per_text for g in text_grams]

@@ -513,22 +513,21 @@ class TestRunInference:
         assert ic["q1"][0][0].startswith("fruit")
 
     def test_serving_leaves_the_gram_table_empty(self, monkeypatch, rng):
-        # Queries are embedded with a memo per call, so the process-wide table
-        # (the trainer's memo) does not grow, but it still counts every lookup.
-        table = embedder._GramTable()
-        monkeypatch.setattr(embedder, "_bucket", table)
+        # Queries are embedded with a memo per call; the process's gram counts
+        # still count every lookup.
+        counts = embedder._GramCounts()
+        monkeypatch.setattr(embedder, "_bucket", counts)
         params = small_params()
         corpus, pool = disambiguation_fixture()
         index = build_flat_index(corpus, params)
-        before = table.cache_info()
+        before = counts.cache_info()
         texts = []
         real_embed = retrieve.embed
         monkeypatch.setattr(retrieve, "embed", lambda p, text: texts.append(text) or real_embed(p, text))
         queries = [Query(id=f"q{i}", text=random_text(rng, 6)) for i in range(8)]
         run_inference(queries, "find it", pool, index, params, PromptFormat(kind=FormatKind.INST_IC), k=2, top_k=4)
         assert len(texts) == len(queries)
-        assert len(table) == 0
-        info = table.cache_info()
+        info = counts.cache_info()
         grams = sum(max(len(bm25.tokenize(text)) - n + 1, 0) for text in texts for n in params.ngram_orders)
         assert info.hits + info.misses - before.hits - before.misses == grams
         assert info.hits > before.hits  # repeats within one rendered query
@@ -682,6 +681,30 @@ class TestIndexSerialization:
         assert loaded.dim == index.dim
         assert loaded.matrix.tobytes() == index.matrix.tobytes()
         assert loaded.model == MODEL
+
+    def test_saving_into_the_file_it_reads_keeps_the_file(self, rng, tmp_path):
+        # A loaded index, or one built into a writer, reads its rows from the
+        # file at `path`: saving it there used to truncate the file, then fail.
+        path = tmp_path / "index.bin"
+        save_index(self.make_index(rng), path, MODEL)
+        blob = path.read_bytes()
+        save_index(load_flat_index(path), path, MODEL)
+        assert path.read_bytes() == blob
+        (tmp_path / "d").mkdir()
+        writer = retrieve.IndexWriter(path, MODEL)
+        built = build_flat_index(make_corpus(["alpha beta", "gamma"]), small_params(), writer)
+        blob = path.read_bytes()
+        save_index(built, tmp_path / "d" / ".." / "index.bin", MODEL)  # another spelling of the path
+        assert path.read_bytes() == blob
+        assert load_flat_index(path).matrix.tobytes() == built.matrix.tobytes()
+
+    def test_saving_into_the_file_it_reads_for_another_model_is_refused(self, rng, tmp_path):
+        path = tmp_path / "index.bin"
+        save_index(self.make_index(rng), path, MODEL)
+        blob = path.read_bytes()
+        with pytest.raises(DataError, match="names another model; save them to another file$"):
+            save_index(load_flat_index(path), path, hashlib.sha256(b"another model").hexdigest())
+        assert path.read_bytes() == blob
 
     def test_index_built_in_memory_names_no_model(self):
         assert build_flat_index(make_corpus(["alpha beta"]), small_params()).model is None

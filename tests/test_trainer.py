@@ -7,15 +7,19 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rare import bm25
+from rare import bm25, embedder
 from rare import trainer as trainer_module
 from rare.cli import dispatch
 from rare.data import ExamplePool, ICExample, TrainExample
@@ -40,6 +44,8 @@ from rare.trainer import (
 )
 
 from conftest import WORDS, fd_grads, oracle_batch_loss, oracle_candidates, random_text
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def loss_from_similarities(sims: np.ndarray, temperature: float, positive_index: int = 0) -> float:
@@ -796,9 +802,9 @@ def count_featurize(monkeypatch) -> list[str]:
     """Texts passed to the trainer's `featurize`, in call order."""
     calls: list[str] = []
 
-    def counted(params, text):
+    def counted(params, text, memo=None):
         calls.append(text)
-        return featurize(params, text)
+        return featurize(params, text, memo)
 
     monkeypatch.setattr(trainer_module, "featurize", counted)
     return calls
@@ -910,6 +916,40 @@ class TestFeatureCache:
         assert len(set(calls)) == 1024
         log = [json.loads(line) for line in (tmp_path / "m.rare.log.jsonl").read_text().splitlines()]
         assert log[-1]["mean_loss"] == pytest.approx(6.217442360679975, abs=1e-12)
+
+    def test_default_train_hashes_each_gram_once_per_memo(self, tmp_path, monkeypatch):
+        # The default `rare train` on synth seed 7 looks up 304,869 grams; the
+        # run's memo answers all but the 12,969 it hashes.
+        data = tmp_path / "data"
+        assert dispatch(["synth", "--out", str(data), "--seed", "7"]) == 0
+        counts = embedder._GramCounts()
+        monkeypatch.setattr(embedder, "_bucket", counts)
+        assert dispatch(["train", "--data", str(data / "train.jsonl"), "--pool", str(data / "pool.jsonl"),
+                         "--out", str(tmp_path / "m.rare")]) == 0
+        assert (counts.lookups, counts.hashes) == (304_869, 12_969)
+
+    def test_back_to_back_trains_equal_each_alone(self, tmp_path):
+        # Each training run owns its gram memo: a run after one with another
+        # hash seed and dimension writes the bytes it writes in a fresh process.
+        data = tmp_path / "data"
+        assert dispatch(["synth", "--out", str(data), "--seed", "7"]) == 0
+        runs = {"a": ["--seed", "1", "--hash-dim", "4096"], "b": ["--seed", "2", "--hash-dim", "8192"]}
+
+        def argv(name, where):
+            return ["train", "--data", str(data / "train.jsonl"), "--pool", str(data / "pool.jsonl"),
+                    "--epochs", "2", "--out", str(where / f"{name}.rare"), *runs[name]]
+
+        together, alone = tmp_path / "together", tmp_path / "alone"
+        together.mkdir()
+        alone.mkdir()
+        for name in runs:
+            assert dispatch(argv(name, together)) == 0
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        for name in runs:
+            subprocess.run([sys.executable, "-m", "rare.cli", *argv(name, alone)], env=env, check=True,
+                           capture_output=True, timeout=120)
+            for file in (f"{name}.rare", f"{name}.rare.log.jsonl"):
+                assert (together / file).read_bytes() == (alone / file).read_bytes(), file
 
     def test_default_train_selects_once_per_query(self, tmp_path, monkeypatch):
         # The default `rare train` on synth seed 7 renders 1,418 queries with
