@@ -18,19 +18,27 @@ formats:
   Within a query the ranks are integers that increase down the file, and no
   document is listed twice.
 
+`load_corpus` checks every line, then holds only each document's id and the
+byte span of its line: a `Corpus` reads a document back from the file, on a
+descriptor of its own, each time it is accessed.
+
 The module needs no numpy: `ExamplePool.bm25_index` imports `bm25` when it
-first builds an index.
+first builds an index, and a `Corpus` imports `array` when it is loaded.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
+import weakref
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import (
+    DataError,
     DuplicateId,
     EmptyPool,
     MalformedLine,
@@ -39,6 +47,8 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    from array import array
+
     from . import bm25
 
 log = logging.getLogger(__name__)
@@ -117,13 +127,26 @@ class QRels:
         return self.judgments.get(query_id, {})
 
 
-def _lines(p: Path):
-    """Yield (line_no, line) for each non-blank line of a UTF-8 file, as text mode reads it."""
-    with p.open("r", encoding="utf-8") as fh:
+def _lines(p: Path, spans: array | None = None):
+    """Yield (line_no, line) for each non-blank line of a UTF-8 file, as text mode reads it.
+
+    With `spans`, each line keeps its newline as the file has it, and its
+    start and end byte offsets are appended to `spans` before it is yielded.
+    """
+    # newline="" splits lines where text mode does but leaves their ends untranslated.
+    with p.open("r", encoding="utf-8", newline=None if spans is None else "") as fh:
         try:
-            for line_no, line in enumerate(fh, start=1):
-                if line.strip():
-                    yield line_no, line
+            if spans is None:
+                for line_no, line in enumerate(fh, start=1):
+                    if line.strip():
+                        yield line_no, line
+            else:
+                end = 0
+                for line_no, line in enumerate(fh, start=1):
+                    start, end = end, end + (len(line) if line.isascii() else len(line.encode("utf-8")))
+                    if line.strip():
+                        spans.extend((start, end))
+                        yield line_no, line
         except UnicodeDecodeError:
             raw = p.read_bytes()  # the decoder reads ahead: count the newlines before the bad byte
             try:
@@ -135,10 +158,11 @@ def _lines(p: Path):
             raise
 
 
-def _read_jsonl(path: str | Path):
-    """Yield (line_no, parsed object) for each non-blank line of a JSONL file."""
+def _read_jsonl(path: str | Path, spans: array | None = None):
+    """Yield (line_no, parsed object) for each non-blank line of a JSONL file
+    (`spans` as in `_lines`)."""
     p = Path(path)
-    for line_no, line in _lines(p):
+    for line_no, line in _lines(p, spans):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -176,19 +200,67 @@ def _require_str(
     return value
 
 
-def load_corpus(path: str | Path) -> dict[str, Document]:
-    """Load corpus.jsonl into an id -> Document mapping, preserving file order."""
-    corpus: dict[str, Document] = {}
-    for line_no, obj in _read_jsonl(path):
-        doc_id = _require_str(obj, "_id", str(path), line_no, spaceless=True)
-        title = _require_str(obj, "title", str(path), line_no, allow_empty=True)
-        text = _require_str(obj, "text", str(path), line_no, allow_empty=True)
-        if not title and not text:
-            raise MalformedLine(str(path), line_no, "title and text are both empty")
-        if doc_id in corpus:
-            raise DuplicateId(f"{path}:{line_no}: duplicate document id {doc_id!r}")
-        corpus[doc_id] = Document(id=doc_id, title=title, text=text)
-    return corpus
+def _stamp(fd: int) -> tuple[int, int]:
+    st = os.fstat(fd)
+    return st.st_size, st.st_mtime_ns
+
+
+class Corpus(Mapping[str, Document]):
+    """A corpus.jsonl as an id -> Document mapping in file order, holding
+    only each document's id and the byte span of its line.
+
+    Every line is checked when the corpus is loaded. The file stays open on
+    a descriptor of its own, closed when the object is collected, and a
+    document is read back with `os.pread` each time it is accessed, so forked
+    processes that inherit the corpus read their own lines without sharing a
+    file offset. A line that no longer parses to an object with the id it
+    had, or a file whose size or modification time differs from when it was
+    loaded, means the file changed: a `DataError`.
+    """
+
+    def __init__(self, path: str | Path):
+        from array import array  # imported here: the module adds about 0.25 MiB to every command's RSS
+
+        self.path = str(path)
+        self._fd = os.open(path, os.O_RDONLY)
+        self._close = weakref.finalize(self, os.close, self._fd)  # also when a line below is refused
+        self._stamp = _stamp(self._fd)
+        self._rows: dict[str, int] = {}  # id -> its ordinal in the file
+        self._spans = array("q")  # each line's start and end byte offsets, in pairs
+        for line_no, obj in _read_jsonl(path, self._spans):
+            doc_id = _require_str(obj, "_id", self.path, line_no, spaceless=True)
+            title = _require_str(obj, "title", self.path, line_no, allow_empty=True)
+            text = _require_str(obj, "text", self.path, line_no, allow_empty=True)
+            if not title and not text:
+                raise MalformedLine(self.path, line_no, "title and text are both empty")
+            if doc_id in self._rows:
+                raise DuplicateId(f"{path}:{line_no}: duplicate document id {doc_id!r}")
+            self._rows[doc_id] = len(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._rows)
+
+    def __getitem__(self, doc_id: str) -> Document:
+        row = self._rows[doc_id]
+        start, end = self._spans[2 * row], self._spans[2 * row + 1]
+        raw = os.pread(self._fd, end - start, start)
+        try:
+            obj = json.loads(raw.decode("utf-8"))
+        except ValueError:  # not UTF-8, or not JSON
+            obj = None
+        # The stamp is taken after the read: if it still holds, the line is the
+        # one checked at loading, and its fields need no second check.
+        if not isinstance(obj, dict) or obj.get("_id") != doc_id or _stamp(self._fd) != self._stamp:
+            raise DataError(f"{self.path} changed while it was read (document {doc_id!r}); run the command again")
+        return Document(id=doc_id, title=obj["title"], text=obj["text"])
+
+
+def load_corpus(path: str | Path) -> Corpus:
+    """Load corpus.jsonl as a `Corpus`, in file order."""
+    return Corpus(path)
 
 
 def load_queries(path: str | Path) -> list[Query]:
@@ -299,7 +371,7 @@ def load_example_pool(path: str | Path, task_id: str) -> ExamplePool:
     return ExamplePool(task_id=task_id, examples=examples)
 
 
-def write_corpus(corpus: dict[str, Document], path: str | Path) -> None:
+def write_corpus(corpus: Mapping[str, Document], path: str | Path) -> None:
     _write_jsonl(path, ({"_id": doc.id, "title": doc.title, "text": doc.text} for doc in corpus.values()))
 
 

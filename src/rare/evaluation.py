@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -105,7 +106,7 @@ class DatasetBundle:
     """Everything needed to run one dataset end to end."""
 
     name: str
-    corpus: dict[str, Document]
+    corpus: Mapping[str, Document]
     queries: list[Query]
     qrels: QRels
     pool: ExamplePool | None = None

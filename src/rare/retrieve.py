@@ -23,7 +23,7 @@ import os
 import random
 import struct
 import time
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,22 +86,24 @@ def document_text(doc: Document) -> str:
     return doc.title + " " + doc.text
 
 
-class _DocumentTexts(Sequence):
-    """Each document's `document_text`, made when it is read, so that an
-    index build never holds them all (7.3 MiB at 32k documents)."""
+class _Texts(Sequence):
+    """`document_text(corpus[id])` for each id, made when it is read. An index
+    build then holds no document it is not embedding, and with a file-backed
+    `data.Corpus` the forked featurizing workers each read their own lines."""
 
-    def __init__(self, docs: list[Document]) -> None:
-        self.docs = docs
+    def __init__(self, corpus: Mapping[str, Document], ids: list[str]) -> None:
+        self.corpus = corpus
+        self.ids = ids
 
     def __len__(self) -> int:
-        return len(self.docs)
+        return len(self.ids)
 
     def __getitem__(self, row: int) -> str:
-        return document_text(self.docs[row])
+        return document_text(self.corpus[self.ids[row]])
 
 
 def build_flat_index(
-    corpus: dict[str, Document], params: EmbedderParams, out: IndexWriter | None = None
+    corpus: Mapping[str, Document], params: EmbedderParams, out: IndexWriter | None = None
 ) -> FlatIndex:
     """Embed every document, rows in corpus iteration order.
 
@@ -111,12 +113,11 @@ def build_flat_index(
     """
     if not corpus:
         raise EmptyCorpus("cannot index an empty corpus")
-    docs = list(corpus.values())
-    ids = [d.id for d in docs]
+    ids = list(corpus)
     if out is None:
-        return FlatIndex(ids=ids, matrix=embed_many(params, _DocumentTexts(docs)), dim=params.embed_dim)
+        return FlatIndex(ids=ids, matrix=embed_many(params, _Texts(corpus, ids)), dim=params.embed_dim)
     out.begin(ids, params.embed_dim)
-    with closing(embed_ranges(params, _DocumentTexts(docs))) as ranges:
+    with closing(embed_ranges(params, _Texts(corpus, ids))) as ranges:
         for rows in ranges:
             out.write(rows)
     return FlatIndex(ids=ids, matrix=out, dim=params.embed_dim, model=out.model)

@@ -11,6 +11,7 @@ import errno
 import importlib
 import io
 import json
+import multiprocessing
 import os
 import shutil
 import struct
@@ -24,10 +25,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rare.cli
+import rare.data
+import rare.embedder
 import rare.manifest
 from rare.cli import UsageError, build_parser, dispatch, main
 from rare.embedder import load, new_params, save
 from rare.manifest import digest_file, manifest_path
+
+from conftest import TWO_CPUS, no_pool
 
 try:
     import tomllib
@@ -1116,6 +1121,114 @@ class TestIndexNamesItsModel:
             f"error: {old}: unsupported index version 1; rebuild it with `rare index`"
         ]
         assert not run.exists()
+
+
+class TestCorpusReadFromItsFile:
+    """`rare index`, `ablate` and `bench` check every corpus line first, then
+    read each document back from the file as it is embedded. A file that
+    changes in between is exit 2 in one line, and nothing is written."""
+
+    @pytest.fixture
+    def seed7(self, tmp_path) -> tuple[Path, Path]:
+        data, model = tmp_path / "data", tmp_path / "m.rare"
+        assert dispatch(["synth", "--out", str(data), "--seed", "7"]) == 0
+        save(new_params(hash_dim=4096, embed_dim=16, seed=1), model)
+        os.utime(data / "corpus.jsonl", ns=(10**18, 10**18))  # an edit made now changes the mtime
+        return data / "corpus.jsonl", model
+
+    @staticmethod
+    def edit_after_loading(monkeypatch, corpus: Path, row: int, old: bytes, new: bytes, keep_mtime: bool) -> None:
+        """Replace `old` by `new` on line `row` of the corpus in place, right after `load_corpus` returns."""
+        load = rare.data.load_corpus
+
+        def load_then_edit(path):
+            loaded = load(path)
+            st = os.stat(corpus)
+            lines = corpus.read_bytes().splitlines(keepends=True)
+            assert len(new) == len(old) and old in lines[row]
+            lines[row] = lines[row].replace(old, new, 1)
+            with corpus.open("r+b") as fh:  # the same file, not a new one at its path
+                fh.write(b"".join(lines))
+            if keep_mtime:
+                os.utime(corpus, ns=(st.st_atime_ns, st.st_mtime_ns))
+            assert os.stat(corpus).st_size == st.st_size
+            return loaded
+
+        monkeypatch.setattr(rare.data, "load_corpus", load_then_edit)
+
+    def index(self, corpus, model, out, capsys) -> tuple[int, list[str]]:
+        capsys.readouterr()
+        code = dispatch(["index", "--corpus", str(corpus), "--model", str(model), "--out", str(out)])
+        return code, capsys.readouterr().err.splitlines()
+
+    # 320 documents: in this process as two ranges, or in forked workers as five.
+    TASK_TEXTS = [256, pytest.param(64, marks=TWO_CPUS)]
+
+    @pytest.mark.parametrize("task_texts", TASK_TEXTS)
+    def test_a_line_whose_id_changed_is_exit_two(self, seed7, tmp_path, monkeypatch, capsys, task_texts):
+        corpus, model = seed7
+        monkeypatch.setattr(rare.embedder, "_TASK_TEXTS", task_texts)
+        self.edit_after_loading(monkeypatch, corpus, 100, b'"d2-20"', b'"d2-2x"', keep_mtime=True)
+        out = tmp_path / "i.rfi"
+        assert self.index(corpus, model, out, capsys) == (
+            2, [f"error: {corpus} changed while it was read (document 'd2-20'); run the command again"])
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("task_texts", TASK_TEXTS)
+    def test_a_same_length_text_edit_is_exit_two(self, seed7, tmp_path, monkeypatch, capsys, task_texts):
+        corpus, model = seed7
+        monkeypatch.setattr(rare.embedder, "_TASK_TEXTS", task_texts)
+        self.edit_after_loading(monkeypatch, corpus, 200, b'"sh99 ', b'"sh98 ', keep_mtime=False)
+        out = tmp_path / "i.rfi"
+        assert self.index(corpus, model, out, capsys) == (
+            2, [f"error: {corpus} changed while it was read (document 'd0-0'); run the command again"])
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_a_duplicate_id_is_found_before_any_fork_or_row(self, seed7, tmp_path, monkeypatch, capsys):
+        corpus, model = seed7
+        lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[300] = lines[300].replace('"d7-20"', '"d0-3"', 1)
+        corpus.write_text("".join(lines), encoding="utf-8")
+        monkeypatch.setattr(rare.embedder, "_TASK_TEXTS", 64)
+        monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(rare.embedder, "load", no_pool)
+        out = tmp_path / "i.rfi"
+        assert self.index(corpus, model, out, capsys) == (
+            2, [f"error: {corpus}:301: duplicate document id 'd0-3'"])
+        assert not out.exists()
+
+    def test_a_bom_prefixed_corpus_is_exit_two_in_one_line(self, seed7, tmp_path, capsys):
+        corpus, model = seed7
+        corpus.write_bytes(b"\xef\xbb\xbf" + corpus.read_bytes())
+        out = tmp_path / "i.rfi"
+        assert self.index(corpus, model, out, capsys) == (
+            2, [f"error: {corpus}:1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"])
+        assert not out.exists()
+
+    def test_ablate_and_bench_read_the_same_corpus(self, tmp_path):
+        # Synth seed 7 with its default model (d46a3da9); the CSV bytes and the
+        # bench columns that hold no timing are those of an in-memory corpus.
+        data, model = tmp_path / "data", tmp_path / "model.rare"
+        assert dispatch(["synth", "--out", str(data), "--seed", "7"]) == 0
+        assert dispatch(["train", "--data", str(data / "train.jsonl"), "--pool", str(data / "pool.jsonl"),
+                         "--out", str(model)]) == 0
+        ablation, latency = tmp_path / "ablation.csv", tmp_path / "latency.csv"
+        assert dispatch(["ablate", "--data", f"synth={data}", "--model", str(model), "--cell", "inst:0:retrieved",
+                         "--cell", "inst+ic:5:retrieved", "--cell", "inst+ic:5:random", "--out", str(ablation)]) == 0
+        assert ablation.read_bytes() == (
+            b'Setting,synth,Average\r\n'
+            b'"inst,k=0,retrieved",0.4234772200457796,0.4234772200457796\r\n'
+            b'"inst+ic,k=5,retrieved",0.8426782035215554,0.8426782035215554\r\n'
+            b'"inst+ic,k=5,random",0.12495707803478337,0.12495707803478337\r\n'
+        )
+        assert dispatch(["bench", "--data", f"synth={data}", "--model", str(model), "--setting", "both",
+                         "--reps", "1", "--out", str(latency)]) == 0
+        with latency.open(newline="", encoding="utf-8") as fh:
+            rows = [row[:4] for row in csv.reader(fh)]
+        assert rows == [["Dataset", "#Corpus", "Setting", "AvgQLen"],
+                        ["synth", "320", "inst", "11.0"], ["synth", "320", "inst+ic", "231.0"]]
 
 
 class TestNotUtf8:

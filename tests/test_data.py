@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import logging
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,11 @@ from rare.errors import (
     MalformedRow,
     NegativeGrade,
 )
+
+
+def json_default(obj):
+    """`json.dumps`' default for loaded data: a `Corpus` reads each document back."""
+    return dict(obj) if isinstance(obj, data.Corpus) else vars(obj)
 
 
 def write_lines(path, lines):
@@ -247,10 +253,15 @@ def tmp_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("lines")
 
 
+# Texts of lines ended by each of text mode's newlines, blank or not, with
+# characters that end a line for str.splitlines but not for a text-mode file.
+LINE_TEXTS = st.lists(st.sampled_from(["a", "b c", " ", "\t", "\n", "\r\n", "\r", "\x85", "\u2028", "\x0c", "é"]),
+                      max_size=30).map("".join)
+
+
 class TestLines:
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
-    @given(text=st.lists(st.sampled_from(["a", "b c", " ", "\t", "\n", "\r\n", "\r", "\x85", "\u2028", "\x0c", "é"]),
-                         max_size=30).map("".join))
+    @given(text=LINE_TEXTS)
     def test_equals_text_mode_iteration(self, tmp_dir, text):
         # `\x85` and `\u2028` end a line for str.splitlines, not for a text-mode file.
         p = tmp_dir / "lines.txt"
@@ -263,6 +274,22 @@ class TestLines:
         p = tmp_path / "lines.txt"
         p.write_bytes(b"a\r\n\r\n \rb\n\nc")
         assert list(data._lines(p)) == [(1, "a\n"), (4, "b\n"), (6, "c")]
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(text=LINE_TEXTS, emoji=st.booleans())
+    def test_spans_read_back_the_lines(self, tmp_dir, text, emoji):
+        # Each line's span holds its bytes; the lines are text mode's, their
+        # newlines untranslated.
+        raw = (text.replace("é", "\U0001f642") if emoji else text).encode("utf-8")
+        p = tmp_dir / "lines.txt"
+        p.write_bytes(raw)
+        spans = array("q")
+        lines = list(data._lines(p, spans))
+        assert [(n, line.replace("\r\n", "\n").replace("\r", "\n")) for n, line in lines] == list(data._lines(p))
+        assert len(spans) == 2 * len(lines)
+        assert list(spans) == sorted(spans)
+        read_back = [raw[start:end].decode("utf-8") for start, end in zip(spans[::2], spans[1::2])]
+        assert read_back == [line for _, line in lines]
 
 
 class TestNotUtf8:
@@ -319,7 +346,7 @@ class TestLoneSurrogate:
         p = tmp_path / kind
         p.write_text(line(0).replace('"q0"', '"q\\ud83d\\ude00"').replace('"d0"', '"d\\ud83d\\ude00"') + "\n",
                      encoding="utf-8")
-        assert "\U0001f600" in json.dumps(load(p), default=vars, ensure_ascii=False)
+        assert "\U0001f600" in json.dumps(load(p), default=json_default, ensure_ascii=False)
 
 
 # Malformed input for the property tests: lines are cut short, fields get the
@@ -365,4 +392,4 @@ def test_malformed_input_loads_or_is_a_data_error(tmp_dir, kind, case):
         loaded = load(p)
     except DataError:
         return
-    json.dumps(loaded, default=vars, ensure_ascii=False).encode("utf-8")  # every string loaded is UTF-8
+    json.dumps(loaded, default=json_default, ensure_ascii=False).encode("utf-8")  # every string loaded is UTF-8

@@ -24,7 +24,17 @@ from rare import bm25, embedder, retrieve
 from rare.bench import profile
 from rare.binfile import Reader
 from rare.cli import dispatch
-from rare.data import Document, ExamplePool, ICExample, Query, TrainExample, load_corpus, load_run, write_run
+from rare.data import (
+    Document,
+    ExamplePool,
+    ICExample,
+    Query,
+    TrainExample,
+    load_corpus,
+    load_run,
+    write_corpus,
+    write_run,
+)
 from rare.embedder import embed, featurize, load, new_params, save
 from rare.errors import (
     BadMagic,
@@ -855,6 +865,29 @@ class TestStoredIndex:
         assert len(index) == self.N
         assert peak < 0.5 * 8 * self.N * self.DIM
 
+    def test_a_loaded_corpus_holds_its_ids_and_spans_not_its_texts(self, tmp_path):
+        words = [f"w{i}" for i in range(3000)]
+        rng = random.Random(1)
+        n = 1 << 13
+        docs = {f"doc-{i}": Document(f"doc-{i}", "", " ".join(rng.choices(words, k=32))) for i in range(n)}
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(docs, path)
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        ids = sum(map(sys.getsizeof, corpus))
+        texts = sum(sys.getsizeof(doc.text) for doc in docs.values())
+        # Per document, its 16-byte span, its dict entry and its row number
+        # take under 80 bytes: 69 here. The texts take 228.
+        per_doc = 80 * n + (64 << 10)
+        assert texts > 2 * per_doc
+        assert held <= ids + per_doc
+        assert peak <= held + (64 << 10)  # a line at a time
+        assert corpus == docs
+
     def test_writer_bytes_and_rows_equal_the_in_memory_build(self, rng, tmp_path):
         params = small_params()
         corpus = make_corpus([random_text(rng, 6) for _ in range(2 * 1024 + 3)])
@@ -1032,3 +1065,38 @@ class TestStreamedBuildOverWorkers:
         assert multiprocessing.active_children() == []
         # Ranges of 1,024 texts held 3.4-4.4 MiB here, ranges of 256 1.0-1.2 MiB.
         assert peak < 2 << 20
+
+
+# Non-ASCII texts: accents, a combining mark, an emoji, and `\x85` and
+# `\u2028`, which end a line for str.splitlines but not in a text-mode file.
+ODD_TEXTS = ["caf\u00e9 cr\u00e8me", "emoji \U0001f642 here", "e\u0301 combining", "next\x85line", "line\u2028sep",
+             "ascii"]
+
+
+class TestIndexFromACorpusFile:
+    """`rare index` of a corpus file, whose documents are read back from it by
+    byte span, writes the bytes of the same documents indexed from a dict,
+    however the file's lines end."""
+
+    @pytest.mark.parametrize("newline, blank, last", [
+        ("\n", "", "\n"),
+        ("\r\n", "", "\r\n"),
+        ("\r", "", "\r"),
+        ("\n", "\n \r\n\t\r", "\n"),  # blank lines between documents
+        ("\r\n", "", ""),  # no newline after the last document
+    ])
+    @pytest.mark.parametrize("n", [40, pytest.param(1100, marks=TWO_CPUS)])  # in this process, or in workers
+    def test_bytes_equal_an_index_of_the_documents_in_a_dict(self, tmp_path, newline, blank, last, n):
+        rng = random.Random(n)
+        docs = {f"d{i}": Document(f"d{i}", ODD_TEXTS[i % 6] if i % 3 else "",
+                                  f"{ODD_TEXTS[(5 * i) % 6]} {random_text(rng)}") for i in range(n)}
+        corpus, model = tmp_path / "corpus.jsonl", tmp_path / "m.rare"
+        lines = [json.dumps({"_id": d.id, "title": d.title, "text": d.text}, ensure_ascii=False) for d in docs.values()]
+        corpus.write_bytes(((newline + blank).join(lines) + last).encode("utf-8"))
+        params = small_params()
+        save(params, model)
+        expected, out = tmp_path / "dict.rfi", tmp_path / "file.rfi"
+        save_index(build_flat_index(docs, params), expected, hashlib.sha256(model.read_bytes()).hexdigest())
+        assert load_corpus(corpus) == docs
+        assert dispatch(["index", "--corpus", str(corpus), "--model", str(model), "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
