@@ -21,7 +21,6 @@ import csv
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from statistics import median
 
 from .data import ExamplePool, Query
 from .embedder import EmbedderParams
@@ -63,6 +62,10 @@ def profile(
     repetitions: int = 5,
 ) -> LatencyReport:
     """Time one `run_inference` pass per repetition and report stage medians."""
+    # Imported here: `statistics` brings `fractions` and `decimal`, about
+    # 0.5 MiB, into every numeric command that loads this module.
+    from statistics import median
+
     if setting not in (FormatKind.INST, FormatKind.INST_IC):
         raise SpecInvalid(f"profiling covers inst and inst+ic, got {setting.value}")
     if repetitions < 1:

@@ -2,10 +2,12 @@
 
 Every artifact is a magic string, a little-endian u32 version, a header of
 fixed-width fields and length-prefixed UTF-8 strings, then a row-major
-float64 matrix. `Reader.matrix` reads it straight from the file into the
-array it returns; `Reader.stored_matrix` leaves it in the file and returns a
-`StoredMatrix`, which keeps the file open and reads rows with `os.preadv`
-when they are asked for. Either checks the matrix for NaN and infinity in
+float64 matrix. `Reader.texts` keeps a block of strings as one `StringTable`,
+which decodes a string only when it is read. `Reader.matrix` reads the
+matrix straight from the file into the array it returns;
+`Reader.stored_matrix` leaves it in the file and returns a `StoredMatrix`,
+which keeps the file open and reads rows with `os.preadv` when they are
+asked for. Either checks the matrix for NaN and infinity in
 slices of `SLICE_BYTES`, so the check allocates no array the matrix's size.
 Every length is checked against the file size before it is read, so a
 header declaring more than the file holds allocates nothing. Reading fails
@@ -20,6 +22,8 @@ from __future__ import annotations
 import os
 import struct
 import weakref
+from array import array
+from collections.abc import Sequence
 from itertools import pairwise
 from pathlib import Path
 
@@ -35,6 +39,34 @@ def row_slices(rows: int, cols: int) -> list[tuple[int, int]]:
     """`[start, stop)` ranges of whole rows, about `SLICE_BYTES` of float64 each, covering `rows`."""
     step = max(1, SLICE_BYTES // (8 * max(cols, 1)))
     return [(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
+class StringTable(Sequence):
+    """Strings kept as the bytes of the file's block, each a u32 length and
+    that many UTF-8 bytes, and an `array("q")` of where each length starts,
+    one entry past the last: no object per string. Reading a row decodes
+    its string afresh. It equals any sequence of the same strings."""
+
+    def __init__(self, block: bytes, starts: array) -> None:
+        self.block = block
+        self.starts = starts
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def __getitem__(self, row: int) -> str:
+        if row < 0:
+            row += len(self)
+        if not 0 <= row < len(self):
+            raise IndexError(f"string {row} of {len(self)}")
+        return self.block[self.starts[row] + 4 : self.starts[row + 1]].decode("utf-8")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
 
 
 class StoredMatrix:
@@ -135,18 +167,22 @@ class Reader:
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def texts(self, count: int, trailer: int) -> list[str]:
+    def texts(self, count: int, trailer: int) -> StringTable:
         """`count` strings, each a u32 byte length followed by that many UTF-8
-        bytes, that fill the file up to its last `trailer` bytes; the block
-        is read with one call."""
+        bytes, that fill the file up to its last `trailer` bytes. The block
+        is read with one call and kept as a `StringTable`; every length and
+        every string's UTF-8 is checked here."""
         base = self.pos
         nbytes = self.size - base - trailer
         if nbytes < 0:
             raise Truncated(f"{self.path}: expected {trailer} more bytes at offset {base}")
+        if count > nbytes // 4:  # each string takes at least its 4-byte length: allocate no starts for more
+            raise Truncated(f"{self.path}: {count} strings need at least {4 * count} bytes at offset {base}")
         block = self.take(nbytes)
-        out = []
+        starts = array("q", [0]) * (count + 1)
         at = 0
-        for _ in range(count):
+        for row in range(count):
+            starts[row] = at
             if at + 4 > nbytes:
                 raise Truncated(f"{self.path}: expected 4 more bytes at offset {base + at}")
             (length,) = struct.unpack_from("<I", block, at)
@@ -154,13 +190,14 @@ class Reader:
             if length > nbytes - at:
                 raise Truncated(f"{self.path}: expected {length} more bytes at offset {base + at}")
             try:
-                out.append(block[at : at + length].decode("utf-8"))
+                block[at : at + length].decode("utf-8")
             except UnicodeDecodeError:
                 raise SerializationError(f"{self.path}: string at offset {base + at} is not valid UTF-8") from None
             at += length
         if at != nbytes:
             raise Truncated(f"{self.path}: {nbytes - at} unexpected bytes after the strings at offset {base + at}")
-        return out
+        starts[count] = at
+        return StringTable(block, starts)
 
     def _claim_matrix(self, rows: int, cols: int) -> int:
         """Claim a row-major (rows, cols) float64 matrix's bytes; both sides must be positive."""

@@ -107,6 +107,48 @@ class _GramCounts:
 
 _bucket = _GramCounts()
 
+
+class Memo(dict):
+    """A gram -> bucket memo for one model's `hash_seed` and `hash_dim`,
+    emptied once a lookup leaves it holding more than `cap` grams.
+
+    A gram's bucket depends on nothing else, so the memo is exact for that
+    model, and `buckets` refuses any other. Its owner sets the cap:
+    `retrieve.run_inference` holds one over a run's queries, and
+    `trainer.Features` one over a training run.
+    """
+
+    def __init__(self, params: EmbedderParams, cap: int) -> None:
+        super().__init__()
+        self.model = (params.hash_seed, params.hash_dim)
+        self.cap = cap
+
+    def buckets(self, params: EmbedderParams, grams: list[str]) -> np.ndarray:
+        """Each gram's bucket, as int64: each distinct gram the memo lacks is
+        hashed once and added to it, and `_bucket` counts every lookup and hash."""
+        if (params.hash_seed, params.hash_dim) != self.model:
+            raise DimMismatch(
+                f"a gram memo for hash seed {self.model[0]} and hash_dim {self.model[1]} cannot serve "
+                f"hash seed {params.hash_seed} and hash_dim {params.hash_dim}"
+            )
+        fresh = set(filterfalse(self.__contains__, grams))
+        _bucket.lookups += len(grams)
+        _bucket.hashes += len(fresh)
+        # blake2b keyed by the seed, copied per gram: a copy skips the key block.
+        keyed = hashlib.blake2b(digest_size=8, key=(params.hash_seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
+        copy, digests = keyed.copy, []
+        add = digests.append
+        for gram in map(str.encode, fresh):
+            h = copy()
+            h.update(gram)
+            add(h.digest())
+        self.update(zip(fresh, (np.frombuffer(b"".join(digests), dtype="<u8") % params.hash_dim).tolist()))
+        out = np.fromiter(map(self.__getitem__, grams), dtype=np.int64, count=len(grams))
+        if len(self) > self.cap:
+            self.clear()
+        return out
+
+
 # `embed_ranges` hands out texts in ranges of this many, and hashes and counts
 # the grams of a range this many at a time. 256 texts of an L corpus are about
 # one chunk, so what a worker returns stays small while the ranges stream.
@@ -130,31 +172,18 @@ def _grams(params: EmbedderParams, text: str) -> list[str]:
 
 
 def _features(
-    params: EmbedderParams, grams: list[str], lens: list[int], memo: dict[str, int]
+    params: EmbedderParams, grams: list[str], lens: list[int], memo: Memo | None
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Each text's buckets in the order its grams first reach them, and each
     bucket's count over the text's gram count.
 
     `grams` holds the texts' grams back to back, `lens[i]` text i's number.
-    `memo` maps grams to buckets for `params`' hash_seed and hash_dim: each
-    distinct gram it lacks is hashed once and added to it, and `_bucket`
-    counts every lookup and hash. Returns `(cols, vals, ends)`: text i's
-    features are `cols[ends[i-1]:ends[i]]` and the same of `vals`.
+    They are hashed through `memo` (see `Memo.buckets`), or through a memo
+    that lives for this call without one. Returns `(cols, vals, ends)`: text
+    i's features are `cols[ends[i-1]:ends[i]]` and the same of `vals`.
     """
-    fresh = set(filterfalse(memo.__contains__, grams))
-    _bucket.lookups += len(grams)
-    _bucket.hashes += len(fresh)
-    # blake2b keyed by the seed, copied per gram: a copy skips the key block.
-    keyed = hashlib.blake2b(digest_size=8, key=(params.hash_seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
-    copy, digests = keyed.copy, []
-    add = digests.append
-    for gram in map(str.encode, fresh):
-        h = copy()
-        h.update(gram)
-        add(h.digest())
-    memo.update(zip(fresh, (np.frombuffer(b"".join(digests), dtype="<u8") % params.hash_dim).tolist()))
     n = len(grams)
-    buckets = np.fromiter(map(memo.__getitem__, grams), dtype=np.int64, count=n)
+    buckets = (Memo(params, n) if memo is None else memo).buckets(params, grams)
     text = np.repeat(np.arange(len(lens)), lens)
     # A stable sort keeps each (text, bucket) run in gram order, so a run's
     # head is the first occurrence; its count goes at that gram's position.
@@ -172,15 +201,15 @@ def _features(
     return buckets[first], counts[first] / np.asarray(lens)[text], ends
 
 
-def featurize(params: EmbedderParams, text: str, memo: dict[str, int] | None = None) -> dict[int, float]:
+def featurize(params: EmbedderParams, text: str, memo: Memo | None = None) -> dict[int, float]:
     """Sparse hashed n-gram features; values sum to 1 when any gram exists.
 
     Buckets keep the order their first gram reaches them, orders in turn;
     `project` sums in that order, and that order decides the bits. The grams
-    are hashed into `memo` (see `_features`), or into a fresh one without it.
+    are hashed through `memo` (see `_features`).
     """
     grams = _grams(params, text)
-    cols, vals, _ = _features(params, grams, [len(grams)], {} if memo is None else memo)
+    cols, vals, _ = _features(params, grams, [len(grams)], memo)
     return dict(zip(cols.tolist(), vals.tolist()))
 
 
@@ -219,38 +248,39 @@ def unit(u: np.ndarray) -> tuple[np.ndarray, float]:
     return u / norm, norm
 
 
-def embed(params: EmbedderParams, text: str) -> np.ndarray:
+def embed(params: EmbedderParams, text: str, memo: Memo | None = None) -> np.ndarray:
     """`embed_many` of the one text: its unit-norm embedding, or zero if gram-free."""
-    return embed_many(params, (text,))[0]
+    return embed_many(params, (text,), memo)[0]
 
 
-def embed_many(params: EmbedderParams, texts: Sequence[str]) -> np.ndarray:
+def embed_many(params: EmbedderParams, texts: Sequence[str], memo: Memo | None = None) -> np.ndarray:
     """Each text's unit-norm embedding (zero for gram-free text), one row each:
     the rows of `embed_ranges`, gathered into one array."""
     out = np.empty((len(texts), params.embed_dim))
     row = 0
-    for rows in embed_ranges(params, texts):
+    for rows in embed_ranges(params, texts, memo):
         out[row : row + len(rows)] = rows
         row += len(rows)
     return out
 
 
-def embed_ranges(params: EmbedderParams, texts: Sequence[str]) -> Iterator[np.ndarray]:
+def embed_ranges(params: EmbedderParams, texts: Sequence[str], memo: Memo | None = None) -> Iterator[np.ndarray]:
     """`embed_many`'s rows, one array per range of `_TASK_TEXTS` texts, each
     yielded once it is projected, so a caller that writes them out never
     holds every row.
 
     A range goes in chunks of about `_CHUNK_GRAMS` grams: each distinct gram
-    of a chunk is hashed once into a memo that lives for the chunk, and the
-    chunk's buckets are counted in one pass. With more than four ranges
-    (more than 1,024 texts) and more than one usable CPU, forked workers
-    featurize the ranges (see `_range_features`); this process projects
-    every row in text order either way. Each row is its own `project` gemv,
-    so a text's row has the same bits in any batch and on any number of
-    CPUs; a gemm over the chunk would not give a gemv's bits. Close the
+    of a chunk is hashed once into `memo`, the caller's across calls, or
+    into a memo that lives for the chunk without one, and the chunk's
+    buckets are counted in one pass. With more than four ranges (more than
+    1,024 texts) and more than one usable CPU, forked workers featurize the
+    ranges with memos of their chunks (see `_range_features`); this process
+    projects every row in text order either way. Each row is its own
+    `project` gemv, so a text's row has the same bits in any batch and on
+    any number of CPUs; a gemm over the chunk would not give a gemv's bits. Close the
     generator if it is left early: that ends the workers.
     """
-    with closing(_range_features(params, texts)) as ranges:  # its workers end before an error leaves here
+    with closing(_range_features(params, texts, memo)) as ranges:  # its workers end before an error leaves here
         for chunks in ranges:
             rows = np.empty((sum(len(ends) for _, _, ends in chunks), params.embed_dim))
             row = 0
@@ -261,8 +291,9 @@ def embed_ranges(params: EmbedderParams, texts: Sequence[str]) -> Iterator[np.nd
             yield rows
 
 
-def _range_features(params: EmbedderParams, texts: Sequence[str]) -> Iterator[list[_Chunk]]:
-    """`_chunks` of each range of `_TASK_TEXTS` texts, in text order.
+def _range_features(params: EmbedderParams, texts: Sequence[str], memo: Memo | None) -> Iterator[list[_Chunk]]:
+    """`_chunks` of each range of `_TASK_TEXTS` texts, in text order, through
+    `memo` when they stay in this process.
 
     Stays in this process when there are at most four ranges (at most 1,024
     texts: every query, the 320-document synth corpus), one usable CPU, or no
@@ -278,7 +309,7 @@ def _range_features(params: EmbedderParams, texts: Sequence[str]) -> Iterator[li
     if len(starts) > 4 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         workers = min(len(os.sched_getaffinity(0)), len(starts))
     if workers < 2:
-        yield from (_chunks(params, texts, start) for start in starts)
+        yield from (_chunks(params, texts, start, memo) for start in starts)
         return
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     from multiprocessing import get_context
@@ -304,11 +335,12 @@ def _range_features(params: EmbedderParams, texts: Sequence[str]) -> Iterator[li
         pool.shutdown(cancel_futures=True)
 
 
-def _chunks(params: EmbedderParams, texts: Sequence[str], start: int) -> list[_Chunk]:
-    """The `_features` of texts[start : start + _TASK_TEXTS], one per chunk of
-    about `_CHUNK_GRAMS` grams: a chunk ends with the text that brings it to
-    that many, or with the range. On an L corpus a range is about one chunk,
-    so smaller ranges would hash more grams: each chunk's memo starts empty."""
+def _chunks(params: EmbedderParams, texts: Sequence[str], start: int, memo: Memo | None = None) -> list[_Chunk]:
+    """The `_features` of texts[start : start + _TASK_TEXTS] through `memo`,
+    one per chunk of about `_CHUNK_GRAMS` grams: a chunk ends with the text
+    that brings it to that many, or with the range. On an L corpus a range
+    is about one chunk, so smaller ranges would hash more grams: without
+    `memo`, each chunk's memo starts empty."""
     stop = min(start + _TASK_TEXTS, len(texts))
     chunks, grams, lens = [], [], []
     for row in range(start, stop):  # by row: `texts` may not slice
@@ -316,7 +348,7 @@ def _chunks(params: EmbedderParams, texts: Sequence[str], start: int) -> list[_C
         grams += text_grams
         lens.append(len(text_grams))
         if len(grams) >= _CHUNK_GRAMS or row == stop - 1:
-            chunks.append(_features(params, grams, lens, {}))
+            chunks.append(_features(params, grams, lens, memo))
             grams, lens = [], []
     return chunks
 

@@ -13,7 +13,10 @@ by the sha256 of the model file.
 builds into an `IndexWriter`, which writes the header and ids first and each
 range of rows as it is projected. A loaded index keeps its float64 rows in
 the file: it holds the float32 scan copy, built from slices of the file, and
-reads each query's candidate blocks with `os.preadv`.
+reads each query's candidate blocks with `os.preadv`. It holds its ids as
+the file's id block (`binfile.StringTable`), so search decodes the ids of
+the rows it returns and of rows tied on score, and no others.
+`run_inference` hashes its queries' grams through one `embedder.Memo`.
 """
 
 from __future__ import annotations
@@ -26,13 +29,15 @@ import time
 from collections.abc import Mapping, Sequence
 from contextlib import closing
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .binfile import Reader, StoredMatrix, row_slices
 from .data import Document, ExamplePool, Query
-from .embedder import EmbedderParams, embed, embed_many, embed_ranges
+from .embedder import EmbedderParams, Memo, embed, embed_many, embed_ranges
 from .errors import DataError, DimMismatch, EmptyCorpus, SpecInvalid, VersionMismatch
 from .prompt import PromptFormat, SelectionPolicy, render_inst, render_inst_ic
 from .trainer import select_examples
@@ -44,6 +49,9 @@ VERSION = 2
 class FlatIndex:
     """One row per document, in `ids` order, every entry in [-1, 1].
 
+    `ids` is a list for an index built in memory and a `StringTable` for a
+    loaded one.
+
     The rows are an `(n, dim)` C-order float64 array held in memory, or a
     `StoredMatrix` left in the index file that `load_flat_index` or
     `build_flat_index` with an `IndexWriter` keeps open. Search touches the
@@ -52,7 +60,7 @@ class FlatIndex:
     whole on each access. The rows are fixed once searched.
     """
 
-    def __init__(self, ids: list[str], matrix: np.ndarray | StoredMatrix, dim: int, model: str | None = None):
+    def __init__(self, ids: Sequence[str], matrix: np.ndarray | StoredMatrix, dim: int, model: str | None = None):
         self.ids = ids
         self.rows = matrix
         self.dim = dim
@@ -130,7 +138,8 @@ def search(index: FlatIndex, q_emb: np.ndarray, top_k: int) -> list[tuple[str, f
     BLAS thread, but computes them only for the rows `_rescore_rows` picks
     from a float32 scan, and sorts only those rows. They include every row
     scoring at least the k-th best, so a tie at the boundary cannot drop the
-    row with the smaller id.
+    row with the smaller id. Only the ids of rows tied on score up to the
+    k-th, and of the rows returned, are read.
     """
     if q_emb.shape != (index.dim,):
         raise DimMismatch(f"query dim {q_emb.shape} does not match index dim ({index.dim},)")
@@ -144,8 +153,15 @@ def search(index: FlatIndex, q_emb: np.ndarray, top_k: int) -> list[tuple[str, f
         rows = _rescore_rows(index.scan(), q_emb, top_k)
         scores = _product(index.rows[rows], q_emb).tolist()
     ids = index.ids
-    ranked = sorted(zip(scores, rows.tolist()), key=lambda p: (-p[0], ids[p[1]]))[:top_k]
-    return [(ids[row], score) for score, row in ranked]
+    ranked: list[tuple[float, int]] = []
+    for _, tied in groupby(sorted(zip(scores, rows.tolist()), key=itemgetter(0), reverse=True), itemgetter(0)):
+        tied = list(tied)
+        if len(tied) > 1:
+            tied.sort(key=lambda p: ids[p[1]])
+        ranked += tied
+        if len(ranked) >= top_k:
+            break
+    return [(ids[row], score) for score, row in ranked[:top_k]]
 
 
 def _rescore_rows(c32: np.ndarray, q: np.ndarray, top_k: int) -> np.ndarray:
@@ -251,6 +267,11 @@ def run_inference(
 ) -> dict[str, list[tuple[str, float]]]:
     """Augment, embed and search every query; returns qid -> ranked list.
 
+    The queries' grams are hashed through one `embedder.Memo` that lives for
+    the call, emptied past 4,096 grams (at most 0.46 MiB on L). Neighbouring
+    queries carry the same retrieved examples: on L it hashes 141,961 of
+    282,240 grams looked up, against 229,632 with a memo per query.
+
     When the format uses no examples (fmt.uses_examples(k) is false) the pool
     is never consulted and may be None. Stage seconds, rendered tokens and
     the count of all-zero query embeddings are added into `times` when one is
@@ -264,6 +285,7 @@ def run_inference(
         times = StageTimes()
     clock = time.perf_counter
     rng = random.Random(f"{seed}:eval-select")
+    memo = Memo(params, 1 << 12)
     run: dict[str, list[tuple[str, float]]] = {}
     for query in queries:
         t0 = clock()
@@ -275,7 +297,7 @@ def run_inference(
             aug = render_inst_ic(instruction, examples, query.text, fmt)
         else:
             aug = render_inst(instruction, query.text, fmt.bracket_queries)
-        emb = embed(params, aug.text)
+        emb = embed(params, aug.text, memo)
         t1 = clock()
         run[query.id] = search(index, emb, top_k)
         times.query_s += t1 - t0
@@ -300,7 +322,7 @@ class IndexWriter(StoredMatrix):
         while view:
             view = view[os.write(self.fd, view):]
 
-    def begin(self, ids: list[str], dim: int) -> None:
+    def begin(self, ids: Sequence[str], dim: int) -> None:
         """Magic RFI1, u32 version, u64 n, u64 dim, the 32-byte sha256 of the
         model file, then each id as a u32 byte length and its UTF-8 bytes."""
         head = bytearray(MAGIC + struct.pack("<IQQ32s", VERSION, len(ids), dim, bytes.fromhex(self.model)))

@@ -91,6 +91,22 @@ def test_corrupt_model_digest_is_exit_two(artifacts, at, mask):
     assert search(artifacts, artifacts / "model.rare", corrupt) == 2
 
 
+@pytest.mark.parametrize("corrupt", ["utf8", "length"])
+def test_corrupt_id_is_exit_two_in_one_line(artifacts, capsys, corrupt):
+    blob = bytearray((artifacts / "index.rfi").read_bytes())
+    # RFI1 version 2: the first id's u32 length at 56, its bytes from 60.
+    if corrupt == "utf8":
+        blob[60] = 0xFF
+    else:
+        struct.pack_into("<I", blob, 56, len(blob))
+    bad = artifacts / f"bad-{corrupt}.rfi"
+    bad.write_bytes(blob)
+    capsys.readouterr()
+    assert search(artifacts, artifacts / "model.rare", bad) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and ("UTF-8" if corrupt == "utf8" else "more bytes") in err[0], err
+
+
 # One float of the index matrix gets a byte flipped, or its 11-bit exponent
 # field rewritten: a byte flip alone cannot reach an infinity or NaN from a
 # float in [-1, 1). 0x3FF and 0x400 sit at the range edge, 0x7FF is inf/NaN.

@@ -1482,6 +1482,13 @@ class TestImports:
         result = run_fresh("-c", MODULES_CHILD, json.dumps(argv), json.dumps([*NUMERIC_MODULES, "numpy.ma"]))
         assert json.loads(result.stdout.splitlines()[-1]) == [code, loaded]
 
+    def test_numeric_names_leave_statistics_unloaded(self):
+        # `statistics` brings `fractions` and `decimal` with it; only
+        # `bench.profile` needs it, and imports it when called.
+        child = ("import json, sys\nimport rare.cli as cli\nfor name in cli._NUMERIC:\n    getattr(cli, name)\n"
+                 "print(json.dumps([m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules]))")
+        assert json.loads(run_fresh("-c", child).stdout.splitlines()[-1]) == []
+
     def test_rebound_names_are_the_ones_dispatch_calls(self, tmp_path):
         # Every traced name resolves before any command runs, and a wrapper set
         # in its place stays there when a numeric command loads its names.

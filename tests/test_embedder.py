@@ -486,3 +486,27 @@ class TestForkThreshold:
         assert _CountedPool.built == 1
         assert forked[:1024].tobytes() == rows.tobytes()
         assert multiprocessing.active_children() == []
+
+
+class TestMemo:
+    @pytest.mark.parametrize("other", [{"hash_seed": 1}, {"hash_dim": 256}])
+    def test_a_memo_for_another_model_is_refused(self, other):
+        params = new_params(hash_dim=512, embed_dim=4, seed=0)
+        memo = embedder.Memo(params, 1 << 12)
+        embed(params, "alpha beta gamma", memo)
+        held = dict(memo)
+        with pytest.raises(DimMismatch, match="gram memo"):
+            embed(dataclasses.replace(params, **other), "alpha beta gamma", memo)
+        with pytest.raises(DimMismatch, match="gram memo"):
+            featurize(dataclasses.replace(params, **other), "alpha", memo)
+        assert memo == held
+
+    def test_a_memo_empties_once_a_lookup_leaves_it_past_its_cap(self):
+        params = new_params(hash_dim=512, embed_dim=4, ngram_orders=(1,), seed=0)
+        memo = embedder.Memo(params, 3)
+        a, b, again = memo.buckets(params, ["a", "b", "a"]).tolist()
+        assert again == a and sorted(memo) == ["a", "b"]
+        assert memo.buckets(params, ["b", "a"]).tolist() == [b, a] and len(memo) == 2
+        fresh = embedder.Memo(params, 3).buckets(params, ["c", "d"])
+        assert memo.buckets(params, ["c", "d"]).tolist() == fresh.tolist()
+        assert not memo

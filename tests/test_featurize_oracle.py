@@ -24,7 +24,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rare import embedder, trainer
+from rare import embedder
 from rare.bm25 import tokenize
 from rare.embedder import feature_arrays, featurize, new_params, project, unit
 from rare.trainer import Features
@@ -152,9 +152,9 @@ CORPUS = [" ".join(_rng.choice(_VOCAB) for _ in range(_rng.randint(0, 30))) for 
 def test_features_match_oracle_across_memo_flushes(monkeypatch):
     counts = embedder._GramCounts()
     monkeypatch.setattr(embedder, "_bucket", counts)
-    monkeypatch.setattr(trainer, "_MEMO_GRAMS", 16)
     params = new_params(hash_dim=97, embed_dim=2, ngram_orders=(1, 2, 3))
     features = Features(params)
+    monkeypatch.setattr(features.memo, "cap", 16)
     for text in CORPUS:
         cols, vals = features.of(text)
         expected = oracle_featurize(params, text)
@@ -181,7 +181,7 @@ def test_cache_info_counts_lookups_and_hashes(monkeypatch):
     monkeypatch.setattr(embedder, "_bucket", embedder._GramCounts())
     params = new_params(hash_dim=1 << 16, embed_dim=2, ngram_orders=(1, 2))
     grams = [g for text in CORPUS for g in oracle_grams(params, text)]
-    memo: dict[str, int] = {}
+    memo = embedder.Memo(params, 1 << 16)
     for text in CORPUS:
         featurize(params, text, memo)
     info = embedder._bucket.cache_info()

@@ -11,9 +11,11 @@ import random
 import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 from rare import bm25, embedder, retrieve
 from rare.bench import profile
-from rare.binfile import Reader
+from rare.binfile import Reader, StringTable
 from rare.cli import dispatch
 from rare.data import (
     Document,
@@ -522,9 +524,9 @@ class TestRunInference:
         )
         assert ic["q1"][0][0].startswith("fruit")
 
-    def test_serving_leaves_the_gram_table_empty(self, monkeypatch, rng):
-        # Queries are embedded with a memo per call; the process's gram counts
-        # still count every lookup.
+    def test_serving_counts_every_lookup_through_the_run_memo(self, monkeypatch, rng):
+        # Queries are embedded through one memo for the run; the process's
+        # gram counts still count every lookup.
         counts = embedder._GramCounts()
         monkeypatch.setattr(embedder, "_bucket", counts)
         params = small_params()
@@ -533,7 +535,7 @@ class TestRunInference:
         before = counts.cache_info()
         texts = []
         real_embed = retrieve.embed
-        monkeypatch.setattr(retrieve, "embed", lambda p, text: texts.append(text) or real_embed(p, text))
+        monkeypatch.setattr(retrieve, "embed", lambda p, text, memo: texts.append(text) or real_embed(p, text, memo))
         queries = [Query(id=f"q{i}", text=random_text(rng, 6)) for i in range(8)]
         run_inference(queries, "find it", pool, index, params, PromptFormat(kind=FormatKind.INST_IC), k=2, top_k=4)
         assert len(texts) == len(queries)
@@ -541,6 +543,55 @@ class TestRunInference:
         grams = sum(max(len(bm25.tokenize(text)) - n + 1, 0) for text in texts for n in params.ngram_orders)
         assert info.hits + info.misses - before.hits - before.misses == grams
         assert info.hits > before.hits  # repeats within one rendered query
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 1 << 16), n_queries=st.integers(1, 10), n_pool=st.integers(2, 8), k=st.integers(1, 3))
+    def test_run_bytes_equal_at_any_serving_cap_and_with_no_memo(self, seed, n_queries, n_pool, k):
+        # A gram's bucket depends on the model alone, so whatever the memo
+        # held or dropped, each query embeds to the same bits.
+        rng = random.Random(seed)
+        params = small_params(seed % 3)
+        corpus = make_corpus([random_text(rng, 8) for _ in range(12)])
+        pool = ExamplePool(task_id="t", examples=[
+            ICExample(query=random_text(rng, 4), positive=random_text(rng, 6)) for _ in range(n_pool)
+        ])
+        queries = [Query(id=f"q{i}", text=random_text(rng, 5)) for i in range(n_queries)]
+        index = build_flat_index(corpus, params)
+        k = min(k, n_pool - 1)  # a query equal to a pool query leaves n_pool - 1 to pick from
+
+        def run_bytes() -> bytes:
+            run = run_inference(queries, "find it", pool, index, params, PromptFormat(kind=FormatKind.INST_IC),
+                                k=k, top_k=5, seed=seed)
+            with tempfile.TemporaryDirectory() as tmp:
+                write_run(run, Path(tmp) / "run.trec")
+                return (Path(tmp) / "run.trec").read_bytes()
+
+        with mock.patch.object(retrieve, "embed", lambda p, text, memo: embed(p, text)):
+            expected = run_bytes()
+        for cap in (1, 2, 1 << 12):
+            with mock.patch.object(retrieve, "Memo", lambda p, _cap, cap=cap: embedder.Memo(p, cap)):
+                assert run_bytes() == expected, cap
+        assert run_bytes() == expected
+
+    def test_queries_sharing_an_example_hash_its_grams_once(self, monkeypatch):
+        # Both queries pick the one fruit example: with the run's memo its
+        # grams are hashed for the first query only.
+        params = small_params()
+        corpus, pool = disambiguation_fixture()
+        index = build_flat_index(corpus, params)
+        queries = [Query(id="q1", text="orchard apples"), Query(id="q2", text="orchard pears")]
+
+        def counts() -> embedder.CacheInfo:
+            monkeypatch.setattr(embedder, "_bucket", embedder._GramCounts())
+            run_inference(queries, "", pool, index, params, PromptFormat(kind=FormatKind.INST_IC), k=1, top_k=4)
+            return embedder._bucket.cache_info()
+
+        shared = counts()
+        with monkeypatch.context() as m:
+            m.setattr(retrieve, "embed", lambda p, text, memo: embed(p, text))
+            alone = counts()
+        assert shared.hits + shared.misses == alone.hits + alone.misses
+        assert shared.misses < alone.misses
 
     def test_missing_pool_rejected(self):
         params = small_params()
@@ -806,6 +857,31 @@ class TestIndexSerialization:
         with pytest.raises(Truncated):
             load_flat_index(path)
 
+    def test_ties_rank_by_id_as_str_after_loading(self, tmp_path):
+        # "d10" < "d9" and "z" < "é", in code points and in UTF-8 bytes.
+        row = np.full(4, 0.5)
+        other = np.array([0.5, -0.5, 0.5, -0.5])
+        index = FlatIndex(ids=["d9", "é", "x", "z", "d10"], matrix=np.array([row, row, other, row, row]), dim=4)
+        path = tmp_path / "index.bin"
+        save_index(index, path, MODEL)
+        loaded = load_flat_index(path)
+        assert isinstance(loaded.ids, StringTable)
+        for top_k in (1, 2, 4, 5):
+            got = search(loaded, row, top_k)
+            assert got == search(index, row, top_k)
+            assert [doc_id for doc_id, _ in got] == ["d10", "d9", "z", "é", "x"][:top_k]
+
+    def test_loaded_ids_index_like_the_list(self, rng, tmp_path):
+        index = self.make_index(rng)
+        path = tmp_path / "index.bin"
+        save_index(index, path, MODEL)
+        ids = load_flat_index(path).ids
+        assert [ids[row] for row in range(-len(ids), len(ids))] == index.ids * 2
+        assert list(ids) == index.ids and len(ids) == len(index.ids)
+        assert ids != index.ids[:-1] and ids != [*index.ids[:-1], "other"]
+        with pytest.raises(IndexError):
+            ids[len(ids)]
+
     def test_bad_utf8_names_its_offset(self, rng, tmp_path):
         index = self.make_index(rng, n=2, dim=2)
         index.ids = ["a", "b"]
@@ -843,10 +919,25 @@ class TestStoredIndex:
         finally:
             tracemalloc.stop()
         assert got[0][0] == "d7"
-        ids = sys.getsizeof(index.ids) + sum(map(sys.getsizeof, index.ids))
-        assert held <= ids + (64 << 10)  # the ids; none of the float64 rows
+        ids = len(index.ids.block) + len(index.ids.starts) * index.ids.starts.itemsize
+        assert held <= ids + (64 << 10)  # the id block and its starts; none of the float64 rows
         # The float32 copy is half the matrix; the rest is slices and the scan's scores.
         assert peak - ids <= 0.6 * matrix.nbytes
+
+    def test_a_loaded_index_holds_its_id_block_not_an_object_per_id(self, tmp_path):
+        n = 32_000
+        path = tmp_path / "ids.rfi"
+        save_index(FlatIndex(ids=[f"doc-{i}" for i in range(n)], matrix=np.zeros((n, 1)), dim=1), path, MODEL)
+        tracemalloc.start()
+        try:
+            index = load_flat_index(path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = sum(4 + len(f"doc-{i}") for i in range(n))
+        assert len(index.ids.block) == block and len(index.ids.starts) * index.ids.starts.itemsize == 8 * (n + 1)
+        assert held <= block + 8 * (n + 1) + (16 << 10)  # a str per id would add 50 bytes each
+        assert index.ids[n - 1] == f"doc-{n - 1}"
 
     def test_build_and_save_through_a_writer_hold_no_matrix(self, tmp_path):
         words = [f"w{i}" for i in range(3000)]
