@@ -22,7 +22,9 @@ named `*seed`, and the sha256 of each file read, keyed `train`, `pool` or
 Each digest is taken once, when the command takes the file and before it reads
 it; `eval`'s fingerprint and `search`'s check that the index names its model
 use the same digests. Each output is written to `NAME.PID.tmp` beside it and
-renamed into place only on success. No environment variables are consulted.
+renamed into place only on success. An output (or its manifest) that is one of
+the command's input files is a usage error (exit 1) when that input is taken,
+before it is read. No environment variables are consulted.
 
 `synth`, and `eval` without `--buckets-out`, run without importing numpy. The
 other commands load numpy and the names in `_NUMERIC` when they are dispatched.
@@ -95,12 +97,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _require_file(path: str | Path, what: str, inputs: dict[str, str], key: str) -> Path:
+class _Inputs(dict):
+    """The sha256 of each file a command has taken, by its manifest key, and
+    the files the command will write (`_outputs`), none of which it may take."""
+
+    def __init__(self, writes: dict[str, tuple[str, Path]]) -> None:
+        super().__init__()
+        self.writes = writes
+
+
+def _require_file(path: str | Path, what: str, inputs: _Inputs, key: str) -> Path:
     """The existing file at `path`, whose sha256 is recorded in `inputs` under
-    `key` before the command reads it or writes anything."""
+    `key` before the command reads it or writes anything. A file that one of
+    the command's outputs would replace is a usage error."""
     p = Path(path)
     if not p.is_file():
         raise DataError(f"{what} not found: {p}")
+    output = inputs.writes.get(os.path.realpath(p))
+    if output:
+        raise UsageError(f"{output[0]} would replace the {what} {p}")
     inputs[key] = digest_file(p)
     return p
 
@@ -113,8 +128,8 @@ def _format_from_args(args: argparse.Namespace) -> PromptFormat:
     )
 
 
-def _add_format_flags(parser: argparse.ArgumentParser, default: str = "inst+ic") -> None:
-    parser.add_argument("--format", choices=FORMAT_CHOICES, default=default)
+def _add_format_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=FORMAT_CHOICES, default="inst+ic")
     parser.add_argument("--brackets", action="store_true", help="render query payloads as [query]")
     parser.add_argument("--shuffle-seed", type=int, default=0)
 
@@ -173,7 +188,7 @@ def _report_zero_queries(zero: int, total: int) -> None:
         print(f"{zero} of {total} query embeddings are all zeros; ranked by document id", file=sys.stderr)
 
 
-def _cmd_synth(args: argparse.Namespace, inputs: dict[str, str], out: dict[str, Path]) -> None:
+def _cmd_synth(args: argparse.Namespace, inputs: _Inputs, out: dict[str, Path]) -> None:
     spec = synth.SynthSpec(
         n_clusters=args.clusters,
         vocab_per_cluster=args.vocab_per_cluster,
@@ -202,7 +217,7 @@ def _named_path(entry: str, default: str | None) -> tuple[str | None, str]:
 
 
 def _parse_pools(
-    pool_args: list[str], train_set: list[data.TrainExample], inputs: dict[str, str]
+    pool_args: list[str], train_set: list[data.TrainExample], inputs: _Inputs
 ) -> dict[str, data.ExamplePool]:
     """Load each `--pool PATH` or `--pool TASK=PATH`; a task may have only one pool."""
     task_ids = sorted({ex.task_id for ex in train_set})
@@ -220,7 +235,7 @@ def _parse_pools(
     return pools
 
 
-def _cmd_train(args: argparse.Namespace, inputs: dict[str, str], out: dict[str, Path]) -> None:
+def _cmd_train(args: argparse.Namespace, inputs: _Inputs, out: dict[str, Path]) -> None:
     train_set = data.load_train(_require_file(args.data, "training data", inputs, "train"))
     pools = _parse_pools(args.pool or [], train_set, inputs)
     params = embedder.new_params(
@@ -250,7 +265,7 @@ def _cmd_train(args: argparse.Namespace, inputs: dict[str, str], out: dict[str, 
     print(f"trained {args.epochs} epochs, final mean loss {final:.6f}, model at {Path(args.out)}")
 
 
-def _cmd_index(args: argparse.Namespace, inputs: dict[str, str], out: dict[str, Path]) -> None:
+def _cmd_index(args: argparse.Namespace, inputs: _Inputs, out: dict[str, Path]) -> None:
     corpus = data.load_corpus(_require_file(args.corpus, "corpus", inputs, "corpus"))
     params = embedder.load(_require_file(args.model, "model", inputs, "model"))
     index = build_flat_index(corpus, params, IndexWriter(out["out"], inputs["model"]))  # rows go to disk as made
@@ -258,7 +273,7 @@ def _cmd_index(args: argparse.Namespace, inputs: dict[str, str], out: dict[str, 
     print(f"indexed {len(index)} documents into {args.out}")
 
 
-def _cmd_search(args: argparse.Namespace, inputs: dict[str, str], out: dict[str, Path]) -> None:
+def _cmd_search(args: argparse.Namespace, inputs: _Inputs, out: dict[str, Path]) -> None:
     index = load_flat_index(_require_file(args.index, "index", inputs, "index"))
     params = embedder.load(_require_file(args.model, "model", inputs, "model"))
     if index.model != inputs["model"]:
@@ -282,7 +297,7 @@ def _cmd_search(args: argparse.Namespace, inputs: dict[str, str], out: dict[str,
     print(f"searched {len(queries)} queries, run written to {args.out}")
 
 
-def _cmd_eval(args: argparse.Namespace, inputs: dict[str, str], out: dict[str, Path]) -> None:
+def _cmd_eval(args: argparse.Namespace, inputs: _Inputs, out: dict[str, Path]) -> None:
     if args.buckets_out:
         for flag in ("baseline_run", "queries", "pool", "model"):
             if not getattr(args, flag):
@@ -330,7 +345,7 @@ def _dataset_entry(entry: str) -> tuple[str, Path]:
     return name, Path(path)
 
 
-def _load_bundle(name: str, root: Path, instruction: str, inputs: dict[str, str]) -> DatasetBundle:
+def _load_bundle(name: str, root: Path, instruction: str, inputs: _Inputs) -> DatasetBundle:
     if not root.is_dir():
         raise DataError(f"dataset directory not found: {root}")
     corpus = data.load_corpus(_require_file(root / "corpus.jsonl", "corpus", inputs, f"{name}:corpus"))
@@ -364,7 +379,7 @@ def _parse_cell(raw: str) -> AblationCell:
     )
 
 
-def _cmd_ablate(args: argparse.Namespace, inputs: dict[str, str], out: dict[str, Path]) -> None:
+def _cmd_ablate(args: argparse.Namespace, inputs: _Inputs, out: dict[str, Path]) -> None:
     entries = [_dataset_entry(entry) for entry in args.data]
     names = [name for name, _ in entries]
     for name in names:
@@ -380,10 +395,9 @@ def _cmd_ablate(args: argparse.Namespace, inputs: dict[str, str], out: dict[str,
     print(f"wrote {len(cells)} x {len(bundles)} ablation table to {args.out}")
 
 
-def _cmd_bench(args: argparse.Namespace, inputs: dict[str, str], out: dict[str, Path]) -> None:
+def _cmd_bench(args: argparse.Namespace, inputs: _Inputs, out: dict[str, Path]) -> None:
     params = embedder.load(_require_file(args.model, "model", inputs, "model"))
-    name, root = (args.dataset, Path(args.data)) if args.dataset else _dataset_entry(args.data)
-    bundle = _load_bundle(name, root, args.instruction, inputs)
+    bundle = _load_bundle(*_dataset_entry(args.data), args.instruction, inputs)
     index = build_flat_index(bundle.corpus, params)
     settings = {
         "inst": [FormatKind.INST],
@@ -490,8 +504,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("bench", help="profile per-stage inference latency")
-    p.add_argument("--data", required=True, help="dataset dir with corpus/queries/pool files")
-    p.add_argument("--dataset", default=None, help="dataset name for the report")
+    p.add_argument("--data", required=True, help="dataset dir with corpus/queries/pool files, or NAME=dir")
     p.add_argument("--model", required=True)
     p.add_argument("--setting", choices=["inst", "inst+ic", "both"], default="both")
     p.add_argument("--instruction", default="")
@@ -504,9 +517,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _outputs(args: argparse.Namespace) -> dict[str, Path]:
+def _outputs(args: argparse.Namespace) -> tuple[dict[str, Path], dict[str, tuple[str, Path]]]:
     """Every file the command writes, keyed by the option that names it (synth's by file name, in the order it
-    writes them). Refused: a directory, and two outputs, or an output and another's manifest, that are one file."""
+    writes them), and each of those files and their manifests by realpath, with the output it is and its name.
+    Refused: a directory, and two outputs, or an output and another's manifest, that are one file."""
     outputs = {"out": Path(args.out)}
     if args.command == "synth":
         names = ("corpus.jsonl", "queries.jsonl", "qrels.tsv", "train.jsonl", "pool.jsonl")
@@ -515,16 +529,17 @@ def _outputs(args: argparse.Namespace) -> dict[str, Path]:
         outputs["log"] = Path(args.log or f"{outputs['out']}.log.jsonl")
     elif args.command == "eval" and args.buckets_out:
         outputs["buckets_out"] = Path(args.buckets_out)
-    seen: dict[str, str] = {}
+    writes: dict[str, tuple[str, Path]] = {}
     for key, path in outputs.items():
         if not path.name or path.is_dir():
             raise UsageError(f"output {str(path)!r} is a directory, not a file")
         flag = f"--{key.replace('_', '-')}"
         for what, file in ((flag, path), (f"the manifest of {flag}", manifest_path(path))):
-            if os.path.realpath(file) in seen:  # realpath, unlike Path.resolve, takes a symlink loop
-                raise UsageError(f"{what} and {seen[os.path.realpath(file)]}")
-            seen[os.path.realpath(file)] = f"{what} name the same file: {file}"
-    return outputs
+            real = os.path.realpath(file)  # realpath, unlike Path.resolve, takes a symlink loop
+            if real in writes:
+                raise UsageError(f"{what} and {writes[real][0]} name the same file: {writes[real][1]}")
+            writes[real] = what, file
+    return outputs, writes
 
 
 def dispatch(argv: list[str]) -> int:
@@ -537,10 +552,10 @@ def dispatch(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise UsageError(parser.format_usage())
-        outputs = _outputs(args)
+        outputs, writes = _outputs(args)
         temporary = {key: path.with_name(f"{path.name}.{os.getpid()}.tmp") for key, path in outputs.items()}
         staged = {str(temporary[key]): path for key, path in outputs.items()}
-        inputs: dict[str, str] = {}
+        inputs = _Inputs(writes)
         with _numeric_guard(args):
             args.func(args, inputs, temporary)
         options = {key: value for key, value in sorted(vars(args).items()) if key != "func"}

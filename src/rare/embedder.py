@@ -5,10 +5,10 @@ configured orders, and each n-gram is hashed into one of `hash_dim` buckets
 with a seeded, process-independent hash. Bucket counts normalized by the
 total n-gram count form a sparse feature vector x; the embedding is the
 L2-normalized projection W @ x. Texts producing no n-grams embed to the zero
-vector, and cosine against a zero vector is defined as 0. `embed_ranges` is
-the one path from text to embedding: `embed_many` gathers its rows into one
-array, and `featurize` runs its gram-counting core over one text for the
-trainer.
+vector, and cosine against a zero vector is defined as 0. One text, a query
+for `embed` or a training text for `featurize`, goes through `_text_features`
+and its caller's gram memo. Many texts go through `embed_ranges`, in ranges
+and chunks that forked workers may featurize; `embed_many` gathers the rows.
 
 W is held column-major (Fortran order), so the columns of a text's buckets
 are contiguous 8 * embed_dim-byte reads. The RARE1 file (version 2) stores
@@ -113,9 +113,9 @@ class Memo(dict):
     emptied once a lookup leaves it holding more than `cap` grams.
 
     A gram's bucket depends on nothing else, so the memo is exact for that
-    model, and `buckets` refuses any other. Its owner sets the cap:
-    `retrieve.run_inference` holds one over a run's queries, and
-    `trainer.Features` one over a training run.
+    model, and `buckets` refuses any other. Its owner sets the cap and hands
+    it to `embed` or `featurize`: `retrieve.run_inference` one over a run's
+    queries, `trainer.Features` one over a training run.
     """
 
     def __init__(self, params: EmbedderParams, cap: int) -> None:
@@ -171,9 +171,7 @@ def _grams(params: EmbedderParams, text: str) -> list[str]:
     ))
 
 
-def _features(
-    params: EmbedderParams, grams: list[str], lens: list[int], memo: Memo | None
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _features(params: EmbedderParams, grams: list[str], lens: list[int], memo: Memo | None = None) -> _Chunk:
     """Each text's buckets in the order its grams first reach them, and each
     bucket's count over the text's gram count.
 
@@ -201,6 +199,12 @@ def _features(
     return buckets[first], counts[first] / np.asarray(lens)[text], ends
 
 
+def _text_features(params: EmbedderParams, text: str, memo: Memo | None) -> tuple[np.ndarray, np.ndarray]:
+    """One text's buckets in first-occurrence order and their values, hashed through `memo` (see `_features`)."""
+    grams = _grams(params, text)
+    return _features(params, grams, [len(grams)], memo)[:2]
+
+
 def featurize(params: EmbedderParams, text: str, memo: Memo | None = None) -> dict[int, float]:
     """Sparse hashed n-gram features; values sum to 1 when any gram exists.
 
@@ -208,8 +212,7 @@ def featurize(params: EmbedderParams, text: str, memo: Memo | None = None) -> di
     `project` sums in that order, and that order decides the bits. The grams
     are hashed through `memo` (see `_features`).
     """
-    grams = _grams(params, text)
-    cols, vals, _ = _features(params, grams, [len(grams)], memo)
+    cols, vals = _text_features(params, text, memo)
     return dict(zip(cols.tolist(), vals.tolist()))
 
 
@@ -249,38 +252,37 @@ def unit(u: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def embed(params: EmbedderParams, text: str, memo: Memo | None = None) -> np.ndarray:
-    """`embed_many` of the one text: its unit-norm embedding, or zero if gram-free."""
-    return embed_many(params, (text,), memo)[0]
+    """The text's row of `embed_many`, bit for bit (zero if gram-free), its grams hashed through `memo`."""
+    return unit(project(params, *_text_features(params, text, memo)))[0]
 
 
-def embed_many(params: EmbedderParams, texts: Sequence[str], memo: Memo | None = None) -> np.ndarray:
+def embed_many(params: EmbedderParams, texts: Sequence[str]) -> np.ndarray:
     """Each text's unit-norm embedding (zero for gram-free text), one row each:
     the rows of `embed_ranges`, gathered into one array."""
     out = np.empty((len(texts), params.embed_dim))
     row = 0
-    for rows in embed_ranges(params, texts, memo):
+    for rows in embed_ranges(params, texts):
         out[row : row + len(rows)] = rows
         row += len(rows)
     return out
 
 
-def embed_ranges(params: EmbedderParams, texts: Sequence[str], memo: Memo | None = None) -> Iterator[np.ndarray]:
+def embed_ranges(params: EmbedderParams, texts: Sequence[str]) -> Iterator[np.ndarray]:
     """`embed_many`'s rows, one array per range of `_TASK_TEXTS` texts, each
     yielded once it is projected, so a caller that writes them out never
     holds every row.
 
     A range goes in chunks of about `_CHUNK_GRAMS` grams: each distinct gram
-    of a chunk is hashed once into `memo`, the caller's across calls, or
-    into a memo that lives for the chunk without one, and the chunk's
-    buckets are counted in one pass. With more than four ranges (more than
-    1,024 texts) and more than one usable CPU, forked workers featurize the
-    ranges with memos of their chunks (see `_range_features`); this process
-    projects every row in text order either way. Each row is its own
-    `project` gemv, so a text's row has the same bits in any batch and on
-    any number of CPUs; a gemm over the chunk would not give a gemv's bits. Close the
+    of a chunk is hashed once into a memo that lives for the chunk, and the
+    chunk's buckets are counted in one pass. With more than four ranges
+    (more than 1,024 texts) and more than one usable CPU, forked workers
+    featurize the ranges (see `_range_features`); this process projects
+    every row in text order either way. Each row is its own `project` gemv,
+    so a text's row has the same bits in any batch and on any number of
+    CPUs; a gemm over the chunk would not give a gemv's bits. Close the
     generator if it is left early: that ends the workers.
     """
-    with closing(_range_features(params, texts, memo)) as ranges:  # its workers end before an error leaves here
+    with closing(_range_features(params, texts)) as ranges:  # its workers end before an error leaves here
         for chunks in ranges:
             rows = np.empty((sum(len(ends) for _, _, ends in chunks), params.embed_dim))
             row = 0
@@ -291,12 +293,11 @@ def embed_ranges(params: EmbedderParams, texts: Sequence[str], memo: Memo | None
             yield rows
 
 
-def _range_features(params: EmbedderParams, texts: Sequence[str], memo: Memo | None) -> Iterator[list[_Chunk]]:
-    """`_chunks` of each range of `_TASK_TEXTS` texts, in text order, through
-    `memo` when they stay in this process.
+def _range_features(params: EmbedderParams, texts: Sequence[str]) -> Iterator[list[_Chunk]]:
+    """`_chunks` of each range of `_TASK_TEXTS` texts, in text order.
 
     Stays in this process when there are at most four ranges (at most 1,024
-    texts: every query, the 320-document synth corpus), one usable CPU, or no
+    texts, as the 320-document synth corpus), one usable CPU, or no
     `fork` or `os.sched_getaffinity` (as off Linux). Otherwise `min(usable
     CPUs, ranges)` workers forked from this process inherit `params` and
     `texts`, so only range starts go to them and only chunks and counts come
@@ -309,7 +310,7 @@ def _range_features(params: EmbedderParams, texts: Sequence[str], memo: Memo | N
     if len(starts) > 4 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         workers = min(len(os.sched_getaffinity(0)), len(starts))
     if workers < 2:
-        yield from (_chunks(params, texts, start, memo) for start in starts)
+        yield from (_chunks(params, texts, start) for start in starts)
         return
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     from multiprocessing import get_context
@@ -335,12 +336,11 @@ def _range_features(params: EmbedderParams, texts: Sequence[str], memo: Memo | N
         pool.shutdown(cancel_futures=True)
 
 
-def _chunks(params: EmbedderParams, texts: Sequence[str], start: int, memo: Memo | None = None) -> list[_Chunk]:
-    """The `_features` of texts[start : start + _TASK_TEXTS] through `memo`,
-    one per chunk of about `_CHUNK_GRAMS` grams: a chunk ends with the text
-    that brings it to that many, or with the range. On an L corpus a range
-    is about one chunk, so smaller ranges would hash more grams: without
-    `memo`, each chunk's memo starts empty."""
+def _chunks(params: EmbedderParams, texts: Sequence[str], start: int) -> list[_Chunk]:
+    """The `_features` of texts[start : start + _TASK_TEXTS], one per chunk
+    of about `_CHUNK_GRAMS` grams, each through a memo of its own: a chunk
+    ends with the text that brings it to that many, or with the range. On an
+    L corpus a range is about one chunk, so smaller ranges would hash more."""
     stop = min(start + _TASK_TEXTS, len(texts))
     chunks, grams, lens = [], [], []
     for row in range(start, stop):  # by row: `texts` may not slice
@@ -348,7 +348,7 @@ def _chunks(params: EmbedderParams, texts: Sequence[str], start: int, memo: Memo
         grams += text_grams
         lens.append(len(text_grams))
         if len(grams) >= _CHUNK_GRAMS or row == stop - 1:
-            chunks.append(_features(params, grams, lens, memo))
+            chunks.append(_features(params, grams, lens))
             grams, lens = [], []
     return chunks
 

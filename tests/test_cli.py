@@ -507,6 +507,37 @@ class TestExitCodes:
                 f"error: --buckets-out and the manifest of --out name the same file: {out}.manifest.json"]
             assert files_under(tmp_path) == set()
 
+    @pytest.mark.parametrize("case", ["index", "search", "eval", "eval-run", "eval-buckets", "train", "ablate"])
+    def test_output_over_an_input_is_usage_error(self, pipeline, tmp_path, capsys, case):
+        # Each used to exit 0 and leave its output where the input was: an RFI1
+        # file over the corpus, a report over the qrels. The input is refused
+        # when the command takes it, before it is read, and no file changes.
+        d = tmp_path / "data"
+        shutil.copytree(pipeline / "data", d)
+        shutil.copy(pipeline / "run.trec", d / "run.trec")
+        model, run = pipeline / "model.rare", pipeline / "run.trec"
+        corpus, queries, qrels, train, pool = (d / name for name in (
+            "corpus.jsonl", "queries.jsonl", "qrels.tsv", "train.jsonl", "pool.jsonl"))
+        flag, what, target, argv = {
+            "index": ("--out", "corpus", corpus, ["index", "--corpus", corpus, "--model", model, "--out", corpus]),
+            "search": ("--out", "queries", queries, ["search", "--index", pipeline / "index.rfi", "--model", model,
+                                                     "--queries", queries, "--k", "0", "--out", queries]),
+            "eval": ("--out", "qrels file", qrels, ["eval", "--run", run, "--qrels", qrels, "--out", qrels]),
+            "eval-run": ("--out", "run file", d / "run.trec",
+                         ["eval", "--run", d / "run.trec", "--qrels", qrels, "--out", d / "run.trec"]),
+            "eval-buckets": ("--buckets-out", "queries", queries, [
+                "eval", "--run", run, "--qrels", qrels, "--out", tmp_path / "r.json", "--buckets-out", queries,
+                "--baseline-run", run, "--queries", queries, "--pool", pool, "--task", "synth", "--model", model]),
+            "train": ("--log", "training data", train, ["train", "--data", train, "--pool", pool, "--epochs", "1",
+                                                        *SMALL_EMBEDDER, "--out", tmp_path / "m.rare", "--log", train]),
+            "ablate": ("--out", "corpus", corpus, ["ablate", "--data", f"synth={d}", "--model", model,
+                                                   "--cell", "inst:0:retrieved", "--out", corpus]),
+        }[case]
+        before = {path: digest_file(path) for path in files_under(tmp_path)}
+        assert dispatch([str(arg) for arg in argv]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {flag} would replace the {what} {target}"]
+        assert {path: digest_file(path) for path in files_under(tmp_path)} == before
+
     def test_search_tag_with_whitespace_or_empty_is_usage_error(self, pipeline, tmp_path, capsys):
         # A run line must have six fields; `rare eval` refused the run these wrote.
         d = pipeline / "data"
@@ -747,7 +778,7 @@ class TestBenchCommand:
     def test_both_settings_csv(self, pipeline, tmp_path):
         out = tmp_path / "bench.csv"
         code = dispatch([
-            "bench", "--data", str(pipeline / "data"), "--dataset", "synth",
+            "bench", "--data", f"synth={pipeline / 'data'}",
             "--model", str(pipeline / "model.rare"),
             "--k", "2", "--reps", "2", "--out", str(out),
         ])
@@ -760,6 +791,19 @@ class TestBenchCommand:
         assert float(by_setting["inst"][4]) == 0.0  # NN column
         assert float(by_setting["inst+ic"][3]) > float(by_setting["inst"][3])  # AvgQLen
         assert by_setting["inst+ic"][8] != ""  # Inc factor filled
+
+    def test_data_names_the_dataset_and_dataset_is_no_flag(self, pipeline, tmp_path, capsys):
+        # `--data NAME=DIR` names the dataset, as for `ablate`. `--dataset` was a
+        # second way, and `--data synth=DIR --dataset x` read `synth=DIR` as a directory.
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--data", f"mine={pipeline / 'data'}", "--model", str(pipeline / "model.rare"),
+                "--setting", "inst", "--reps", "1", "--out", str(out)]
+        assert dispatch([*argv, "--dataset", "synth"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: rare: unrecognized arguments: --dataset synth"]
+        assert files_under(tmp_path) == set()
+        assert dispatch(argv) == 0
+        with out.open(newline="", encoding="utf-8") as fh:
+            assert [row[0] for row in csv.reader(fh)] == ["Dataset", "mine"]
 
 
 class TestCountFlags:
@@ -881,7 +925,7 @@ def manifest_steps(tmp_path: Path) -> list[tuple[list[str], list[Path], dict[str
         (["ablate", "--data", f"synth={d}", "--model", str(model), "--cell", "inst:0:retrieved",
           "--cell", "inst+ic:2:retrieved", "--out", str(ablation)],
          [ablation], {"model": model, **dataset}, {"seed": 0}),
-        (["bench", "--data", str(d), "--dataset", "synth", "--model", str(model), "--k", "2", "--reps", "1",
+        (["bench", "--data", f"synth={d}", "--model", str(model), "--k", "2", "--reps", "1",
           "--out", str(latency)],
          [latency], {"model": model, **dataset}, {}),
     ]
@@ -923,17 +967,6 @@ class TestManifests:
             assert dispatch(argv) == 0, argv[0]
             assert Counter(path for path, _ in calls) == Counter(read.values()), argv[0]
             assert [written for _, written in calls if written] == [], argv[0]
-
-    def test_eval_over_its_own_run_records_the_run_it_read(self, pipeline, tmp_path):
-        run = tmp_path / "run.trec"
-        shutil.copyfile(pipeline / "run.trec", run)
-        read = digest_file(run)
-        assert dispatch(["eval", "--run", str(run), "--qrels", str(pipeline / "data" / "qrels.tsv"),
-                         "--out", str(run)]) == 0
-        manifest = json.loads(manifest_path(run).read_text(encoding="utf-8"))
-        assert manifest["input_digests"]["run"] == read
-        # The fingerprint comes from the same digests, so the report is the pipeline's.
-        assert run.read_bytes() == (pipeline / "report.json").read_bytes()
 
     def test_search_without_examples_records_no_pool(self, pipeline, tmp_path):
         data_dir = pipeline / "data"
@@ -1511,7 +1544,7 @@ class TestImports:
                      "--model", str(pipeline / "model.rare")],
             "ablate": ["ablate", "--data", f"synth={d}", "--model", str(pipeline / "model.rare"),
                        "--cell", "inst:0:retrieved", "--cell", "inst+ic:2:random", "--out", "out.csv"],
-            "bench": ["bench", "--data", str(d), "--dataset", "synth", "--model", str(pipeline / "model.rare"),
+            "bench": ["bench", "--data", f"synth={d}", "--model", str(pipeline / "model.rare"),
                       "--k", "2", "--reps", "1", "--out", "out.csv"],
         }[command]
         fresh, here = tmp_path / "fresh", tmp_path / "here"

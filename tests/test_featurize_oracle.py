@@ -1,8 +1,8 @@
 """`bm25.tokenize` and `embedder.featurize` against their per-character and
 per-gram loop implementations, and the bucket hash against a keyed blake2b
-made afresh per gram, kept here as oracles. `embedder.embed_many` (and so
-`embed`, its one-text case) against rows built from the oracle features,
-which share no hashing or counting code with `embedder._features`; and the
+made afresh per gram, kept here as oracles. `embedder.embed_many`, and
+`embed` with and without a gram memo, against rows built from the oracle
+features, which share no hashing or counting code with `embedder._features`; and the
 trainer's `Features`, whose gram memo empties as it grows, against the same
 oracle features.
 
@@ -202,15 +202,19 @@ def oracle_embed_rows(params, batch):
     st.none() | st.integers(min_value=1, max_value=6),
     st.sampled_from([7, 97, 1 << 16]),
     st.integers(min_value=1, max_value=40),
+    st.sampled_from([1, 2, 1 << 12]),
 )
-def test_embed_many_equals_stacked_embed(batch, ngram_orders, max_tokens, hash_dim, chunk):
+def test_embed_many_equals_stacked_embed(batch, ngram_orders, max_tokens, hash_dim, chunk, cap):
     # Chunks of a few grams: texts straddle chunk boundaries, and one text can exceed a chunk.
+    # One memo serves every `embed` of the batch, as `run_inference`'s serves a run, at serving caps.
     params = new_params(hash_dim=hash_dim, embed_dim=8, ngram_orders=ngram_orders, max_tokens=max_tokens, seed=5)
     expected = oracle_embed_rows(params, batch)
+    memo = embedder.Memo(params, cap)
     with mock.patch.object(embedder, "_CHUNK_GRAMS", chunk):
         assert embedder.embed_many(params, batch).tobytes() == expected.tobytes()
         for text, row in zip(batch, expected):
             assert embedder.embed(params, text).tobytes() == row.tobytes()
+            assert embedder.embed(params, text, memo).tobytes() == row.tobytes()
 
 
 def test_embed_many_with_a_text_larger_than_a_chunk():

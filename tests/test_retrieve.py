@@ -544,6 +544,24 @@ class TestRunInference:
         assert info.hits + info.misses - before.hits - before.misses == grams
         assert info.hits > before.hits  # repeats within one rendered query
 
+    def test_a_query_embed_never_enters_the_range_layers(self, monkeypatch, tmp_path):
+        # Each query goes through `embed`'s single-text featurizer, not the
+        # ranges and chunks that feed forked workers, and the run keeps its
+        # bytes: synth seed 7, an untrained seed-7 model, inst+ic k=5.
+        bench = generate(SynthSpec(seed=7))
+        params = new_params(seed=7)
+        index = build_flat_index(bench.corpus, params)
+
+        def no_ranges(*_):
+            raise AssertionError("a query was embedded through the range layers")
+
+        monkeypatch.setattr(embedder, "_range_features", no_ranges)
+        run = run_inference(bench.queries, "", bench.pool, index, params, PromptFormat(kind=FormatKind.INST_IC),
+                            k=5, top_k=10)
+        write_run(run, tmp_path / "run.trec")
+        assert hashlib.sha256((tmp_path / "run.trec").read_bytes()).hexdigest() == (
+            "634afd439fb171afc9dd06303ba0bd8669a0a2e16aefe5fbe82aeee87ce33b1c")
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 1 << 16), n_queries=st.integers(1, 10), n_pool=st.integers(2, 8), k=st.integers(1, 3))
     def test_run_bytes_equal_at_any_serving_cap_and_with_no_memo(self, seed, n_queries, n_pool, k):
